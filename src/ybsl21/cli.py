@@ -13,13 +13,15 @@ import json
 import os
 import random
 import sys
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lax import SpectralTriple, check_invariance, check_rll, matrices_equal
 from .lax import build_lax, build_lax_factorized, build_lax_tensor
-from .lowest import check_composite, check_conjugator_oracles, check_sector
+from .lowest import (_built_operator, check_composite,
+                     check_conjugator_oracles, check_sector, sector_comparison,
+                     sector_levels)
 from .opalg import OperatorError, Scalar, equal_on_degree
 from .report import CheckReport
 from .rops import (ParamPair, SingularParameters, build_rhat, check_defining,
@@ -28,6 +30,7 @@ from .rops import (ParamPair, SingularParameters, build_rhat, check_defining,
 from .sl21 import (SingularWeight, Weight, build_generators, check_casimir,
                    check_finite_subspace, check_relations, fundamental_rep,
                    raised_vector, verma_vector)
+from .superpoly import SuperPolynomial
 
 Q = Fraction
 
@@ -40,6 +43,12 @@ class GuardExhausted(Exception):
     """Parameter sampling failed to satisfy the regularity guard."""
 
 
+#: faults that end a run with exit 2: the configuration is unusable
+CONFIG_FAULTS = (SingularParameters, SingularWeight, ValueError)
+#: faults that end a run with exit 3, after the reports finished so far
+INTERNAL_FAULTS = (OperatorError, GuardExhausted, ArithmeticError)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -47,7 +56,6 @@ class RunConfig:
     seed: int = 0
     samples: int = 3
     explicit_params: list[Fraction] | None = None
-    explicit_weights: list[Fraction] | None = None
     output: str | None = None
     format: str = "json"
     include_timings: bool = False
@@ -129,23 +137,22 @@ def run_algebra(cfg: RunConfig) -> list[CheckReport]:
     for kind in ("chiral", "antichiral"):
         reports.append(check_relations(fundamental_rep(kind)))
     # closed-form module vectors vs iterated raising
-    t0 = time.perf_counter()
     verma = CheckReport(check_name="verma-oracle", max_degree=4)
-    for w in sample_weights(cfg.seed, cfg.samples):
-        g = build_generators(1, w, nsites=1)
-        try:
-            for kind in ("a", "b", "v", "w"):
-                for k in range(0 if kind in ("a", "v", "w") else 1, 5):
-                    closed = verma_vector(w, kind, k)
-                    raised = raised_vector(g, kind, k)
-                    if closed != raised:
-                        verma.add_failure(
-                            f"{kind}_{k} at (ell,b)=({w.ell},{w.b})",
-                            closed.text(), raised.text(),
-                            (closed - raised).text())
-        except SingularWeight as exc:
-            verma.notes.append(f"skipped (ell,b)=({w.ell},{w.b}): {exc}")
-    verma.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with verma.timed():
+        for w in sample_weights(cfg.seed, cfg.samples):
+            g = build_generators(1, w, nsites=1)
+            try:
+                for kind in ("a", "b", "v", "w"):
+                    for k in range(0 if kind in ("a", "v", "w") else 1, 5):
+                        closed = verma_vector(w, kind, k)
+                        raised = raised_vector(g, kind, k)
+                        if closed != raised:
+                            verma.add_failure(
+                                f"{kind}_{k} at (ell,b)=({w.ell},{w.b})",
+                                closed.text(), raised.text(),
+                                (closed - raised).text())
+            except SingularWeight as exc:
+                verma.notes.append(f"skipped (ell,b)=({w.ell},{w.b}): {exc}")
     reports.append(verma)
     for n in (1, 2):
         for kind in ("chiral", "antichiral"):
@@ -201,13 +208,13 @@ def run_factorization(cfg: RunConfig) -> list[CheckReport]:
     reports = [check_factorization(pp, degree)
                for pp in _pairs_for(cfg, degree)]
     # trivial exchange: equal parameter sets give the identity operator
-    t0 = time.perf_counter()
     w = sample_weights(cfg.seed, 1)[0]
     pp = ParamPair.from_weights(w, w, Q(1), Q(1))
-    rep = equal_on_degree(build_rhat(pp).op, Scalar(1), max(cfg.max_degree, 3),
-                          nsites=2, name="rhat-trivial-identity",
-                          params=pp.render())
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    degree = max(cfg.max_degree, 3)
+    rep = CheckReport(check_name="rhat-trivial-identity", params=pp.render(),
+                      max_degree=degree)
+    with rep.timed():
+        rep.merge(equal_on_degree(build_rhat(pp), Scalar(1), degree, nsites=2))
     reports.append(rep)
     return reports
 
@@ -268,39 +275,48 @@ def run(cfg: RunConfig, stream=None) -> int:
     """Dispatch checks, stream reports, and return the exit code.
 
     Exit codes: 0 all passed, 1 check failures, 2 configuration errors,
-    3 internal errors (non-terminating series, guard exhaustion, ...).
+    3 internal errors (non-terminating series, guard exhaustion, arithmetic
+    faults, ...).
     """
     stream = stream if stream is not None else sys.stdout
-    close = None
-    if cfg.output and cfg.output != "-":
-        close = stream = open(cfg.output, "w", encoding="utf-8")
+    reports: list[CheckReport] = []
+    commands = list(SUITE_ORDER) if cfg.command == "all" else [cfg.command]
+    if cfg.command == "all":
+        reports.append(CheckReport(
+            check_name="check-ybe", status="skip",
+            notes=["skipped: run 'check-ybe' explicitly "
+                   "(three-site extension)"]))
+    code = _collect(cfg, stream, reports,
+                    [DRIVERS[command] for command in commands],
+                    lambda done: _emit(cfg, done, stream))
+    if code is not None:
+        return code
+    if any(r.status == "error" for r in reports):
+        return 3
+    return 0 if all(r.status in ("pass", "skip") for r in reports) else 1
+
+
+def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
+    """Extend `done` with each step's results, then pass it to `emit`.
+
+    The one place a fault becomes an exit code: a configuration fault is
+    reported alone with exit 2; an internal fault is reported after the
+    results finished so far, with exit 3.  Returns None when no step fails.
+    """
     try:
-        reports: list[CheckReport] = []
-        commands = list(SUITE_ORDER) if cfg.command == "all" else [cfg.command]
-        if cfg.command == "all":
-            reports.append(CheckReport(
-                check_name="check-ybe", status="skip",
-                notes=["skipped: run 'check-ybe' explicitly "
-                       "(three-site extension)"]))
-        try:
-            for command in commands:
-                reports.extend(DRIVERS[command](cfg))
-        except (SingularParameters, SingularWeight, ValueError) as exc:
-            _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
-            return 2
-        except (OperatorError, GuardExhausted) as exc:
-            reports.append(CheckReport(check_name="internal-error",
-                                       status="error",
-                                       notes=[f"{type(exc).__name__}: {exc}"]))
-            _emit(cfg, reports, stream)
-            return 3
-        _emit(cfg, reports, stream)
-        if any(r.status == "error" for r in reports):
-            return 3
-        return 0 if all(r.status in ("pass", "skip") for r in reports) else 1
-    finally:
-        if close is not None:
-            close.close()
+        for step in steps:
+            done.extend(step(cfg))
+    except CONFIG_FAULTS as exc:
+        _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
+        return 2
+    except INTERNAL_FAULTS as exc:
+        emit(done)
+        _emit(cfg, [CheckReport(check_name="internal-error", status="error",
+                                notes=[f"{type(exc).__name__}: {exc}"])],
+              stream)
+        return 3
+    emit(done)
+    return None
 
 
 def _emit_config_error(cfg: RunConfig, stream, message: str) -> None:
@@ -339,15 +355,11 @@ def format_text(r: CheckReport, include_timings: bool = True) -> str:
 
 def spectrum_table(cfg: RunConfig) -> list[dict]:
     """Computed vs closed-formula sector entries for every operator, n <= 3."""
-    from .lowest import (expected_composite_matrix, expected_sector_matrix,
-                         sector_action)
-    from .rops import build_r, build_rhat
-    from .superpoly import SuperPolynomial
     pp = _pairs_for(cfg, 4)[0]
     rows = []
     one = SuperPolynomial.one(2)
     for which in (1, 2, 3, "rhat"):
-        op = build_r(which, pp) if which != "rhat" else build_rhat(pp)
+        op = _built_operator(which, pp)
         fixed = op.apply(one) == one
         rows.append({
             "operator": f"R{which}" if which != "rhat" else "Rcheck",
@@ -356,26 +368,19 @@ def spectrum_table(cfg: RunConfig) -> list[dict]:
             "formula": "1", "match": fixed,
             "note": "normalization anchor: every ratio is 1 at n=0",
         })
-    for n in range(4):
-        for sector in ("even", "odd"):
-            if sector == "even" and n == 0:
-                continue
-            for which in (1, 2, 3, "rhat"):
-                got = sector_action(which, pp, sector, n)
-                if which == "rhat":
-                    want = expected_composite_matrix(pp, sector, n)
-                else:
-                    want = expected_sector_matrix(which, pp, sector, n)
-                rows.append({
-                    "operator": f"R{which}" if which != "rhat" else "Rcheck",
-                    "sector": sector, "n": n,
-                    "computed": [[str(x) for x in row] for row in got.entries],
-                    "formula": [[str(x) for x in row] for row in want.entries],
-                    "match": got.entries == want.entries,
-                    "note": ("paper-typo-note: printed composite odd line "
-                             "labels the Psi- image as Psi+"
-                             if which == "rhat" and sector == "odd" else ""),
-                })
+    for n, sector in sector_levels(3):
+        for which in (1, 2, 3, "rhat"):
+            got, want = sector_comparison(which, pp, sector, n)
+            rows.append({
+                "operator": f"R{which}" if which != "rhat" else "Rcheck",
+                "sector": sector, "n": n,
+                "computed": [[str(x) for x in row] for row in got.entries],
+                "formula": [[str(x) for x in row] for row in want.entries],
+                "match": got.entries == want.entries,
+                "note": ("paper-typo-note: printed composite odd line "
+                         "labels the Psi- image as Psi+"
+                         if which == "rhat" and sector == "odd" else ""),
+            })
     return rows
 
 
@@ -405,8 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
+    """Validate the arguments; any ValueError aborts before computation."""
+    if args.max_degree < 0 or args.ybe_degree < 0:
+        raise ValueError("--max-degree and --ybe-degree must be >= 0")
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    if args.params and args.weights:
+        raise ValueError("--params and --weights are mutually exclusive")
     explicit_params = None
-    explicit_weights = None
     if args.params:
         vals = [parse_rational(x) for x in args.params.split(",")]
         if len(vals) != 6:
@@ -416,46 +427,38 @@ def config_from_args(args) -> RunConfig:
         vals = [parse_rational(x) for x in args.weights.split(",")]
         if len(vals) != 6:
             raise ValueError("--weights needs six rationals l1,b1,l2,b2,u,v")
-        explicit_weights = vals
-        if explicit_params is None:
-            l1, b1, l2, b2, u, v = vals
-            explicit_params = [
-                u + b1 + l1, u + 2 * b1, u + b1 - l1,
-                v + b2 + l2, v + 2 * b2, v + b2 - l2,
-            ]
+        l1, b1, l2, b2, u, v = vals
+        explicit_params = [
+            u + b1 + l1, u + 2 * b1, u + b1 - l1,
+            v + b2 + l2, v + 2 * b2, v + b2 - l2,
+        ]
     return RunConfig(command=args.command, max_degree=args.max_degree,
                      seed=args.seed, samples=args.samples,
                      explicit_params=explicit_params,
-                     explicit_weights=explicit_weights,
                      output=args.output, format=args.format,
                      include_timings=args.timings,
                      ybe_degree=args.ybe_degree)
+
+
+def _emit_rows(rows: list[dict], stream) -> None:
+    for row in rows:
+        stream.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-    except ValueError as exc:
+        out = (open(cfg.output, "w", encoding="utf-8")
+               if cfg.output and cfg.output != "-" else nullcontext(sys.stdout))
+    except (ValueError, OSError) as exc:
         print(f"CONFIG ERROR {exc}", file=sys.stderr)
         return 2
-    if args.spectrum_table:
-        try:
-            rows = spectrum_table(cfg)
-        except (SingularParameters, ValueError) as exc:
-            print(f"CONFIG ERROR {exc}", file=sys.stderr)
-            return 2
-        out = sys.stdout if not cfg.output else open(cfg.output, "w")
-        for row in rows:
-            out.write(json.dumps(row, sort_keys=True) + "\n")
-        if cfg.output:
-            out.close()
-        return 0
-    try:
-        return run(cfg)
-    except (SingularParameters, ValueError) as exc:
-        print(f"CONFIG ERROR {exc}", file=sys.stderr)
-        return 2
+    with out as stream:
+        if args.spectrum_table:
+            return _collect(cfg, stream, [], [spectrum_table],
+                            lambda rows: _emit_rows(rows, stream)) or 0
+        return run(cfg, stream)
 
 
 if __name__ == "__main__":

@@ -13,21 +13,17 @@ space.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .opalg import (EvenDeriv, MulPoly, MulZ, OddDeriv, Operator, Scalar,
-                    TerminatingExp, compose, equal_on_degree, op_sum)
+from .opalg import (EvenDeriv, MulOdd, MulPoly, MulZ, OddDeriv, Operator,
+                    Scalar, TerminatingExp, compose, equal_on_degree, op_sum)
 from .report import CheckReport
-from .sl21 import Weight, build_generators, fundamental_rep
+from .sl21 import GRADING, Weight, build_generators, fundamental_rep
 from .superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
                         theta, theta_bar)
 
 Q = Fraction
-
-#: grading of the auxiliary basis (e1, e2, e3)
-AUX_GRADING = (0, 1, 0)
 
 
 @dataclass
@@ -60,16 +56,9 @@ def covariant_derivatives(site: int) -> tuple[Operator, Operator]:
     """(D-, D+) at a site: D- = -d_thb + th d/2, D+ = -d_th + thb d/2."""
     dz = EvenDeriv(site)
     th, thb = theta(site), theta_bar(site)
-    d_minus = op_sum(-1 * OddDeriv(thb),
-                     Q(1, 2) * compose(_mul_odd(site, "th"), dz))
-    d_plus = op_sum(-1 * OddDeriv(th),
-                    Q(1, 2) * compose(_mul_odd(site, "thb"), dz))
+    d_minus = op_sum(-1 * OddDeriv(thb), Q(1, 2) * compose(MulOdd(th), dz))
+    d_plus = op_sum(-1 * OddDeriv(th), Q(1, 2) * compose(MulOdd(thb), dz))
     return d_minus, d_plus
-
-
-def _mul_odd(site: int, which: str) -> Operator:
-    from .opalg import MulOdd
-    return MulOdd(theta(site) if which == "th" else theta_bar(site))
 
 
 class SuperMatrixOperator:
@@ -113,12 +102,6 @@ class SuperMatrixOperator:
         return self.entries[i - 1][k - 1]
 
 
-def scalar_matrix(diag) -> SuperMatrixOperator:
-    z = Scalar(0)
-    return SuperMatrixOperator([
-        [Scalar(diag[i]) if i == k else z for k in range(3)] for i in range(3)])
-
-
 def rational_matrix(rows) -> SuperMatrixOperator:
     return SuperMatrixOperator([[Scalar(Q(x)) for x in row] for row in rows])
 
@@ -127,15 +110,15 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
                    max_degree: int, nsites: int = 2,
                    name: str = "matrix-equality",
                    params: dict[str, str] | None = None) -> CheckReport:
-    t0 = time.perf_counter()
     report = CheckReport(check_name=name, params=params or {},
                          max_degree=max_degree)
-    for i in range(3):
-        for k in range(3):
-            sub = equal_on_degree(a.entries[i][k], b.entries[i][k], max_degree,
-                                  nsites=nsites, name=f"entry({i + 1},{k + 1})")
-            report.merge(sub, prefix=f"entry({i + 1},{k + 1}) on ")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with report.timed():
+        for i in range(3):
+            for k in range(3):
+                sub = equal_on_degree(a.entries[i][k], b.entries[i][k],
+                                      max_degree, nsites=nsites,
+                                      name=f"entry({i + 1},{k + 1})")
+                report.merge(sub, prefix=f"entry({i + 1},{k + 1}) on ")
     return report
 
 
@@ -216,7 +199,7 @@ def build_lax_tensor(site: int, t: SpectralTriple, kind: str = "chiral",
             for k in range(3):
                 if a[i][k] == 0:
                     continue
-                sign = -1 if (q_par and AUX_GRADING[k]) else 1
+                sign = -1 if (q_par and GRADING[k]) else 1
                 entries[i][k] = entries[i][k] + (coef * a[i][k] * sign) * q_op
     return SuperMatrixOperator(entries)
 
@@ -275,12 +258,12 @@ def apply_matrix_on_leg(m: SuperMatrixOperator, leg: int, nlegs: int,
     out: LegState = {}
     for key, poly in state.items():
         k = key[leg]
-        right_par = sum(AUX_GRADING[key[s]] for s in range(leg + 1, nlegs)) & 1
+        right_par = sum(GRADING[key[s]] for s in range(leg + 1, nlegs)) & 1
         for i in range(3):
             q = m.entries[i][k].apply(poly)
             if q.is_zero():
                 continue
-            entry_par = (AUX_GRADING[i] + AUX_GRADING[k]) & 1
+            entry_par = (GRADING[i] + GRADING[k]) & 1
             if entry_par and right_par:
                 q = Q(-1) * q
             _state_add(out, key[:leg] + (i,) + key[leg + 1:], q)
@@ -295,16 +278,11 @@ def apply_fundamental_r(u, leg_a: int, leg_b: int, state: LegState) -> LegState:
         i, j = key[leg_a], key[leg_b]
         if u:
             _state_add(out, key, u * poly)
-        sign = -1 if (AUX_GRADING[i] and AUX_GRADING[j]) else 1
+        sign = -1 if (GRADING[i] and GRADING[j]) else 1
         swapped = list(key)
         swapped[leg_a], swapped[leg_b] = j, i
         _state_add(out, tuple(swapped), sign * poly)
     return out
-
-
-def states_equal(a: LegState, b: LegState) -> bool:
-    # zero components never survive _state_add, so plain equality is exact
-    return a == b
 
 
 def _state_text(state: LegState) -> str:
@@ -323,7 +301,7 @@ def fundamental_rmatrix(u) -> list[tuple[tuple, tuple, Fraction]]:
         for j in range(3):
             if u:
                 triples.append(((i, j), (i, j), u))
-            sign = Q(-1) if (AUX_GRADING[i] and AUX_GRADING[j]) else Q(1)
+            sign = Q(-1) if (GRADING[i] and GRADING[j]) else Q(1)
             triples.append(((j, i), (i, j), sign))
     return triples
 
@@ -331,29 +309,31 @@ def fundamental_rmatrix(u) -> list[tuple[tuple, tuple, Fraction]]:
 def check_rll(w: Weight, u, v, max_degree: int = 3,
               kind: str = "chiral") -> CheckReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on V (x) V (x) C[Z]."""
-    t0 = time.perf_counter()
     u, v = Q(u), Q(v)
-    l_u = build_lax(1, SpectralTriple.from_weight(u, w), kind, nsites=1)
-    l_v = build_lax(1, SpectralTriple.from_weight(v, w), kind, nsites=1)
     report = CheckReport(
         check_name=f"rll-{kind}",
         params={"ell": str(w.ell), "b": str(w.b), "u": str(u), "v": str(v)},
         max_degree=max_degree)
-    for m in enumerate_basis(max_degree, nsites=1):
-        pm = monomial_poly(m)
-        for i in range(3):
-            for j in range(3):
-                start: LegState = {(i, j): pm}
-                lhs = apply_matrix_on_leg(l_v, 1, 2, start)
-                lhs = apply_matrix_on_leg(l_u, 0, 2, lhs)
-                lhs = apply_fundamental_r(u - v, 0, 1, lhs)
-                rhs = apply_fundamental_r(u - v, 0, 1, start)
-                rhs = apply_matrix_on_leg(l_u, 0, 2, rhs)
-                rhs = apply_matrix_on_leg(l_v, 1, 2, rhs)
-                if not states_equal(lhs, rhs):
-                    report.add_failure(f"e{i + 1}(x)e{j + 1}(x){m.text()}",
-                                       _state_text(lhs), _state_text(rhs), "-")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with report.timed():
+        l_u = build_lax(1, SpectralTriple.from_weight(u, w), kind, nsites=1)
+        l_v = build_lax(1, SpectralTriple.from_weight(v, w), kind, nsites=1)
+        for m in enumerate_basis(max_degree, nsites=1):
+            pm = monomial_poly(m)
+            for i in range(3):
+                for j in range(3):
+                    start: LegState = {(i, j): pm}
+                    lhs = apply_matrix_on_leg(l_v, 1, 2, start)
+                    lhs = apply_matrix_on_leg(l_u, 0, 2, lhs)
+                    lhs = apply_fundamental_r(u - v, 0, 1, lhs)
+                    rhs = apply_fundamental_r(u - v, 0, 1, start)
+                    rhs = apply_matrix_on_leg(l_u, 0, 2, rhs)
+                    rhs = apply_matrix_on_leg(l_v, 1, 2, rhs)
+                    # zero components never survive _state_add, so plain
+                    # equality is exact
+                    if lhs != rhs:
+                        report.add_failure(
+                            f"e{i + 1}(x)e{j + 1}(x){m.text()}",
+                            _state_text(lhs), _state_text(rhs), "-")
     return report
 
 
@@ -366,19 +346,19 @@ def check_invariance(site: int, t: SpectralTriple, lam,
     of the lowering matrix, so conjugating the auxiliary leg by M undoes
     conjugating the quantum leg by S (the total action commutes with L).
     """
-    t0 = time.perf_counter()
     lam = Q(lam)
-    lax = build_lax(site, t, "chiral", nsites=nsites)
-    m_inv = rational_matrix([[1, 0, 0], [0, 1, 0], [-lam, 0, 1]])
-    m_mat = rational_matrix([[1, 0, 0], [0, 1, 0], [lam, 0, 1]])
-    s_minus = -1 * EvenDeriv(site)
-    s_op = TerminatingExp(Scalar(lam) @ s_minus)
-    s_inv = TerminatingExp(Scalar(-lam) @ s_minus)
-    lhs = m_mat @ lax @ m_inv
-    rhs = lax.conjugated(s_inv, s_op)
-    report = matrices_equal(lhs, rhs, max_degree, nsites=nsites,
-                            name="lax-invariance",
-                            params={"lam": str(lam), "u1": str(t.u1),
-                                    "u2": str(t.u2), "u3": str(t.u3)})
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    report = CheckReport(check_name="lax-invariance",
+                         params={"lam": str(lam), "u1": str(t.u1),
+                                 "u2": str(t.u2), "u3": str(t.u3)},
+                         max_degree=max_degree)
+    with report.timed():
+        lax = build_lax(site, t, "chiral", nsites=nsites)
+        m_inv = rational_matrix([[1, 0, 0], [0, 1, 0], [-lam, 0, 1]])
+        m_mat = rational_matrix([[1, 0, 0], [0, 1, 0], [lam, 0, 1]])
+        s_minus = -1 * EvenDeriv(site)
+        s_op = TerminatingExp(Scalar(lam) @ s_minus)
+        s_inv = TerminatingExp(Scalar(-lam) @ s_minus)
+        lhs = m_mat @ lax @ m_inv
+        rhs = lax.conjugated(s_inv, s_op)
+        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
     return report

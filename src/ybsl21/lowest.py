@@ -15,15 +15,15 @@ matching the op(1) = 1 convention of the constructed operators.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lax import covariant_derivatives
 from .linsolve import solve_in_span
-from .opalg import rising_factorial
+from .opalg import Operator, rising_factorial
 from .report import CheckReport
-from .rops import (NormalizedROp, ParamPair, SingularParameters, build_r,
-                   build_rhat, conjugator, conjugator_r2_even, guard_factor)
+from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
+                   conjugator, conjugator_r2_even, guard_factor)
 from .sl21 import Weight, build_generators
 from .superpoly import SuperPolynomial, theta, theta_bar
 
@@ -110,47 +110,47 @@ def verify_lowest(v: LowestVector, w1: Weight, w2: Weight,
     interpretation is evaluated and reported in the notes only, since it
     does not annihilate the vectors.
     """
-    t0 = time.perf_counter()
     report = CheckReport(
         check_name=f"lowest-{v.sector}{v.sign}{v.n}",
         params={"l1": str(w1.ell), "b1": str(w1.b),
                 "l2": str(w2.ell), "b2": str(w2.b)})
-    g1 = build_generators(1, w1, nsites=nsites)
-    g2 = build_generators(2, w2, nsites=nsites)
-    half = Q(1, 2)
-    if v.sector == "even":
-        s_ev = v.n + w1.ell + w2.ell
-        b_ev = w1.b + w2.b
-    else:
-        s_ev = v.n + w1.ell + w2.ell + half
-        b_ev = w1.b + w2.b + (half if v.sign == "+" else -half)
-    for name, ev in (("S", s_ev), ("B", b_ev)):
-        got = (g1[name] + g2[name]).apply(v.poly)
-        want = ev * v.poly
-        if got != want:
-            report.add_failure(f"{name}_tot eigenvalue", got.text(), want.text(),
-                               (got - want).text())
-    for name in ("S-", "V-", "W-"):
-        got = (g1[name] + g2[name]).apply(v.poly)
-        if not got.is_zero():
-            report.add_failure(f"{name}_tot annihilation", got.text(), "0",
-                               got.text())
-    if v.sector == "even":
-        from .lax import covariant_derivatives
-        d1_minus, d1_plus = covariant_derivatives(1)
-        d2_minus, d2_plus = covariant_derivatives(2)
-        d_site1 = d1_plus if v.sign == "+" else d1_minus
-        got = d_site1.apply(v.poly)
-        if not got.is_zero():
-            report.add_failure(f"D1{v.sign} annihilation (site 1)",
-                               got.text(), "0", got.text())
-        d_tot = (d1_plus + d2_plus) if v.sign == "+" else (d1_minus + d2_minus)
-        tot = d_tot.apply(v.poly)
-        report.notes.append(
-            f"site-summed D{v.sign}_tot gives "
-            f"{'0' if tot.is_zero() else 'nonzero: ' + tot.text()} "
-            "(informational; the literal site-1 condition is the hard check)")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with report.timed():
+        g1 = build_generators(1, w1, nsites=nsites)
+        g2 = build_generators(2, w2, nsites=nsites)
+        half = Q(1, 2)
+        if v.sector == "even":
+            s_ev = v.n + w1.ell + w2.ell
+            b_ev = w1.b + w2.b
+        else:
+            s_ev = v.n + w1.ell + w2.ell + half
+            b_ev = w1.b + w2.b + (half if v.sign == "+" else -half)
+        for name, ev in (("S", s_ev), ("B", b_ev)):
+            got = (g1[name] + g2[name]).apply(v.poly)
+            want = ev * v.poly
+            if got != want:
+                report.add_failure(f"{name}_tot eigenvalue", got.text(),
+                                   want.text(), (got - want).text())
+        for name in ("S-", "V-", "W-"):
+            got = (g1[name] + g2[name]).apply(v.poly)
+            if not got.is_zero():
+                report.add_failure(f"{name}_tot annihilation", got.text(), "0",
+                                   got.text())
+        if v.sector == "even":
+            d1_minus, d1_plus = covariant_derivatives(1)
+            d2_minus, d2_plus = covariant_derivatives(2)
+            d_site1 = d1_plus if v.sign == "+" else d1_minus
+            got = d_site1.apply(v.poly)
+            if not got.is_zero():
+                report.add_failure(f"D1{v.sign} annihilation (site 1)",
+                                   got.text(), "0", got.text())
+            d_tot = ((d1_plus + d2_plus) if v.sign == "+"
+                     else (d1_minus + d2_minus))
+            tot = d_tot.apply(v.poly)
+            report.notes.append(
+                f"site-summed D{v.sign}_tot gives "
+                f"{'0' if tot.is_zero() else 'nonzero: ' + tot.text()} "
+                "(informational; the literal site-1 condition is the hard "
+                "check)")
     return report
 
 
@@ -165,7 +165,7 @@ def decompose(p: SuperPolynomial, n: int, sector: str,
 
 
 def _built_operator(which, pp: ParamPair, nsites: int = 2,
-                    max_degree: int = 4) -> NormalizedROp:
+                    max_degree: int = 4) -> Operator:
     if which in (1, 2, 3):
         return build_r(which, pp, nsites=nsites, max_degree=max_degree)
     if which == "rhat":
@@ -227,33 +227,42 @@ def expected_sector_matrix(which: int, pp: ParamPair, sector: str,
                         entries=((psi_plus, zero), (zero, psi_minus)))
 
 
+def sector_levels(nmax: int) -> list[tuple[int, str]]:
+    """The (n, sector) levels compared entrywise, in order, for n <= nmax.
+
+    At n = 0 the even basis degenerates (Phi0+ = Phi0- = 1); the anchor
+    fact there is op(1) = 1, asserted via the odd n = 0 row plus
+    normalization, so even comparisons start at n = 1.
+    """
+    return [(n, sector) for n in range(nmax + 1)
+            for sector in (("even", "odd") if n else ("odd",))]
+
+
+def sector_comparison(which, pp: ParamPair, sector: str, n: int,
+                      nsites: int = 2) -> tuple[SectorMatrix, SectorMatrix]:
+    """Computed and printed sector matrices of R1, R2, R3 or "rhat"."""
+    got = sector_action(which, pp, sector, n, nsites)
+    if which == "rhat":
+        return got, expected_composite_matrix(pp, sector, n)
+    return got, expected_sector_matrix(which, pp, sector, n)
+
+
 def check_sector(which: int, pp: ParamPair, nmax: int = 3,
                  nsites: int = 2) -> CheckReport:
     """Computed sector matrices equal the printed ones for n <= nmax."""
-    t0 = time.perf_counter()
     report = CheckReport(check_name=f"spectrum-R{which}", params=pp.render(),
                          max_degree=nmax)
-    try:
+    with report.timed(SingularParameters, NotInSpan):
         guard_factor(which, pp, nmax)
-        # at n = 0 the even basis degenerates (Phi0+ = Phi0- = 1); the
-        # anchor fact there is op(1) = 1, asserted via the odd n = 0 row
-        # plus normalization, so entrywise comparison starts at n = 1
         op = _built_operator(which, pp, nsites=nsites, max_degree=nmax + 1)
         one = SuperPolynomial.one(nsites)
         if op.apply(one) != one:
             report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
-        for n in range(nmax + 1):
-            sectors = ("even", "odd") if n >= 1 else ("odd",)
-            for sector in sectors:
-                got = sector_action(which, pp, sector, n, nsites)
-                want = expected_sector_matrix(which, pp, sector, n)
-                if got.entries != want.entries:
-                    report.add_failure(f"{sector} n={n}", str(got.entries),
-                                       str(want.entries), "-")
-    except (SingularParameters, NotInSpan) as exc:
-        report.status = "error"
-        report.notes.append(f"{type(exc).__name__}: {exc}")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+        for n, sector in sector_levels(nmax):
+            got, want = sector_comparison(which, pp, sector, n, nsites)
+            if got.entries != want.entries:
+                report.add_failure(f"{sector} n={n}", str(got.entries),
+                                   str(want.entries), "-")
     return report
 
 
@@ -314,7 +323,6 @@ def check_composite(pp: ParamPair, nmax: int = 3,
     """Composite spectra vs the printed formulas, entrywise and as the
     normalization-free ratios (odd-entry ratio, mixing over diagonal with
     the constant C, and the Gamma-ratio recurrences across n)."""
-    t0 = time.perf_counter()
     u1, u2, u3 = pp.u.as_tuple()
     v1, v2, v3 = pp.v.as_tuple()
     report = CheckReport(check_name="spectrum-composite", params=pp.render(),
@@ -324,7 +332,7 @@ def check_composite(pp: ParamPair, nmax: int = 3,
         "contradicting B-eigenvalue conservation; verified as Psi_n^- -> "
         "Psi_n^- with the printed coefficient")
     x, s = u1 - v3, v1 - u3
-    try:
+    with report.timed(SingularParameters, NotInSpan):
         # n = 0 anchor: the normalized operator fixes 1 (even basis is
         # degenerate there, so 2x2 comparisons start at n = 1)
         op = _built_operator("rhat", pp, nsites=nsites, max_degree=nmax + 1)
@@ -366,10 +374,6 @@ def check_composite(pp: ParamPair, nmax: int = 3,
                     report.add_failure(f"Phi+ diag step n={n}", str(got),
                                        str(want), "-")
             even_prev, odd_prev = even, odd
-    except (SingularParameters, NotInSpan) as exc:
-        report.status = "error"
-        report.notes.append(f"{type(exc).__name__}: {exc}")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 
@@ -383,34 +387,33 @@ def check_conjugator_oracles(nmax: int = 3, nsites: int = 2) -> CheckReport:
     These identities validate the terminating-exponential implementation of
     S1, S2, S3 against the closed-form images of the lowest vectors.
     """
-    t0 = time.perf_counter()
     report = CheckReport(check_name="conjugator-oracles", max_degree=nmax)
-    z1, z2, th1, thb1, th2, thb2 = _vars(nsites)
-    z12 = z1 - z2
-    s3, _ = conjugator(3, (1, 2), nsites)
-    s1, _ = conjugator(1, (1, 2), nsites)
-    s2e, _ = conjugator_r2_even((1, 2), nsites)
-    t12, tb12 = theta_12(nsites), theta_bar_12(nsites)
-    w = z12 + th1 * thb2
 
     def expect(label, got, want):
         if got != want:
             report.add_failure(label, got.text(), want.text(),
                                (got - want).text())
 
-    for n in range(nmax + 1):
-        phi_p, phi_m = sector_basis("even", n, nsites)
-        psi_p, psi_m = sector_basis("odd", n, nsites)
-        expect(f"S3 Phi{n}+", s3.apply(phi_p), z1 ** n)
-        expect(f"S3 Phi{n}-", s3.apply(phi_m), (z1 - th1 * thb1) ** n)
-        expect(f"S3 Psi{n}+", s3.apply(psi_p), thb1 * z1 ** n)
-        expect(f"S3 Psi{n}-", s3.apply(psi_m), th1 * z1 ** n)
-        expect(f"S1 Phi{n}+", s1.apply(phi_p), (-1 * z2) ** n)
-        # the printed image -z1-th2*thb2 is a typo for -z2-th2*thb2
-        expect(f"S1 Phi{n}-", s1.apply(phi_m), (-1 * z2 - th2 * thb2) ** n)
-        expect(f"S2even Phi{n}-", s2e.apply(phi_m), w ** n)
-        expect(f"S2even Phi{n}+", s2e.apply(phi_p), (w + t12 * tb12) ** n)
-        expect(f"S2even Psi{n}+", s2e.apply(psi_p), tb12 * w ** n)
-        expect(f"S2even Psi{n}-", s2e.apply(psi_m), t12 * w ** n)
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with report.timed():
+        z1, z2, th1, thb1, th2, thb2 = _vars(nsites)
+        z12 = z1 - z2
+        s3, _ = conjugator(3, (1, 2), nsites)
+        s1, _ = conjugator(1, (1, 2), nsites)
+        s2e, _ = conjugator_r2_even((1, 2), nsites)
+        t12, tb12 = theta_12(nsites), theta_bar_12(nsites)
+        w = z12 + th1 * thb2
+        for n in range(nmax + 1):
+            phi_p, phi_m = sector_basis("even", n, nsites)
+            psi_p, psi_m = sector_basis("odd", n, nsites)
+            expect(f"S3 Phi{n}+", s3.apply(phi_p), z1 ** n)
+            expect(f"S3 Phi{n}-", s3.apply(phi_m), (z1 - th1 * thb1) ** n)
+            expect(f"S3 Psi{n}+", s3.apply(psi_p), thb1 * z1 ** n)
+            expect(f"S3 Psi{n}-", s3.apply(psi_m), th1 * z1 ** n)
+            expect(f"S1 Phi{n}+", s1.apply(phi_p), (-1 * z2) ** n)
+            # the printed image -z1-th2*thb2 is a typo for -z2-th2*thb2
+            expect(f"S1 Phi{n}-", s1.apply(phi_m), (-1 * z2 - th2 * thb2) ** n)
+            expect(f"S2even Phi{n}-", s2e.apply(phi_m), w ** n)
+            expect(f"S2even Phi{n}+", s2e.apply(phi_p), (w + t12 * tb12) ** n)
+            expect(f"S2even Psi{n}+", s2e.apply(psi_p), tb12 * w ** n)
+            expect(f"S2even Psi{n}-", s2e.apply(psi_m), t12 * w ** n)
     return report

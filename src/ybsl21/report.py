@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -38,6 +40,23 @@ class CheckReport:
         if len(self.failures) < limit:
             self.failures.append(Failure(input_text, lhs, rhs, residual))
         self.status = "fail"
+
+    @contextmanager
+    def timed(self, *errors: type[BaseException]):
+        """Time the block into `elapsed_ms`.
+
+        An exception of one of the listed types ends the block with status
+        'error' and the note "{Type}: {message}"; failures and notes recorded
+        before it are kept.  Any other exception propagates.
+        """
+        t0 = time.perf_counter()
+        try:
+            yield self
+        except errors as exc:
+            self.status = "error"
+            self.notes.append(f"{type(exc).__name__}: {exc}")
+        finally:
+            self.elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     def merge(self, other: "CheckReport", prefix: str = "") -> None:
         """Fold a sub-check into this report, tagging its failures."""

@@ -10,7 +10,6 @@ z-degree zero, which keeps the whole construction inside the rationals.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,33 +37,10 @@ class ParamPair:
     u: SpectralTriple
     v: SpectralTriple
 
-    @property
-    def u1(self):
-        return self.u.u1
-
-    @property
-    def u2(self):
-        return self.u.u2
-
-    @property
-    def u3(self):
-        return self.u.u3
-
-    @property
-    def v1(self):
-        return self.v.u1
-
-    @property
-    def v2(self):
-        return self.v.u2
-
-    @property
-    def v3(self):
-        return self.v.u3
-
     def render(self) -> dict[str, str]:
-        return {"u1": str(self.u1), "u2": str(self.u2), "u3": str(self.u3),
-                "v1": str(self.v1), "v2": str(self.v2), "v3": str(self.v3)}
+        names = ("u1", "u2", "u3", "v1", "v2", "v3")
+        values = self.u.as_tuple() + self.v.as_tuple()
+        return {name: str(x) for name, x in zip(names, values)}
 
     @staticmethod
     def from_rationals(u1, u2, u3, v1, v2, v3) -> "ParamPair":
@@ -91,27 +67,29 @@ def guard_factor(k: int, pp: ParamPair, max_degree: int) -> None:
     conjugators reach a few z-degrees above the test basis.
     """
     bound = max_degree + 4
+    u1, u2, u3 = pp.u.as_tuple()
+    v1, v2, v3 = pp.v.as_tuple()
     if k == 1:
-        if pp.u1 == pp.v1:
+        if u1 == v1:
             raise SingularParameters("u1 = v1")
-        if pp.v1 == pp.v2:
+        if v1 == v2:
             raise SingularParameters("v1 = v2 (normalization vanishes)")
-        _forbid_nonpositive_int(pp.v1 - pp.v3, bound, "v1-v3", include_zero=False)
-        _forbid_nonpositive_int(pp.u1 - pp.v3, bound, "u1-v3", include_zero=True)
+        _forbid_nonpositive_int(v1 - v3, bound, "v1-v3", include_zero=False)
+        _forbid_nonpositive_int(u1 - v3, bound, "u1-v3", include_zero=True)
     elif k == 2:
-        if pp.u2 == pp.v2:
+        if u2 == v2:
             raise SingularParameters("u2 = v2")
-        if pp.u1 == pp.u2:
+        if u1 == u2:
             raise SingularParameters("u1 = u2 (normalization vanishes)")
-        if pp.v2 == pp.v3:
+        if v2 == v3:
             raise SingularParameters("v2 = v3 (normalization vanishes)")
     elif k == 3:
-        if pp.u3 == pp.v3:
+        if u3 == v3:
             raise SingularParameters("u3 = v3")
-        if pp.u2 == pp.u3:
+        if u2 == u3:
             raise SingularParameters("u2 = u3 (normalization vanishes)")
-        _forbid_nonpositive_int(pp.u1 - pp.u3, bound, "u1-u3", include_zero=False)
-        _forbid_nonpositive_int(pp.u1 - pp.v3, bound, "u1-v3", include_zero=True)
+        _forbid_nonpositive_int(u1 - u3, bound, "u1-u3", include_zero=False)
+        _forbid_nonpositive_int(u1 - v3, bound, "u1-v3", include_zero=True)
     else:
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
 
@@ -133,21 +111,9 @@ def pair_guard(pp: ParamPair, max_degree: int) -> None:
         guard_factor(k, stage, max_degree)
 
 
-TRIVIAL_SLOT = {1: (lambda p: (p.u1, p.v1)),
-                2: (lambda p: (p.u2, p.v2)),
-                3: (lambda p: (p.u3, p.v3))}
-
-
-@dataclass
-class NormalizedROp:
-    which: str                 # "1" | "2" | "3" | "rhat" | "full"
-    params: ParamPair
-    op: Operator
-    sites: tuple[int, int] = (1, 2)
-    nsites: int = 2
-
-    def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        return self.op.apply(p)
+TRIVIAL_SLOT = {1: (lambda p: (p.u.u1, p.v.u1)),
+                2: (lambda p: (p.u.u2, p.v.u2)),
+                3: (lambda p: (p.u.u3, p.v.u3))}
 
 
 def _v_minus(site: int) -> Operator:
@@ -269,7 +235,7 @@ def kernel(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
 
 
 def build_r(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
-            nsites: int = 2, max_degree: int = 4) -> NormalizedROp:
+            nsites: int = 2, max_degree: int = 4) -> Operator:
     """Conjugated, normalized exchange operator; op(1) = 1 exactly.
 
     When the exchanged pair is already equal there is nothing to exchange
@@ -277,8 +243,7 @@ def build_r(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
     """
     lo, hi = TRIVIAL_SLOT[k](pp)
     if lo == hi:
-        return NormalizedROp(which=str(k), params=pp, op=Scalar(1),
-                             sites=sites, nsites=nsites)
+        return Scalar(1)
     guard_factor(k, pp, max_degree)
     s, s_inv = conjugator(k, sites, nsites)
     raw = compose(s_inv, kernel(k, pp, sites, nsites), s)
@@ -288,9 +253,7 @@ def build_r(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
     if image != c * one or c == 0:
         raise NormalizationFailure(
             f"R{k} applied to 1 gave {image.text()}, not a nonzero scalar")
-    op = Cached(compose(Scalar(1 / c), raw))
-    return NormalizedROp(which=str(k), params=pp, op=op, sites=sites,
-                         nsites=nsites)
+    return Cached(compose(Scalar(1 / c), raw))
 
 
 EXCHANGE = {
@@ -318,20 +281,15 @@ def _lax_pair_exchanged(k: int, pp: ParamPair, sites: tuple[int, int],
 def check_defining(k: int, pp: ParamPair, max_degree: int = 2,
                    nsites: int = 2) -> CheckReport:
     """R_k L1(u) L2(v) = L1(u') L2(v') R_k with the k-th pair exchanged."""
-    t0 = time.perf_counter()
-    try:
+    report = CheckReport(check_name=f"defining-R{k}", params=pp.render(),
+                         max_degree=max_degree)
+    with report.timed(SingularParameters):
         r = build_r(k, pp, nsites=nsites, max_degree=max_degree)
-    except SingularParameters as exc:
-        return CheckReport(check_name=f"defining-R{k}", params=pp.render(),
-                           max_degree=max_degree, status="error",
-                           notes=[f"SingularParameters: {exc}"])
-    l1, l2 = _lax_pair(pp, (1, 2), nsites)
-    l1x, l2x = _lax_pair_exchanged(k, pp, (1, 2), nsites)
-    lhs = (l1 @ l2).wrap_left(r.op)
-    rhs = (l1x @ l2x).wrap_right(r.op)
-    report = matrices_equal(lhs, rhs, max_degree, nsites=nsites,
-                            name=f"defining-R{k}", params=pp.render())
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+        l1, l2 = _lax_pair(pp, (1, 2), nsites)
+        l1x, l2x = _lax_pair_exchanged(k, pp, (1, 2), nsites)
+        lhs = (l1 @ l2).wrap_left(r)
+        rhs = (l1x @ l2x).wrap_right(r)
+        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
     return report
 
 
@@ -339,58 +297,52 @@ def check_lemma_system(k: int, pp: ParamPair, max_degree: int = 3,
                        nsites: int = 2) -> CheckReport:
     """The equivalent system: sum equation, variable commutations, and the
     extra odd relation for k = 1, 3; each sub-equation itemized."""
-    t0 = time.perf_counter()
     report = CheckReport(check_name=f"lemma-R{k}", params=pp.render(),
                          max_degree=max_degree)
-    try:
+    with report.timed(SingularParameters):
         r = build_r(k, pp, nsites=nsites, max_degree=max_degree)
-    except SingularParameters as exc:
-        report.status = "error"
-        report.notes.append(f"SingularParameters: {exc}")
-        return report
-    l1, l2 = _lax_pair(pp, (1, 2), nsites)
-    l1x, l2x = _lax_pair_exchanged(k, pp, (1, 2), nsites)
-    lhs = (l1 + l2).wrap_left(r.op)
-    rhs = (l1x + l2x).wrap_right(r.op)
-    sub = matrices_equal(lhs, rhs, max_degree, nsites=nsites, name="sum-eq")
-    report.merge(sub, prefix="sum-eq ")
+        l1, l2 = _lax_pair(pp, (1, 2), nsites)
+        l1x, l2x = _lax_pair_exchanged(k, pp, (1, 2), nsites)
+        lhs = (l1 + l2).wrap_left(r)
+        rhs = (l1x + l2x).wrap_right(r)
+        sub = matrices_equal(lhs, rhs, max_degree, nsites=nsites, name="sum-eq")
+        report.merge(sub, prefix="sum-eq ")
 
-    th1p = SuperPolynomial.odd_var(theta(1), nsites)
-    thb1p = SuperPolynomial.odd_var(theta_bar(1), nsites)
-    th2p = SuperPolynomial.odd_var(theta(2), nsites)
-    thb2p = SuperPolynomial.odd_var(theta_bar(2), nsites)
-    z1p = SuperPolynomial.z_var(1, nsites)
-    z2p = SuperPolynomial.z_var(2, nsites)
-    if k == 1:
-        comm = [("z1", MulPoly(z1p)), ("th1", MulPoly(th1p)),
-                ("thb1", MulPoly(thb1p))]
-    elif k == 3:
-        comm = [("z2", MulPoly(z2p)), ("th2", MulPoly(th2p)),
-                ("thb2", MulPoly(thb2p))]
-    else:
-        comm = [("z1-th1*thb1/2", MulPoly(z1p - Q(1, 2) * (th1p * thb1p))),
-                ("th1", MulPoly(th1p)),
-                ("z2+th2*thb2/2", MulPoly(z2p + Q(1, 2) * (th2p * thb2p))),
-                ("thb2", MulPoly(thb2p))]
-    for label, m in comm:
-        sub = equal_on_degree(compose(r.op, m), compose(m, r.op), max_degree,
-                              nsites=nsites, name=f"[R{k},{label}]")
-        report.merge(sub, prefix=f"[R{k},{label}] on ")
+        th1p = SuperPolynomial.odd_var(theta(1), nsites)
+        thb1p = SuperPolynomial.odd_var(theta_bar(1), nsites)
+        th2p = SuperPolynomial.odd_var(theta(2), nsites)
+        thb2p = SuperPolynomial.odd_var(theta_bar(2), nsites)
+        z1p = SuperPolynomial.z_var(1, nsites)
+        z2p = SuperPolynomial.z_var(2, nsites)
+        if k == 1:
+            comm = [("z1", MulPoly(z1p)), ("th1", MulPoly(th1p)),
+                    ("thb1", MulPoly(thb1p))]
+        elif k == 3:
+            comm = [("z2", MulPoly(z2p)), ("th2", MulPoly(th2p)),
+                    ("thb2", MulPoly(thb2p))]
+        else:
+            comm = [("z1-th1*thb1/2", MulPoly(z1p - Q(1, 2) * (th1p * thb1p))),
+                    ("th1", MulPoly(th1p)),
+                    ("z2+th2*thb2/2", MulPoly(z2p + Q(1, 2) * (th2p * thb2p))),
+                    ("thb2", MulPoly(thb2p))]
+        for label, m in comm:
+            sub = equal_on_degree(compose(r, m), compose(m, r), max_degree,
+                                  nsites=nsites, name=f"[R{k},{label}]")
+            report.merge(sub, prefix=f"[R{k},{label}] on ")
 
-    if k == 1:
-        extra = _v_minus(2) + compose(MulOdd(theta_bar(1)),
-                                      -1 * EvenDeriv(2))
-        label = "V2- + thb1 S2-"
-    elif k == 3:
-        extra = _w_minus(1) + compose(MulOdd(theta(2)), -1 * EvenDeriv(1))
-        label = "W1- + th2 S1-"
-    else:
-        extra = None
-    if extra is not None:
-        sub = equal_on_degree(compose(r.op, extra), compose(extra, r.op),
-                              max_degree, nsites=nsites, name=label)
-        report.merge(sub, prefix=f"[{label}] on ")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+        if k == 1:
+            extra = _v_minus(2) + compose(MulOdd(theta_bar(1)),
+                                          -1 * EvenDeriv(2))
+            label = "V2- + thb1 S2-"
+        elif k == 3:
+            extra = _w_minus(1) + compose(MulOdd(theta(2)), -1 * EvenDeriv(1))
+            label = "W1- + th2 S1-"
+        else:
+            extra = None
+        if extra is not None:
+            sub = equal_on_degree(compose(r, extra), compose(extra, r),
+                                  max_degree, nsites=nsites, name=label)
+            report.merge(sub, prefix=f"[{label}] on ")
     return report
 
 
@@ -446,49 +398,43 @@ def r2_constants(pp: ParamPair, nsites: int = 2) -> dict[str, Fraction]:
 def check_recurrences(pp: ParamPair, nmax: int = 4,
                       nsites: int = 2) -> CheckReport:
     """The five R3 recurrence relations and four R2 coefficient relations."""
-    t0 = time.perf_counter()
     report = CheckReport(check_name="recurrences", params=pp.render(),
                          max_degree=nmax)
     u1, u2, u3 = pp.u.as_tuple()
     v1, v2, v3 = pp.v.as_tuple()
-    try:
-        guard_factor(3, pp, nmax)
-        guard_factor(2, pp, nmax)
-    except SingularParameters as exc:
-        report.status = "error"
-        report.notes.append(f"SingularParameters: {exc}")
-        return report
-    a, b, c = r3_diagonal_functions(pp, nmax, nsites)
 
     def expect(label, lhs, rhs):
         if lhs != rhs:
             report.add_failure(label, str(lhs), str(rhs), str(lhs - rhs))
 
-    for n in range(1, nmax + 1):
-        expect(f"a[{n}]-a[{n - 1}]=(u2-u3)c[{n}]",
-               a[n] - a[n - 1], (u2 - u3) * c[n])
-        expect(f"b[{n}]=(u3-v3)/(u2-u3)*a[{n}]",
-               b[n], (u3 - v3) / (u2 - u3) * a[n])
-    for n in range(1, nmax + 1):
-        expect(f"c[{n + 1}](n+u1-u3+1)=(n+u1-v3)c[{n}]",
-               c[n + 1] * (n + u1 - u3 + 1), (n + u1 - v3) * c[n])
-    for n in range(nmax + 1):
-        expect(f"a[{n + 1}](n+u1-u3)+(u2-u3)c[{n + 1}]=(n+u1-v3)a[{n}]",
-               a[n + 1] * (n + u1 - u3) + (u2 - u3) * c[n + 1],
-               (n + u1 - v3) * a[n])
-    for n in range(1, nmax + 1):
-        expect(f"a[{n}]+b[{n}](n+u1-u3)-(u2-u3)c[{n}]"
-               f"=a[{n - 1}]+(n+u1-v3)b[{n - 1}]",
-               a[n] + b[n] * (n + u1 - u3) - (u2 - u3) * c[n],
-               a[n - 1] + (n + u1 - v3) * b[n - 1])
+    with report.timed(SingularParameters):
+        guard_factor(3, pp, nmax)
+        guard_factor(2, pp, nmax)
+        a, b, c = r3_diagonal_functions(pp, nmax, nsites)
+        for n in range(1, nmax + 1):
+            expect(f"a[{n}]-a[{n - 1}]=(u2-u3)c[{n}]",
+                   a[n] - a[n - 1], (u2 - u3) * c[n])
+            expect(f"b[{n}]=(u3-v3)/(u2-u3)*a[{n}]",
+                   b[n], (u3 - v3) / (u2 - u3) * a[n])
+        for n in range(1, nmax + 1):
+            expect(f"c[{n + 1}](n+u1-u3+1)=(n+u1-v3)c[{n}]",
+                   c[n + 1] * (n + u1 - u3 + 1), (n + u1 - v3) * c[n])
+        for n in range(nmax + 1):
+            expect(f"a[{n + 1}](n+u1-u3)+(u2-u3)c[{n + 1}]=(n+u1-v3)a[{n}]",
+                   a[n + 1] * (n + u1 - u3) + (u2 - u3) * c[n + 1],
+                   (n + u1 - v3) * a[n])
+        for n in range(1, nmax + 1):
+            expect(f"a[{n}]+b[{n}](n+u1-u3)-(u2-u3)c[{n}]"
+                   f"=a[{n - 1}]+(n+u1-v3)b[{n - 1}]",
+                   a[n] + b[n] * (n + u1 - u3) - (u2 - u3) * c[n],
+                   a[n - 1] + (n + u1 - v3) * b[n - 1])
 
-    k2 = r2_constants(pp, nsites)
-    expect("R2: a=(u2-u1)(v2-v3)/(v2-u2)*d",
-           k2["a"], (u2 - u1) * (v2 - v3) / (v2 - u2) * k2["d"])
-    expect("R2: b=(v2-v3)*d", k2["b"], (v2 - v3) * k2["d"])
-    expect("R2: c=(u1-u2)*d", k2["c"], (u1 - u2) * k2["d"])
-    expect("R2: e=(u2-v2)*d", k2["e"], (u2 - v2) * k2["d"])
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+        k2 = r2_constants(pp, nsites)
+        expect("R2: a=(u2-u1)(v2-v3)/(v2-u2)*d",
+               k2["a"], (u2 - u1) * (v2 - v3) / (v2 - u2) * k2["d"])
+        expect("R2: b=(v2-v3)*d", k2["b"], (v2 - v3) * k2["d"])
+        expect("R2: c=(u1-u2)*d", k2["c"], (u1 - u2) * k2["d"])
+        expect("R2: e=(u2-v2)*d", k2["e"], (u2 - v2) * k2["d"])
     return report
 
 
@@ -497,50 +443,39 @@ def check_recurrences(pp: ParamPair, nmax: int = 4,
 # ---------------------------------------------------------------------------
 
 def build_rhat(pp: ParamPair, sites: tuple[int, int] = (1, 2),
-               nsites: int = 2, max_degree: int = 4) -> NormalizedROp:
+               nsites: int = 2, max_degree: int = 4) -> Operator:
     """Rcheck = R1 R2 R3 with the factorization's argument threading."""
-    stage_ops = []
-    for k, stage in _rhat_stages(pp):
-        stage_ops.append(build_r(k, stage, sites, nsites, max_degree).op)
-    raw = compose(*stage_ops)
+    raw = compose(*(build_r(k, stage, sites, nsites, max_degree)
+                    for k, stage in _rhat_stages(pp)))
     one = SuperPolynomial.one(nsites)
     image = raw.apply(one)
     c = image.coefficient(next(iter(one.terms)))
     if image != c * one or c == 0:
         raise NormalizationFailure(
             f"Rcheck applied to 1 gave {image.text()}, not a nonzero scalar")
-    op = Cached(compose(Scalar(1 / c), raw)) if c != 1 else Cached(raw)
-    return NormalizedROp(which="rhat", params=pp, op=op, sites=sites,
-                         nsites=nsites)
+    return Cached(compose(Scalar(1 / c), raw)) if c != 1 else Cached(raw)
 
 
 def build_full_R(pp: ParamPair, sites: tuple[int, int] = (1, 2),
-                 nsites: int = 2, max_degree: int = 4) -> NormalizedROp:
+                 nsites: int = 2, max_degree: int = 4) -> Operator:
     """P12 Rcheck(u;v): the inverse R-matrix at spectral argument v - u."""
     rhat = build_rhat(pp, sites, nsites, max_degree)
-    op = Cached(compose(SwapSites(*sites), rhat.op))
-    return NormalizedROp(which="full", params=pp, op=op, sites=sites,
-                         nsites=nsites)
+    return Cached(compose(SwapSites(*sites), rhat))
 
 
 def check_factorization(pp: ParamPair, max_degree: int = 2,
                         nsites: int = 2) -> CheckReport:
     """Master exchange: Rcheck L1(u-triple) L2(v-triple) swaps all three."""
-    t0 = time.perf_counter()
-    try:
+    report = CheckReport(check_name="factorization", params=pp.render(),
+                         max_degree=max_degree)
+    with report.timed(SingularParameters):
         rhat = build_rhat(pp, nsites=nsites, max_degree=max_degree)
-    except SingularParameters as exc:
-        return CheckReport(check_name="factorization", params=pp.render(),
-                           max_degree=max_degree, status="error",
-                           notes=[f"SingularParameters: {exc}"])
-    l1, l2 = _lax_pair(pp, (1, 2), nsites)
-    l1x = build_lax(1, pp.v, "chiral", nsites=nsites)
-    l2x = build_lax(2, pp.u, "chiral", nsites=nsites)
-    lhs = (l1 @ l2).wrap_left(rhat.op)
-    rhs = (l1x @ l2x).wrap_right(rhat.op)
-    report = matrices_equal(lhs, rhs, max_degree, nsites=nsites,
-                            name="factorization", params=pp.render())
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+        l1, l2 = _lax_pair(pp, (1, 2), nsites)
+        l1x = build_lax(1, pp.v, "chiral", nsites=nsites)
+        l2x = build_lax(2, pp.u, "chiral", nsites=nsites)
+        lhs = (l1 @ l2).wrap_left(rhat)
+        rhs = (l1x @ l2x).wrap_right(rhat)
+        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
     return report
 
 
@@ -548,13 +483,13 @@ def weight_shift(k: int, w1: Weight, w2: Weight,
                  pp: ParamPair) -> tuple[Weight, Weight]:
     """Representation labels after the k-th exchange operator."""
     if k == 1:
-        xi = (pp.u1 - pp.v1) / 2
+        xi = (pp.u.u1 - pp.v.u1) / 2
         return (Weight(w1.ell - xi, w1.b + xi), Weight(w2.ell + xi, w2.b - xi))
     if k == 2:
-        xi = pp.u2 - pp.v2
+        xi = pp.u.u2 - pp.v.u2
         return (Weight(w1.ell, w1.b - xi), Weight(w2.ell, w2.b + xi))
     if k == 3:
-        xi = (pp.u3 - pp.v3) / 2
+        xi = (pp.u.u3 - pp.v.u3) / 2
         return (Weight(w1.ell + xi, w1.b + xi), Weight(w2.ell - xi, w2.b - xi))
     raise ValueError(f"k must be 1, 2 or 3, got {k}")
 
@@ -576,7 +511,6 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
     the same three-term relation; equality is required up to the single
     scalar fixed by comparing both sides on the constant polynomial.
     """
-    t0 = time.perf_counter()
     u, v = Q(u), Q(v)
     report = CheckReport(
         check_name="yang-baxter",
@@ -584,32 +518,26 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
                 "b2": str(w2.b), "l3": str(w3.ell), "b3": str(w3.b),
                 "u": str(u), "v": str(v)},
         max_degree=max_degree)
-    try:
+    with report.timed(SingularParameters):
         a12 = build_full_R(ParamPair.from_weights(w1, w2, 0, u - v),
                            sites=(1, 2), nsites=3, max_degree=max_degree)
         a13 = build_full_R(ParamPair.from_weights(w1, w3, 0, u),
                            sites=(1, 3), nsites=3, max_degree=max_degree)
         a23 = build_full_R(ParamPair.from_weights(w2, w3, 0, v),
                            sites=(2, 3), nsites=3, max_degree=max_degree)
-    except SingularParameters as exc:
-        report.status = "error"
-        report.notes.append(f"SingularParameters: {exc}")
-        return report
-    lhs = compose(a12.op, a13.op, a23.op)
-    rhs = compose(a23.op, a13.op, a12.op)
-    one = SuperPolynomial.one(3)
-    lhs_one, rhs_one = lhs.apply(one), rhs.apply(one)
-    mono = next(iter(one.terms))
-    c_l, c_r = lhs_one.coefficient(mono), rhs_one.coefficient(mono)
-    if c_r == 0 or lhs_one != (c_l / c_r) * rhs_one:
-        report.add_failure("1", lhs_one.text(), rhs_one.text(),
-                           (lhs_one - rhs_one).text())
-        report.elapsed_ms = (time.perf_counter() - t0) * 1e3
-        return report
-    scalar = c_l / c_r
-    report.notes.append(f"global scalar lhs/rhs on 1: {scalar}")
-    sub = equal_on_degree(lhs, compose(Scalar(scalar), rhs), max_degree,
-                          nsites=3, name="ybe")
-    report.merge(sub, prefix="ybe on ")
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+        lhs = compose(a12, a13, a23)
+        rhs = compose(a23, a13, a12)
+        one = SuperPolynomial.one(3)
+        lhs_one, rhs_one = lhs.apply(one), rhs.apply(one)
+        mono = next(iter(one.terms))
+        c_l, c_r = lhs_one.coefficient(mono), rhs_one.coefficient(mono)
+        if c_r == 0 or lhs_one != (c_l / c_r) * rhs_one:
+            report.add_failure("1", lhs_one.text(), rhs_one.text(),
+                               (lhs_one - rhs_one).text())
+            return report
+        scalar = c_l / c_r
+        report.notes.append(f"global scalar lhs/rhs on 1: {scalar}")
+        sub = equal_on_degree(lhs, compose(Scalar(scalar), rhs), max_degree,
+                              nsites=3, name="ybe")
+        report.merge(sub, prefix="ybe on ")
     return report

@@ -9,7 +9,6 @@ delta-formula rather than a hand-written table.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +23,9 @@ Q = Fraction
 
 GEN_NAMES = ("S", "B", "S+", "S-", "V+", "V-", "W+", "W-")
 
-#: grading of the 3x3 index labels 1, 2, 3
-LABEL_PARITY = {1: 0, 2: 1, 3: 0}
+#: grading of the 3x3 index labels 1, 2, 3 (and of the auxiliary basis
+#: e1, e2, e3), indexed from 0
+GRADING = (0, 1, 0)
 
 
 class SingularWeight(Exception):
@@ -44,7 +44,6 @@ class Weight:
 
 @dataclass
 class SiteGenerators:
-    site: int
     weight: Weight
     gens: dict[str, Operator]
     nsites: int
@@ -57,7 +56,6 @@ class SiteGenerators:
 class FundamentalRep:
     kind: str  # chiral | antichiral
     matrices: dict[str, tuple]
-    grading: tuple = (0, 1, 0)
 
     def __getitem__(self, name: str):
         return self.matrices[name]
@@ -108,7 +106,7 @@ def build_generators(site: int, w: Weight, nsites: int = 2) -> SiteGenerators:
     b_op = op_sum(Q(1, 2) * (mthb @ dthb), Q(-1, 2) * (mth @ dth), Scalar(b))
     gens = {"S": s_op, "B": b_op, "S+": s_plus, "S-": s_minus,
             "V+": v_plus, "V-": v_minus, "W+": w_plus, "W-": w_minus}
-    return SiteGenerators(site=site, weight=w, gens=gens, nsites=nsites)
+    return SiteGenerators(weight=w, gens=gens, nsites=nsites)
 
 
 def e_basis_ops(g: SiteGenerators) -> dict[tuple[int, int], Operator]:
@@ -128,42 +126,39 @@ def e_basis_ops(g: SiteGenerators) -> dict[tuple[int, int], Operator]:
 
 
 def _label_sign(ab, cd) -> int:
-    p1 = (LABEL_PARITY[ab[0]] + LABEL_PARITY[ab[1]]) & 1
-    p2 = (LABEL_PARITY[cd[0]] + LABEL_PARITY[cd[1]]) & 1
+    p1 = (GRADING[ab[0] - 1] + GRADING[ab[1] - 1]) & 1
+    p2 = (GRADING[cd[0] - 1] + GRADING[cd[1] - 1]) & 1
     return -1 if p1 * p2 else 1
 
 
 def check_relations(g, max_degree: int = 3) -> CheckReport:
     """Verify all 81 graded commutators against the structure constants."""
-    t0 = time.perf_counter()
     if isinstance(g, FundamentalRep):
-        report = _check_relations_matrix(g)
-    else:
-        report = _check_relations_ops(g, max_degree)
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
-    return report
+        return _check_relations_matrix(g)
+    return _check_relations_ops(g, max_degree)
 
 
 def _check_relations_ops(g: SiteGenerators, max_degree: int) -> CheckReport:
-    e = e_basis_ops(g)
     report = CheckReport(
         check_name="sl21-relations",
         params={"ell": str(g.weight.ell), "b": str(g.weight.b)},
         max_degree=max_degree)
-    labels = [(a, bb) for a in (1, 2, 3) for bb in (1, 2, 3)]
-    for ab in labels:
-        for cd in labels:
-            sign = _label_sign(ab, cd)
-            lhs = compose(e[ab], e[cd]) - Q(sign) * compose(e[cd], e[ab])
-            rhs_terms = []
-            if ab[1] == cd[0]:
-                rhs_terms.append(e[(ab[0], cd[1])])
-            if cd[1] == ab[0]:
-                rhs_terms.append(Q(-sign) * e[(cd[0], ab[1])])
-            rhs = op_sum(*rhs_terms) if rhs_terms else Scalar(0)
-            sub = equal_on_degree(lhs, rhs, max_degree, nsites=g.nsites,
-                                  name=f"[E{ab},E{cd}]")
-            report.merge(sub, prefix=f"[E{ab},E{cd}] on ")
+    with report.timed():
+        e = e_basis_ops(g)
+        labels = [(a, bb) for a in (1, 2, 3) for bb in (1, 2, 3)]
+        for ab in labels:
+            for cd in labels:
+                sign = _label_sign(ab, cd)
+                lhs = compose(e[ab], e[cd]) - Q(sign) * compose(e[cd], e[ab])
+                rhs_terms = []
+                if ab[1] == cd[0]:
+                    rhs_terms.append(e[(ab[0], cd[1])])
+                if cd[1] == ab[0]:
+                    rhs_terms.append(Q(-sign) * e[(cd[0], ab[1])])
+                rhs = op_sum(*rhs_terms) if rhs_terms else Scalar(0)
+                sub = equal_on_degree(lhs, rhs, max_degree, nsites=g.nsites,
+                                      name=f"[E{ab},E{cd}]")
+                report.merge(sub, prefix=f"[E{ab},E{cd}] on ")
     return report
 
 
@@ -199,22 +194,24 @@ def e_basis_matrices(rep: FundamentalRep) -> dict[tuple[int, int], tuple]:
 
 
 def _check_relations_matrix(rep: FundamentalRep) -> CheckReport:
-    e = e_basis_matrices(rep)
     report = CheckReport(check_name=f"sl21-relations-{rep.kind}",
                          params={"rep": rep.kind}, max_degree=None)
-    labels = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
-    for ab in labels:
-        for cd in labels:
-            sign = _label_sign(ab, cd)
-            lhs = mat_add(mat_mul(e[ab], e[cd]),
-                          mat_scale(-sign, mat_mul(e[cd], e[ab])))
-            rhs = mat_zero()
-            if ab[1] == cd[0]:
-                rhs = mat_add(rhs, e[(ab[0], cd[1])])
-            if cd[1] == ab[0]:
-                rhs = mat_add(rhs, mat_scale(-sign, e[(cd[0], ab[1])]))
-            if lhs != rhs:
-                report.add_failure(f"[E{ab},E{cd}]", str(lhs), str(rhs), "-")
+    with report.timed():
+        e = e_basis_matrices(rep)
+        labels = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+        for ab in labels:
+            for cd in labels:
+                sign = _label_sign(ab, cd)
+                lhs = mat_add(mat_mul(e[ab], e[cd]),
+                              mat_scale(-sign, mat_mul(e[cd], e[ab])))
+                rhs = mat_zero()
+                if ab[1] == cd[0]:
+                    rhs = mat_add(rhs, e[(ab[0], cd[1])])
+                if cd[1] == ab[0]:
+                    rhs = mat_add(rhs, mat_scale(-sign, e[(cd[0], ab[1])]))
+                if lhs != rhs:
+                    report.add_failure(f"[E{ab},E{cd}]", str(lhs), str(rhs),
+                                       "-")
     return report
 
 
@@ -234,7 +231,7 @@ def casimir(g: SiteGenerators, order: int) -> Operator:
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 for c in (1, 2, 3):
-                    sign = -1 if (LABEL_PARITY[b] + LABEL_PARITY[c]) & 1 else 1
+                    sign = -1 if (GRADING[b - 1] + GRADING[c - 1]) & 1 else 1
                     terms.append(Q(sign, 6) * compose(e[(a, b)], e[(b, c)], e[(c, a)]))
         return Cached(op_sum(*terms))
     raise ValueError("order must be 2 or 3")
@@ -347,41 +344,40 @@ def check_finite_subspace(n: int, kind: str,
     The weight is (-n/2, -n/2) for chiral and (-n/2, +n/2) for antichiral;
     `weight_override` exists so tests can show closure failing elsewhere.
     """
-    t0 = time.perf_counter()
     b = Q(-n, 2) if kind == "chiral" else Q(n, 2)
     w = weight_override or Weight(Q(-n, 2), b)
-    g = build_generators(1, w, nsites=1)
-    span = finite_subspace_vectors(n, kind, nsites=1)
     report = CheckReport(check_name=f"finite-subspace-{kind}-n{n}",
                          params={"ell": str(w.ell), "b": str(w.b)})
-    for name in GEN_NAMES:
-        for j, vec in enumerate(span):
-            img = g[name].apply(vec)
-            if solve_in_span(span, img) is None:
-                report.add_failure(f"{name} on span[{j}] = {vec.text()}",
-                                   img.text(), "in span", img.text())
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with report.timed():
+        g = build_generators(1, w, nsites=1)
+        span = finite_subspace_vectors(n, kind, nsites=1)
+        for name in GEN_NAMES:
+            for j, vec in enumerate(span):
+                img = g[name].apply(vec)
+                if solve_in_span(span, img) is None:
+                    report.add_failure(f"{name} on span[{j}] = {vec.text()}",
+                                       img.text(), "in span", img.text())
     return report
 
 
 def check_casimir(g: SiteGenerators, max_degree: int = 3) -> CheckReport:
     """Centrality of both central elements plus the order-2 lowest eigenvalue."""
-    t0 = time.perf_counter()
     report = CheckReport(check_name="casimir",
                          params={"ell": str(g.weight.ell), "b": str(g.weight.b)},
                          max_degree=max_degree)
-    c2, c3 = casimir(g, 2), casimir(g, 3)
-    for label, c in (("C2", c2), ("C3", c3)):
-        for name in GEN_NAMES:
-            sub = equal_on_degree(graded_commutator(c, g[name]), Scalar(0),
-                                  max_degree, nsites=g.nsites,
-                                  name=f"[{label},{name}]")
-            report.merge(sub, prefix=f"[{label},{name}] on ")
-    ev = g.weight.ell ** 2 - g.weight.b ** 2
-    one = SuperPolynomial.one(g.nsites)
-    got = c2.apply(one)
-    want = ev * one
-    if got != want:
-        report.add_failure("C2 on 1", got.text(), want.text(), (got - want).text())
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    with report.timed():
+        c2, c3 = casimir(g, 2), casimir(g, 3)
+        for label, c in (("C2", c2), ("C3", c3)):
+            for name in GEN_NAMES:
+                sub = equal_on_degree(graded_commutator(c, g[name]), Scalar(0),
+                                      max_degree, nsites=g.nsites,
+                                      name=f"[{label},{name}]")
+                report.merge(sub, prefix=f"[{label},{name}] on ")
+        ev = g.weight.ell ** 2 - g.weight.b ** 2
+        one = SuperPolynomial.one(g.nsites)
+        got = c2.apply(one)
+        want = ev * one
+        if got != want:
+            report.add_failure("C2 on 1", got.text(), want.text(),
+                               (got - want).text())
     return report

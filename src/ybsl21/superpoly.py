@@ -264,27 +264,6 @@ class SuperPolynomial:
 
 # -- module-level operations ------------------------------------------------
 
-def linear_combine(pairs: Iterable[tuple[Fraction, SuperPolynomial]],
-                   nsites: int = 2) -> SuperPolynomial:
-    """Exact linear combination sum(c_i * p_i) with canonical term map."""
-    out = SuperPolynomial.zero(nsites)
-    for c, p in pairs:
-        out = out + Q(c) * p
-    return out
-
-
-def mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    return p * q
-
-
-def deriv_even(site: int, p: SuperPolynomial) -> SuperPolynomial:
-    return p.deriv_even(site)
-
-
-def deriv_odd(var: int, p: SuperPolynomial) -> SuperPolynomial:
-    return p.deriv_odd(var)
-
-
 def iter_z_tuples(max_degree: int, nsites: int):
     """All degree tuples with total <= max_degree, lexicographic order."""
     if nsites == 0:

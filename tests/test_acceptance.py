@@ -142,7 +142,7 @@ def test_criterion_09_factorization():
         ok &= check_factorization(pp, max_degree=2).passed
     w = sample_weights(SEED, 1)[0]
     pp_eq = ParamPair.from_weights(w, w, Q(1), Q(1))
-    ok &= equal_on_degree(build_rhat(pp_eq).op, Scalar(1), 3).passed
+    ok &= equal_on_degree(build_rhat(pp_eq), Scalar(1), 3).passed
     _record("criterion-9 factorized operator satisfies the master exchange "
             "(D=2, 3 pairs) and is the identity at equal parameters (D=3)",
             ok, t0)

@@ -1,6 +1,7 @@
 import io
 import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,7 @@ def test_sample_params_deterministic():
 def test_sample_params_guarded():
     for pp in sample_params(seed=3, samples=5, max_degree=3):
         pair_guard(pp, 3)          # must not raise
-        assert pp.u2 != pp.u3
+        assert pp.u.u2 != pp.u.u3
 
 
 def test_sample_params_empty():
@@ -144,3 +145,66 @@ def test_env_seed(monkeypatch):
     monkeypatch.setenv("YBSL21_SEED", "42")
     args = build_parser().parse_args(["--command", "check-recurrences"])
     assert config_from_args(args).seed == 42
+
+
+def _forbid_computation(monkeypatch):
+    from ybsl21 import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for command in cli.DRIVERS:
+        monkeypatch.setitem(cli.DRIVERS, command, boom)
+    monkeypatch.setattr(cli, "spectrum_table", boom)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "check-recurrences", "--max-degree", "-3"],
+    ["--command", "check-ybe", "--ybe-degree", "-1"],
+    ["--command", "check-recurrences", "--samples", "0"],
+    ["--spectrum-table", "--samples", "0"],
+    ["--command", "check-recurrences", "--params", "3,2,1,1/2,9/2,-3/2",
+     "--weights", "1,1/3,1/2,-2/5,2,1/2"],
+], ids=["negative-degree", "negative-ybe-degree", "zero-samples",
+        "table-zero-samples", "params-and-weights"])
+def test_out_of_range_input_rejected_before_computation(monkeypatch, capsys,
+                                                         argv):
+    _forbid_computation(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("CONFIG ERROR")
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["run", "table"])
+def test_unwritable_out_is_config_error(monkeypatch, capsys, tmp_path, table):
+    _forbid_computation(monkeypatch)
+    argv = ["--command", "check-recurrences",
+            "--out", str(tmp_path / "missing" / "x.jsonl")]
+    assert main(argv + ["--spectrum-table"] * table) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("CONFIG ERROR")
+
+
+def test_arithmetic_fault_exits_3_with_record(capsys):
+    # seed 7 samples v1 = v2 = 3, which zeroes a composite denominator
+    assert main(["--command", "spectrum", "--seed", "7"]) == 3
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert records[-1]["check_name"] == "internal-error"
+    assert records[-1]["status"] == "error"
+    assert records[-1]["notes"] == ["ZeroDivisionError: Fraction(0, 0)"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: fast runs whose stdout (golden/<name>.txt) and exit code are pinned
+#: byte for byte; a difference is a change of the CLI's output
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c["name"])
+def test_golden_output(capsys, case):
+    assert main(case["argv"]) == case["exit"]
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{case['name']}.txt").read_bytes()

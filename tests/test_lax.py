@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ybsl21.lax import (SpectralTriple, apply_fundamental_r,
                         apply_matrix_on_leg, build_lax, build_lax_factorized,
                         build_lax_tensor, check_invariance, check_rll,
-                        covariant_derivatives, matrices_equal, states_equal)
+                        covariant_derivatives, matrices_equal)
 from ybsl21.opalg import (EvenDeriv, MulOdd, OddDeriv, Scalar, compose,
                           equal_on_degree, op_sum)
 from ybsl21.sl21 import Weight
@@ -181,7 +181,7 @@ def test_rll_detects_corruption():
                 rhs = apply_fundamental_r(u - v, 0, 1, start)
                 rhs = apply_matrix_on_leg(l_bad, 0, 2, rhs)
                 rhs = apply_matrix_on_leg(l_v, 1, 2, rhs)
-                if not states_equal(lhs, rhs):
+                if lhs != rhs:
                     found_mismatch = True
     assert found_mismatch
 

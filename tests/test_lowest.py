@@ -124,18 +124,18 @@ def test_composite_matches_printed():
 def test_composite_odd_ratio():
     even, odd = sector_action("rhat", PP, "even", 1), \
         sector_action("rhat", PP, "odd", 1)
-    want = ((PP.u2 - PP.v1) * (PP.u2 - PP.v3)) / \
-        ((PP.v2 - PP.u1) * (PP.v2 - PP.u3))
+    want = ((PP.u.u2 - PP.v.u1) * (PP.u.u2 - PP.v.u3)) / \
+        ((PP.v.u2 - PP.u.u1) * (PP.v.u2 - PP.u.u3))
     assert odd.entries[1][1] / odd.entries[0][0] == want
     # mixing over diagonal involves the printed constant C
-    s = PP.v1 - PP.u3
-    want_mix = mixing_constant(PP) / ((PP.u2 - PP.u1) * (PP.v2 - PP.v3)
+    s = PP.v.u1 - PP.u.u3
+    want_mix = mixing_constant(PP) / ((PP.u.u2 - PP.u.u1) * (PP.v.u2 - PP.v.u3)
                                       * (1 + s))
     assert even.entries[0][1] / even.entries[1][1] == want_mix
 
 
 def test_composite_gamma_step():
-    x, s = PP.u1 - PP.v3, PP.v1 - PP.u3
+    x, s = PP.u.u1 - PP.v.u3, PP.v.u1 - PP.u.u3
     prev = sector_action("rhat", PP, "odd", 1)
     cur = sector_action("rhat", PP, "odd", 2)
     assert cur.entries[0][0] / prev.entries[0][0] == (2 + x) / (2 + s)

@@ -7,8 +7,7 @@ from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
                           NonTerminatingExp, OddDeriv, PochhammerSpec, Scalar,
                           SwapSites, TerminatingExp, compose, equal_on_degree,
-                          exp_terminating, graded_commutator, op_sum,
-                          rising_factorial)
+                          graded_commutator, op_sum, rising_factorial)
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
 TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
@@ -68,12 +67,12 @@ def test_indefinite_parity_raises():
 
 
 def test_exp_two_term_nilpotent():
-    op = exp_terminating(compose(MulOdd(TH1), OddDeriv(TH2)))
+    op = TerminatingExp(compose(MulOdd(TH1), OddDeriv(TH2)))
     assert op.apply(sp(TH2)) == sp(TH2) + sp(TH1)
 
 
 def test_exp_translation():
-    op = exp_terminating(compose(Scalar(-1), MulZ(1)) @ EvenDeriv(2))
+    op = TerminatingExp(compose(Scalar(-1), MulZ(1)) @ EvenDeriv(2))
     assert op.apply(z(2)) == z(2) - z(1)
 
 
@@ -81,7 +80,7 @@ def test_exp_even_nilpotent_prefactor():
     # exp((th1 thb1/2) d1) z1^2 = z1^2 + z1 th1 thb1; the k=2 term dies
     # because the odd prefactor squares to zero
     half_tt = Q(1, 2) * (sp(TH1) * sp(THB1))
-    op = exp_terminating(compose(MulPoly(half_tt), EvenDeriv(1)))
+    op = TerminatingExp(compose(MulPoly(half_tt), EvenDeriv(1)))
     assert op.apply(z(1) * z(1)) == z(1) * z(1) + z(1) * (sp(TH1) * sp(THB1))
 
 
@@ -90,7 +89,7 @@ def test_exp_inverse_pairs():
                 compose(MulPoly(z(1) + Q(1, 2) * (sp(TH1) * sp(THB1))),
                         EvenDeriv(2))):
         r = equal_on_degree(
-            compose(exp_terminating(gen), exp_terminating(-1 * gen)),
+            compose(TerminatingExp(gen), TerminatingExp(-1 * gen)),
             Scalar(1), 4)
         assert r.passed
 

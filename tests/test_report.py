@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from ybsl21.report import CheckReport
 
@@ -37,3 +40,31 @@ def test_json_dict_excludes_timings_by_default():
     assert "elapsed_ms" not in d
     assert "elapsed_ms" in r.to_dict(include_timings=True)
     json.dumps(d)  # serializable
+
+
+def test_timed_records_elapsed_ms():
+    r = CheckReport(check_name="x")
+    with r.timed():
+        time.sleep(0.001)
+    assert r.elapsed_ms > 0
+    assert r.status == "pass" and not r.notes
+
+
+def test_timed_listed_exception_becomes_error_keeping_failures():
+    r = CheckReport(check_name="x")
+    with r.timed(KeyError, ZeroDivisionError):
+        r.add_failure("m", "1", "0", "1")
+        r.notes.append("before")
+        1 / 0
+    assert r.status == "error"
+    assert [f.input for f in r.failures] == ["m"]
+    assert r.notes == ["before", "ZeroDivisionError: division by zero"]
+    assert r.elapsed_ms > 0
+
+
+def test_timed_unlisted_exception_propagates():
+    r = CheckReport(check_name="x")
+    with pytest.raises(ZeroDivisionError):
+        with r.timed(KeyError):
+            1 / 0
+    assert r.status == "pass" and not r.notes

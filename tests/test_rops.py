@@ -43,7 +43,7 @@ def test_r2_action_on_psi0_plus():
     thb12 = SuperPolynomial.odd_var(theta_bar(1), 2) - \
         SuperPolynomial.odd_var(theta_bar(2), 2)
     r2 = build_r(2, PP)
-    want = (PP.v2 - PP.u1) / (PP.u2 - PP.u1)
+    want = (PP.v.u2 - PP.u.u1) / (PP.u.u2 - PP.u.u1)
     assert r2.apply(thb12) == want * thb12
 
 
@@ -73,8 +73,8 @@ def test_defining_detects_kernel_mutation():
     from ybsl21.lax import build_lax
     from ybsl21.lax import matrices_equal
     pp = PP
-    x, y = pp.u1 - pp.v3, pp.v1 - pp.v3
-    f1_bad = (pp.v1 - pp.v2) / (pp.u1 - pp.v1) + 1
+    x, y = pp.u.u1 - pp.v.u3, pp.v.u1 - pp.v.u3
+    f1_bad = (pp.v.u1 - pp.v.u2) / (pp.u.u1 - pp.v.u1) + 1
     p_main = DegreeDiagonal(2, PochhammerSpec([x + 1], [y + 1]))
     p_mix = DegreeDiagonal(2, PochhammerSpec([x], [y + 1]))
     bad_kernel = compose(p_main, op_sum(
@@ -86,7 +86,7 @@ def test_defining_detects_kernel_mutation():
     bad_op = compose(s_inv, bad_kernel, s)
     l1 = build_lax(1, pp.u, "chiral", nsites=2)
     l2 = build_lax(2, pp.v, "chiral", nsites=2)
-    xu, xv = (pp.v1, pp.u2, pp.u3), (pp.u1, pp.v2, pp.v3)
+    xu, xv = (pp.v.u1, pp.u.u2, pp.u.u3), (pp.u.u1, pp.v.u2, pp.v.u3)
     l1x = build_lax(1, SpectralTriple(*xu), "chiral", nsites=2)
     l2x = build_lax(2, SpectralTriple(*xv), "chiral", nsites=2)
     lhs = (l1 @ l2).wrap_left(bad_op)
@@ -107,12 +107,12 @@ def test_recurrence_functions_match_closed_forms():
     from ybsl21.opalg import rising_factorial
     from ybsl21.rops import r3_diagonal_functions
     a, b, c = r3_diagonal_functions(PP, 3)
-    x, y = PP.u1 - PP.v3, PP.u1 - PP.u3
-    f3 = (PP.u2 - PP.u3) / (PP.u3 - PP.v3)
+    x, y = PP.u.u1 - PP.v.u3, PP.u.u1 - PP.u.u3
+    f3 = (PP.u.u2 - PP.u.u3) / (PP.u.u3 - PP.v.u3)
     for n in range(4):
         want_a = f3 * rising_factorial(x + 1, n) / rising_factorial(y + 1, n)
         assert a[n] == want_a
-        assert b[n] == (PP.u3 - PP.v3) / (PP.u2 - PP.u3) * a[n]
+        assert b[n] == (PP.u.u3 - PP.v.u3) / (PP.u.u2 - PP.u.u3) * a[n]
     for n in range(1, 4):
         want_c = (rising_factorial(x, n)
                   / (x * rising_factorial(y + 1, n)))
@@ -127,7 +127,7 @@ def test_rhat_trivial_is_identity():
     w = Weight(Q(1), Q(1, 3))
     pp = ParamPair.from_weights(w, w, Q(2), Q(2))
     rhat = build_rhat(pp)
-    assert equal_on_degree(rhat.op, Scalar(1), 3).passed
+    assert equal_on_degree(rhat, Scalar(1), 3).passed
 
 
 def test_rhat_fixes_constant():
@@ -143,7 +143,7 @@ def test_full_r_examples():
     w = Weight(Q(1), Q(1, 3))
     pp = ParamPair.from_weights(w, w, Q(1), Q(1))
     full = build_full_R(pp)
-    assert equal_on_degree(full.op, swap, 3).passed
+    assert equal_on_degree(full, swap, 3).passed
 
 
 def test_conjugator_inverses():
@@ -154,8 +154,8 @@ def test_conjugator_inverses():
 
 
 def test_degree_measure_preserved():
-    ops = [build_r(k, PP, max_degree=4).op for k in (1, 2, 3)]
-    ops.append(build_rhat(PP, max_degree=4).op)
+    ops = [build_r(k, PP, max_degree=4) for k in (1, 2, 3)]
+    ops.append(build_rhat(PP, max_degree=4))
     for m in enumerate_basis(4, 2):
         mu = {Q(2 * m.z_degree + m.odd_count, 2)}
         pm = monomial_poly(m)
@@ -190,7 +190,7 @@ def test_rhat_commutes_with_totals_at_equal_weights():
     rhat = build_rhat(pp)
     for name in ("S", "B", "S+", "S-", "V+", "V-", "W+", "W-"):
         tot = total_generator(name, w, w)
-        r = equal_on_degree(compose(rhat.op, tot), compose(tot, rhat.op), 2,
+        r = equal_on_degree(compose(rhat, tot), compose(tot, rhat), 2,
                             name=f"[rhat,{name}]")
         assert r.passed, name
 
