@@ -33,7 +33,7 @@ for k in (1, 2, 3):
 
 print("\nlowest-weight sector at n = 1 (even):",
       lowest_vector("even", "+", 1).poly.text())
-m = sector_action("rhat", pp, "even", 1)
+m = sector_action(build_rhat(pp), "even", 1)
 print("full operator on (Phi1+, Phi1-):")
 for row in m.entries:
     print("   [", ", ".join(str(x) for x in row), "]")

@@ -19,14 +19,13 @@ from fractions import Fraction
 
 from .lax import SpectralTriple, check_invariance, check_rll, matrices_equal
 from .lax import build_lax, build_lax_factorized, build_lax_tensor
-from .lowest import (_built_operator, check_composite,
-                     check_conjugator_oracles, check_sector, sector_comparison,
-                     sector_levels)
+from .lowest import (check_composite, check_conjugator_oracles, check_sector,
+                     expected_sector_matrix, sector_action, sector_levels)
 from .opalg import OperatorError, Scalar, equal_on_degree
 from .report import CheckReport
-from .rops import (ParamPair, SingularParameters, build_rhat, check_defining,
-                   check_factorization, check_lemma_system, check_recurrences,
-                   check_ybe, pair_guard)
+from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
+                   check_defining, check_factorization, check_lemma_system,
+                   check_recurrences, check_ybe, pair_guard, ybe_pairs)
 from .sl21 import (SingularWeight, Weight, build_generators, check_casimir,
                    check_finite_subspace, check_relations, fundamental_rep,
                    raised_vector, verma_vector)
@@ -240,12 +239,8 @@ def run_ybe(cfg: RunConfig) -> list[CheckReport]:
         ws = sample_weights(rng.randint(0, 2 ** 31), 3)
         u, v = _rand_rational(rng), _rand_rational(rng)
         try:
-            pair_guard(ParamPair.from_weights(ws[0], ws[1], 0, u - v),
-                       cfg.ybe_degree)
-            pair_guard(ParamPair.from_weights(ws[0], ws[2], 0, u),
-                       cfg.ybe_degree)
-            pair_guard(ParamPair.from_weights(ws[1], ws[2], 0, v),
-                       cfg.ybe_degree)
+            for pp in ybe_pairs(*ws, u, v):
+                pair_guard(pp, cfg.ybe_degree)
         except SingularParameters:
             continue
         count += 1
@@ -356,24 +351,25 @@ def format_text(r: CheckReport, include_timings: bool = True) -> str:
 def spectrum_table(cfg: RunConfig) -> list[dict]:
     """Computed vs closed-formula sector entries for every operator, n <= 3."""
     pp = _pairs_for(cfg, 4)[0]
+    ops = [(1, "R1", build_r(1, pp)), (2, "R2", build_r(2, pp)),
+           (3, "R3", build_r(3, pp)), ("rhat", "Rcheck", build_rhat(pp))]
     rows = []
     one = SuperPolynomial.one(2)
-    for which in (1, 2, 3, "rhat"):
-        op = _built_operator(which, pp)
-        fixed = op.apply(one) == one
+    for _, name, op in ops:
+        image = op.apply(one)
+        fixed = image == one
         rows.append({
-            "operator": f"R{which}" if which != "rhat" else "Rcheck",
-            "sector": "anchor", "n": 0,
-            "computed": "1" if fixed else op.apply(one).text(),
+            "operator": name, "sector": "anchor", "n": 0,
+            "computed": "1" if fixed else image.text(),
             "formula": "1", "match": fixed,
             "note": "normalization anchor: every ratio is 1 at n=0",
         })
     for n, sector in sector_levels(3):
-        for which in (1, 2, 3, "rhat"):
-            got, want = sector_comparison(which, pp, sector, n)
+        for which, name, op in ops:
+            got = sector_action(op, sector, n)
+            want = expected_sector_matrix(which, pp, sector, n)
             rows.append({
-                "operator": f"R{which}" if which != "rhat" else "Rcheck",
-                "sector": sector, "n": n,
+                "operator": name, "sector": sector, "n": n,
                 "computed": [[str(x) for x in row] for row in got.entries],
                 "formula": [[str(x) for x in row] for row in want.entries],
                 "match": got.entries == want.entries,
@@ -428,10 +424,8 @@ def config_from_args(args) -> RunConfig:
         if len(vals) != 6:
             raise ValueError("--weights needs six rationals l1,b1,l2,b2,u,v")
         l1, b1, l2, b2, u, v = vals
-        explicit_params = [
-            u + b1 + l1, u + 2 * b1, u + b1 - l1,
-            v + b2 + l2, v + 2 * b2, v + b2 - l2,
-        ]
+        pp = ParamPair.from_weights(Weight(l1, b1), Weight(l2, b2), u, v)
+        explicit_params = list(pp.u.as_tuple() + pp.v.as_tuple())
     return RunConfig(command=args.command, max_degree=args.max_degree,
                      seed=args.seed, samples=args.samples,
                      explicit_params=explicit_params,

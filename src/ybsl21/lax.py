@@ -125,11 +125,11 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
 def build_lax(site: int, t: SpectralTriple, kind: str = "chiral",
               nsites: int = 2) -> SuperMatrixOperator:
     """The Lax matrix in the functional representation, entries as printed."""
-    u, w = t.to_weight()
-    g = build_generators(site, w, nsites=nsites)
     if kind == "chiral":
         return _lax_chiral_explicit(site, t, nsites)
     if kind == "antichiral":
+        u, w = t.to_weight()
+        g = build_generators(site, w, nsites=nsites)
         uS = Scalar(u)
         return SuperMatrixOperator([
             [g["S"] - g["B"] + uS, -1 * g["V-"], g["S-"]],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .lax import covariant_derivatives
 from .linsolve import solve_in_span
@@ -95,7 +96,9 @@ def lowest_vector(sector: str, sign: str, n: int,
     return LowestVector(sector=sector, sign=sign, n=n, poly=poly)
 
 
+@cache
 def sector_basis(sector: str, n: int, nsites: int = 2):
+    """(plus, minus) lowest vectors at level n; shared, never mutated."""
     return (lowest_vector(sector, "+", n, nsites).poly,
             lowest_vector(sector, "-", n, nsites).poly)
 
@@ -164,19 +167,10 @@ def decompose(p: SuperPolynomial, n: int, sector: str,
     return coeffs[0], coeffs[1]
 
 
-def _built_operator(which, pp: ParamPair, nsites: int = 2,
-                    max_degree: int = 4) -> Operator:
-    if which in (1, 2, 3):
-        return build_r(which, pp, nsites=nsites, max_degree=max_degree)
-    if which == "rhat":
-        return build_rhat(pp, nsites=nsites, max_degree=max_degree)
-    raise ValueError(f"unknown operator selector {which!r}")
-
-
-def sector_action(which, pp: ParamPair, sector: str, n: int,
+def sector_action(op: Operator, sector: str, n: int,
                   nsites: int = 2) -> SectorMatrix:
-    """Apply the chosen operator to the sector basis and decompose exactly."""
-    op = _built_operator(which, pp, nsites=nsites, max_degree=n + 1)
+    """Matrix of a built operator on the level-n sector basis, decomposed
+    exactly; build the operator with max_degree >= n + 1."""
     plus, minus = sector_basis(sector, n, nsites)
     col_plus = decompose(op.apply(plus), n, sector, nsites)
     col_minus = decompose(op.apply(minus), n, sector, nsites)
@@ -188,9 +182,12 @@ def sector_action(which, pp: ParamPair, sector: str, n: int,
 # closed spectral formulas, normalized by the action on 1
 # ---------------------------------------------------------------------------
 
-def expected_sector_matrix(which: int, pp: ParamPair, sector: str,
+def expected_sector_matrix(which, pp: ParamPair, sector: str,
                            n: int) -> SectorMatrix:
-    """The printed action divided by the printed action on the constant 1."""
+    """The printed action of R1, R2, R3 or "rhat" divided by the printed
+    action on the constant 1."""
+    if which == "rhat":
+        return expected_composite_matrix(pp, sector, n)
     u1, u2, u3 = pp.u.as_tuple()
     v1, v2, v3 = pp.v.as_tuple()
     poch = rising_factorial
@@ -238,15 +235,6 @@ def sector_levels(nmax: int) -> list[tuple[int, str]]:
             for sector in (("even", "odd") if n else ("odd",))]
 
 
-def sector_comparison(which, pp: ParamPair, sector: str, n: int,
-                      nsites: int = 2) -> tuple[SectorMatrix, SectorMatrix]:
-    """Computed and printed sector matrices of R1, R2, R3 or "rhat"."""
-    got = sector_action(which, pp, sector, n, nsites)
-    if which == "rhat":
-        return got, expected_composite_matrix(pp, sector, n)
-    return got, expected_sector_matrix(which, pp, sector, n)
-
-
 def check_sector(which: int, pp: ParamPair, nmax: int = 3,
                  nsites: int = 2) -> CheckReport:
     """Computed sector matrices equal the printed ones for n <= nmax."""
@@ -254,23 +242,17 @@ def check_sector(which: int, pp: ParamPair, nmax: int = 3,
                          max_degree=nmax)
     with report.timed(SingularParameters, NotInSpan):
         guard_factor(which, pp, nmax)
-        op = _built_operator(which, pp, nsites=nsites, max_degree=nmax + 1)
+        op = build_r(which, pp, nsites=nsites, max_degree=nmax + 1)
         one = SuperPolynomial.one(nsites)
         if op.apply(one) != one:
             report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
         for n, sector in sector_levels(nmax):
-            got, want = sector_comparison(which, pp, sector, n, nsites)
+            got = sector_action(op, sector, n, nsites)
+            want = expected_sector_matrix(which, pp, sector, n)
             if got.entries != want.entries:
                 report.add_failure(f"{sector} n={n}", str(got.entries),
                                    str(want.entries), "-")
     return report
-
-
-def composite_spectrum(pp: ParamPair, n: int,
-                       nsites: int = 2) -> tuple[SectorMatrix, SectorMatrix]:
-    """Sector matrices of the factorized operator at level n."""
-    return (sector_action("rhat", pp, "even", n, nsites),
-            sector_action("rhat", pp, "odd", n, nsites))
 
 
 def _composite_b(pp: ParamPair, n: int) -> Fraction:
@@ -335,14 +317,14 @@ def check_composite(pp: ParamPair, nmax: int = 3,
     with report.timed(SingularParameters, NotInSpan):
         # n = 0 anchor: the normalized operator fixes 1 (even basis is
         # degenerate there, so 2x2 comparisons start at n = 1)
-        op = _built_operator("rhat", pp, nsites=nsites, max_degree=nmax + 1)
+        op = build_rhat(pp, nsites=nsites, max_degree=nmax + 1)
         one = SuperPolynomial.one(nsites)
         if op.apply(one) != one:
             report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
         even_prev = odd_prev = None
         for n in range(nmax + 1):
-            even, odd = composite_spectrum(pp, n, nsites) if n >= 1 else \
-                (None, sector_action("rhat", pp, "odd", 0, nsites))
+            even = sector_action(op, "even", n, nsites) if n >= 1 else None
+            odd = sector_action(op, "odd", n, nsites)
             ow = expected_composite_matrix(pp, "odd", n)
             if odd.entries != ow.entries:
                 report.add_failure(f"odd n={n}", str(odd.entries),

@@ -51,6 +51,15 @@ class ParamPair:
         return ParamPair(SpectralTriple.from_weight(u, w1),
                          SpectralTriple.from_weight(v, w2))
 
+    def exchanged(self, k: int) -> "ParamPair":
+        """The pair with the k-th entries of u and v swapped: the outgoing
+        parameters of the k-th exchange operator."""
+        if k not in (1, 2, 3):
+            raise ValueError(f"k must be 1, 2 or 3, got {k}")
+        u, v = list(self.u.as_tuple()), list(self.v.as_tuple())
+        u[k - 1], v[k - 1] = v[k - 1], u[k - 1]
+        return ParamPair(SpectralTriple(*u), SpectralTriple(*v))
+
 
 def _forbid_nonpositive_int(x: Fraction, bound: int, label: str,
                             include_zero: bool) -> None:
@@ -95,25 +104,16 @@ def guard_factor(k: int, pp: ParamPair, max_degree: int) -> None:
 
 
 def _rhat_stages(pp: ParamPair) -> list[tuple[int, ParamPair]]:
-    """Argument threading of the factorization (applied right to left)."""
-    u1, u2, u3 = pp.u.as_tuple()
-    v1, v2, v3 = pp.v.as_tuple()
-    return [
-        (1, ParamPair.from_rationals(u1, v2, v3, v1, u2, u3)),
-        (2, ParamPair.from_rationals(u1, u2, v3, v1, v2, u3)),
-        (3, pp),
-    ]
+    """Argument threading of the factorization (applied right to left):
+    R3 acts at pp, R2 after the third exchange, R1 after the second."""
+    after3 = pp.exchanged(3)
+    return [(1, after3.exchanged(2)), (2, after3), (3, pp)]
 
 
 def pair_guard(pp: ParamPair, max_degree: int) -> None:
     """Full regularity guard: every factor of Rcheck at every stage."""
     for k, stage in _rhat_stages(pp):
         guard_factor(k, stage, max_degree)
-
-
-TRIVIAL_SLOT = {1: (lambda p: (p.u.u1, p.v.u1)),
-                2: (lambda p: (p.u.u2, p.v.u2)),
-                3: (lambda p: (p.u.u3, p.v.u3))}
 
 
 def _v_minus(site: int) -> Operator:
@@ -241,41 +241,40 @@ def build_r(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
     When the exchanged pair is already equal there is nothing to exchange
     and the normalized operator degenerates to the identity.
     """
-    lo, hi = TRIVIAL_SLOT[k](pp)
-    if lo == hi:
+    if pp.exchanged(k) == pp:
         return Scalar(1)
     guard_factor(k, pp, max_degree)
     s, s_inv = conjugator(k, sites, nsites)
     raw = compose(s_inv, kernel(k, pp, sites, nsites), s)
+    return _normalized(raw, f"R{k}", nsites)
+
+
+def _normalized(raw: Operator, name: str, nsites: int) -> Operator:
+    """raw divided by its action on 1, which must be a nonzero scalar."""
     one = SuperPolynomial.one(nsites)
     image = raw.apply(one)
     c = image.coefficient(next(iter(one.terms)))
     if image != c * one or c == 0:
         raise NormalizationFailure(
-            f"R{k} applied to 1 gave {image.text()}, not a nonzero scalar")
-    return Cached(compose(Scalar(1 / c), raw))
+            f"{name} applied to 1 gave {image.text()}, not a nonzero scalar")
+    return Cached(raw if c == 1 else compose(Scalar(1 / c), raw))
 
 
-EXCHANGE = {
-    1: lambda u, v: ((v[0], u[1], u[2]), (u[0], v[1], v[2])),
-    2: lambda u, v: ((u[0], v[1], u[2]), (v[0], u[1], v[2])),
-    3: lambda u, v: ((u[0], u[1], v[2]), (v[0], v[1], u[2])),
-}
-
-
-def _lax_pair(pp: ParamPair, sites: tuple[int, int],
+def _lax_pair(pp: ParamPair,
               nsites: int) -> tuple[SuperMatrixOperator, SuperMatrixOperator]:
-    a, b = sites
-    return (build_lax(a, pp.u, "chiral", nsites=nsites),
-            build_lax(b, pp.v, "chiral", nsites=nsites))
+    """The chiral Lax matrices L1(pp.u), L2(pp.v)."""
+    return (build_lax(1, pp.u, "chiral", nsites=nsites),
+            build_lax(2, pp.v, "chiral", nsites=nsites))
 
 
-def _lax_pair_exchanged(k: int, pp: ParamPair, sites: tuple[int, int],
-                        nsites: int):
-    a, b = sites
-    xu, xv = EXCHANGE[k](pp.u.as_tuple(), pp.v.as_tuple())
-    return (build_lax(a, SpectralTriple(*xu), "chiral", nsites=nsites),
-            build_lax(b, SpectralTriple(*xv), "chiral", nsites=nsites))
+def _intertwines(op: Operator, pp: ParamPair, out: ParamPair,
+                 max_degree: int, nsites: int) -> CheckReport:
+    """op L1(pp.u) L2(pp.v) = L1(out.u) L2(out.v) op, entry by entry."""
+    l1, l2 = _lax_pair(pp, nsites)
+    l1x, l2x = _lax_pair(out, nsites)
+    return matrices_equal((l1 @ l2).wrap_left(op),
+                          (l1x @ l2x).wrap_right(op), max_degree,
+                          nsites=nsites)
 
 
 def check_defining(k: int, pp: ParamPair, max_degree: int = 2,
@@ -285,11 +284,7 @@ def check_defining(k: int, pp: ParamPair, max_degree: int = 2,
                          max_degree=max_degree)
     with report.timed(SingularParameters):
         r = build_r(k, pp, nsites=nsites, max_degree=max_degree)
-        l1, l2 = _lax_pair(pp, (1, 2), nsites)
-        l1x, l2x = _lax_pair_exchanged(k, pp, (1, 2), nsites)
-        lhs = (l1 @ l2).wrap_left(r)
-        rhs = (l1x @ l2x).wrap_right(r)
-        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
+        report.merge(_intertwines(r, pp, pp.exchanged(k), max_degree, nsites))
     return report
 
 
@@ -301,8 +296,8 @@ def check_lemma_system(k: int, pp: ParamPair, max_degree: int = 3,
                          max_degree=max_degree)
     with report.timed(SingularParameters):
         r = build_r(k, pp, nsites=nsites, max_degree=max_degree)
-        l1, l2 = _lax_pair(pp, (1, 2), nsites)
-        l1x, l2x = _lax_pair_exchanged(k, pp, (1, 2), nsites)
+        l1, l2 = _lax_pair(pp, nsites)
+        l1x, l2x = _lax_pair(pp.exchanged(k), nsites)
         lhs = (l1 + l2).wrap_left(r)
         rhs = (l1x + l2x).wrap_right(r)
         sub = matrices_equal(lhs, rhs, max_degree, nsites=nsites, name="sum-eq")
@@ -447,13 +442,7 @@ def build_rhat(pp: ParamPair, sites: tuple[int, int] = (1, 2),
     """Rcheck = R1 R2 R3 with the factorization's argument threading."""
     raw = compose(*(build_r(k, stage, sites, nsites, max_degree)
                     for k, stage in _rhat_stages(pp)))
-    one = SuperPolynomial.one(nsites)
-    image = raw.apply(one)
-    c = image.coefficient(next(iter(one.terms)))
-    if image != c * one or c == 0:
-        raise NormalizationFailure(
-            f"Rcheck applied to 1 gave {image.text()}, not a nonzero scalar")
-    return Cached(compose(Scalar(1 / c), raw)) if c != 1 else Cached(raw)
+    return _normalized(raw, "Rcheck", nsites)
 
 
 def build_full_R(pp: ParamPair, sites: tuple[int, int] = (1, 2),
@@ -470,12 +459,8 @@ def check_factorization(pp: ParamPair, max_degree: int = 2,
                          max_degree=max_degree)
     with report.timed(SingularParameters):
         rhat = build_rhat(pp, nsites=nsites, max_degree=max_degree)
-        l1, l2 = _lax_pair(pp, (1, 2), nsites)
-        l1x = build_lax(1, pp.v, "chiral", nsites=nsites)
-        l2x = build_lax(2, pp.u, "chiral", nsites=nsites)
-        lhs = (l1 @ l2).wrap_left(rhat)
-        rhs = (l1x @ l2x).wrap_right(rhat)
-        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
+        report.merge(_intertwines(rhat, pp, ParamPair(pp.v, pp.u), max_degree,
+                                  nsites))
     return report
 
 
@@ -503,6 +488,14 @@ def total_generator(name: str, w1: Weight, w2: Weight,
     return g1[name] + g2[name]
 
 
+def ybe_pairs(w1: Weight, w2: Weight, w3: Weight,
+              u, v) -> tuple[ParamPair, ParamPair, ParamPair]:
+    """The (12), (13), (23) parameter pairs of the three-site relation."""
+    return (ParamPair.from_weights(w1, w2, 0, u - v),
+            ParamPair.from_weights(w1, w3, 0, u),
+            ParamPair.from_weights(w2, w3, 0, v))
+
+
 def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
               max_degree: int = 1) -> CheckReport:
     """Three-site Yang-Baxter relation for the permutation-dressed operators.
@@ -519,12 +512,10 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
                 "u": str(u), "v": str(v)},
         max_degree=max_degree)
     with report.timed(SingularParameters):
-        a12 = build_full_R(ParamPair.from_weights(w1, w2, 0, u - v),
-                           sites=(1, 2), nsites=3, max_degree=max_degree)
-        a13 = build_full_R(ParamPair.from_weights(w1, w3, 0, u),
-                           sites=(1, 3), nsites=3, max_degree=max_degree)
-        a23 = build_full_R(ParamPair.from_weights(w2, w3, 0, v),
-                           sites=(2, 3), nsites=3, max_degree=max_degree)
+        a12, a13, a23 = (
+            build_full_R(pp, sites=sites, nsites=3, max_degree=max_degree)
+            for pp, sites in zip(ybe_pairs(w1, w2, w3, u, v),
+                                 ((1, 2), (1, 3), (2, 3))))
         lhs = compose(a12, a13, a23)
         rhs = compose(a23, a13, a12)
         one = SuperPolynomial.one(3)

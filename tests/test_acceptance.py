@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated degree and sample count.
 
 All comparisons are exact rational equality (tolerance zero).  Each test
-prints one pass/fail line; run with `pytest -v tests/test_acceptance.py`
-(add `-m extended` for the long three-site run at degree 2).
+prints one pass/fail line; run with `pytest -v tests/test_acceptance.py`,
+which includes the long three-site run at degree 2 (marked extended; leave
+it out with `-m "not extended"`).
 """
 
 import io

@@ -1,7 +1,8 @@
 """Higher-degree runs of the main identities, beyond the standard bounds.
 
 Everything here is exact as well; the tests are marked extended purely for
-runtime (run with `pytest -m extended`).
+runtime: plain `pytest` runs them, `pytest -m extended` runs only them, and
+`pytest -m "not extended"` leaves them out.
 """
 
 from fractions import Fraction as Q

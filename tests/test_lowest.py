@@ -1,12 +1,14 @@
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
+from ybsl21 import cli, rops
 from ybsl21.lowest import (NotInSpan, check_composite,
                            check_conjugator_oracles, check_sector, decompose,
                            interval, lowest_vector, mixing_constant,
                            sector_action, sector_basis, verify_lowest)
-from ybsl21.rops import ParamPair
+from ybsl21.rops import ParamPair, build_r, build_rhat
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
@@ -97,11 +99,11 @@ def test_sector_matrices_match_printed(which):
 def test_sector_worked_examples():
     # R3 even diagonal at (u1,u2,u3,v3) = (3,2,1,0), n=2: 5/3
     pp = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(10), Q(30), Q(0))
-    m = sector_action(3, pp, "even", 2)
+    m = sector_action(build_r(3, pp), "even", 2)
     assert m.entries[0][0] == Q(5, 3)
     # R2 odd entries at (u1,u2,v2,v3) = (0,1,3,2): (3, -1)
     pp2 = ParamPair.from_rationals(Q(0), Q(1), Q(50), Q(77), Q(3), Q(2))
-    mo = sector_action(2, pp2, "odd", 1)
+    mo = sector_action(build_r(2, pp2), "odd", 1)
     assert mo.entries[0][0] == Q(3)
     assert mo.entries[1][1] == Q(-1)
     assert mo.entries[0][1] == 0 and mo.entries[1][0] == 0
@@ -110,7 +112,7 @@ def test_sector_worked_examples():
 def test_triangularity():
     # R1 and R3 mix Phi- into Phi+; R2 mixes Phi+ into Phi-
     for which, lower_zero in ((1, True), (3, True), (2, False)):
-        m = sector_action(which, PP, "even", 2)
+        m = sector_action(build_r(which, PP), "even", 2)
         if lower_zero:
             assert m.entries[1][0] == 0 and m.entries[0][1] != 0
         else:
@@ -122,8 +124,8 @@ def test_composite_matches_printed():
 
 
 def test_composite_odd_ratio():
-    even, odd = sector_action("rhat", PP, "even", 1), \
-        sector_action("rhat", PP, "odd", 1)
+    rhat = build_rhat(PP)
+    even, odd = sector_action(rhat, "even", 1), sector_action(rhat, "odd", 1)
     want = ((PP.u.u2 - PP.v.u1) * (PP.u.u2 - PP.v.u3)) / \
         ((PP.v.u2 - PP.u.u1) * (PP.v.u2 - PP.u.u3))
     assert odd.entries[1][1] / odd.entries[0][0] == want
@@ -136,18 +138,44 @@ def test_composite_odd_ratio():
 
 def test_composite_gamma_step():
     x, s = PP.u.u1 - PP.v.u3, PP.v.u1 - PP.u.u3
-    prev = sector_action("rhat", PP, "odd", 1)
-    cur = sector_action("rhat", PP, "odd", 2)
+    rhat = build_rhat(PP)
+    prev = sector_action(rhat, "odd", 1)
+    cur = sector_action(rhat, "odd", 2)
     assert cur.entries[0][0] / prev.entries[0][0] == (2 + x) / (2 + s)
-    prev_e = sector_action("rhat", PP, "even", 2)
-    cur_e = sector_action("rhat", PP, "even", 3)
+    prev_e = sector_action(rhat, "even", 2)
+    cur_e = sector_action(rhat, "even", 3)
     assert cur_e.entries[0][0] / prev_e.entries[0][0] == (3 + x) / (3 + s)
 
 
 def test_span_preservation():
-    sector_action("rhat", PP, "even", 3)   # raises NotInSpan if span breaks
-    rhat_odd = sector_action("rhat", PP, "odd", 3)
+    rhat = build_rhat(PP)
+    sector_action(rhat, "even", 3)   # raises NotInSpan if span breaks
+    rhat_odd = sector_action(rhat, "odd", 3)
     assert rhat_odd.entries[0][1] == 0 and rhat_odd.entries[1][0] == 0
+
+
+@pytest.mark.parametrize("check, builds", [
+    (lambda: check_sector(1, PP, nmax=3), 1),
+    (lambda: check_sector(2, PP, nmax=3), 1),
+    (lambda: check_sector(3, PP, nmax=3), 1),
+    (lambda: check_composite(PP, nmax=3), 3),
+    (lambda: cli.spectrum_table(cli.RunConfig(command="spectrum", seed=1)), 6),
+], ids=["sector-R1", "sector-R2", "sector-R3", "composite", "spectrum-table"])
+def test_each_operator_built_once(monkeypatch, check, builds):
+    # a sector check builds its operator once and reuses it at every level;
+    # Rcheck costs three builds, one per factor
+    calls = []
+    real = rops.build_r
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ybsl21.") and getattr(mod, "build_r", None) is real:
+            monkeypatch.setattr(mod, "build_r", counting)
+    check()
+    assert len(calls) == builds
 
 
 def test_conjugator_oracles():

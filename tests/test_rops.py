@@ -6,7 +6,8 @@ from ybsl21.lax import SpectralTriple
 from ybsl21.opalg import (DegreeDiagonal, MulOdd, MulZ, OddDeriv,
                           PochhammerSpec, Scalar, SwapSites, compose,
                           equal_on_degree, op_sum)
-from ybsl21.rops import (ParamPair, SingularParameters, build_full_R,
+from ybsl21.rops import (ParamPair, SingularParameters, _rhat_stages,
+                         build_full_R,
                          build_r, build_rhat, check_defining,
                          check_factorization, check_lemma_system,
                          check_recurrences, check_ybe, conjugator,
@@ -29,6 +30,23 @@ def test_guards_reject_singular_sets():
         # u1 - v3 a nonpositive integer in range
         guard_factor(1, ParamPair.from_rationals(1, 2, 3, 4, 5, 2), 2)
     pair_guard(PP, 2)
+
+
+def test_exchanged_swaps_one_slot():
+    u1, u2, u3 = PP.u.as_tuple()
+    v1, v2, v3 = PP.v.as_tuple()
+    assert PP.exchanged(1) == ParamPair.from_rationals(v1, u2, u3,
+                                                       u1, v2, v3)
+    for k in (1, 2, 3):
+        assert PP.exchanged(k) != PP
+        assert PP.exchanged(k).exchanged(k) == PP
+    assert _rhat_stages(PP) == [
+        (1, ParamPair.from_rationals(u1, v2, v3, v1, u2, u3)),
+        (2, ParamPair.from_rationals(u1, u2, v3, v1, v2, u3)),
+        (3, PP),
+    ]
+    with pytest.raises(ValueError):
+        PP.exchanged(4)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
