@@ -8,9 +8,11 @@ degree-bounded monomial bases (there is no symbolic normal form).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .report import CheckReport
-from .superpoly import Monomial, SuperPolynomial, enumerate_basis, monomial_poly
+from .superpoly import (Monomial, SuperPolynomial, _merge_masks,
+                        enumerate_basis, monomial_poly)
 
 Q = Fraction
 
@@ -71,16 +73,76 @@ class PochhammerSpec:
 
 
 # ---------------------------------------------------------------------------
+# integer form: what every _apply takes and returns
+# ---------------------------------------------------------------------------
+
+class _IntPoly:
+    """The polynomial sum(n * m for m, n in terms) / den.
+
+    `den` is a positive int and no numerator is zero; the form need not be
+    reduced (see `_reduced`), so equal polynomials may differ as forms.
+    """
+
+    __slots__ = ("terms", "den", "nsites")
+
+    def __init__(self, terms: dict[Monomial, int], den: int, nsites: int):
+        self.terms = terms
+        self.den = den
+        self.nsites = nsites
+
+
+def _to_int(p: SuperPolynomial) -> _IntPoly:
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return _IntPoly({m: c.numerator * (den // c.denominator)
+                     for m, c in p.terms.items()}, den, p.nsites)
+
+
+def _reduced(p: _IntPoly) -> _IntPoly:
+    g = gcd(p.den, *p.terms.values())
+    if g == 1:
+        return p
+    return _IntPoly({m: n // g for m, n in p.terms.items()}, p.den // g,
+                    p.nsites)
+
+
+def _to_poly(p: _IntPoly) -> SuperPolynomial:
+    den = p.den
+    return SuperPolynomial({m: Q(n, den) for m, n in p.terms.items()},
+                           p.nsites)
+
+
+def _lincomb(parts, nsites: int, den: int = 1) -> _IntPoly:
+    """sum(w * q for w, q in parts) / den, for int weights w, over the lcm
+    of the parts' denominators."""
+    parts = [(w, q) for w, q in parts if q.terms]
+    if len(parts) == 1 and parts[0][0] == 1 and den == 1:
+        return parts[0][1]
+    common = lcm(*(q.den for _, q in parts))
+    terms: dict[Monomial, int] = {}
+    get = terms.get
+    for w, q in parts:
+        f = w * (common // q.den)
+        for m, n in q.terms.items():
+            terms[m] = get(m, 0) + f * n
+    return _IntPoly({m: n for m, n in terms.items() if n}, den * common,
+                    nsites)
+
+
+# ---------------------------------------------------------------------------
 # operator expression trees
 # ---------------------------------------------------------------------------
 
 class Operator:
-    """Base class; subclasses implement _apply and _parity."""
+    """Base class; subclasses implement _apply and _parity.
+
+    `_apply` maps an `_IntPoly` to an `_IntPoly`; `apply` is the one place
+    where `Fraction` coefficients are converted in and out.
+    """
 
     __slots__ = ()
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        return self._apply(p)
+        return _to_poly(self._apply(_to_int(p)))
 
     def parity(self) -> int:
         return self._parity()
@@ -110,7 +172,12 @@ class Scalar(Operator):
         self.c = Q(c)
 
     def _apply(self, p):
-        return self.c * p
+        c = self.c
+        if not c:
+            return _IntPoly({}, 1, p.nsites)
+        a = c.numerator
+        return _IntPoly({m: a * n for m, n in p.terms.items()},
+                        p.den * c.denominator, p.nsites)
 
     def _parity(self):
         return 0
@@ -127,11 +194,11 @@ class MulZ(Operator):
     def _apply(self, p):
         i = self.site - 1
         terms = {}
-        for m, c in p.terms.items():
+        for m, n in p.terms.items():
             z = list(m.z)
             z[i] += 1
-            terms[Monomial(tuple(z), m.mask)] = c
-        return SuperPolynomial(terms, p.nsites)
+            terms[Monomial(tuple(z), m.mask)] = n
+        return _IntPoly(terms, p.den, p.nsites)
 
     def _parity(self):
         return 0
@@ -148,15 +215,14 @@ class MulOdd(Operator):
     def _apply(self, p):
         bit = 1 << self.var
         terms = {}
-        for m, c in p.terms.items():
+        for m, n in p.terms.items():
             if m.mask & bit:
                 continue
             below = (m.mask & (bit - 1)).bit_count()
             # the new variable starts at the front and moves right past
             # the smaller canonical bits
-            sign = -1 if below & 1 else 1
-            terms[Monomial(m.z, m.mask | bit)] = sign * c
-        return SuperPolynomial(terms, p.nsites)
+            terms[Monomial(m.z, m.mask | bit)] = -n if below & 1 else n
+        return _IntPoly(terms, p.den, p.nsites)
 
     def _parity(self):
         return 1
@@ -165,17 +231,28 @@ class MulOdd(Operator):
 class MulPoly(Operator):
     """Left multiplication by a fixed parity-homogeneous polynomial."""
 
-    __slots__ = ("poly", "_p")
+    __slots__ = ("_q", "_p")
 
     def __init__(self, poly: SuperPolynomial):
         par = poly.parity()
         if par is None and not poly.is_zero():
             raise IndefiniteParity("multiplier must be parity-homogeneous")
-        self.poly = poly
+        self._q = _to_int(poly)
         self._p = par or 0
 
     def _apply(self, p):
-        return self.poly * p
+        q = self._q
+        terms: dict[Monomial, int] = {}
+        get = terms.get
+        for m1, n1 in q.terms.items():
+            for m2, n2 in p.terms.items():
+                sign, mask = _merge_masks(m1.mask, m2.mask)
+                if sign == 0:
+                    continue
+                m = Monomial(tuple(a + b for a, b in zip(m1.z, m2.z)), mask)
+                terms[m] = get(m, 0) + sign * n1 * n2
+        return _IntPoly({m: n for m, n in terms.items() if n},
+                        q.den * p.den, p.nsites)
 
     def _parity(self):
         return self._p
@@ -188,20 +265,38 @@ class EvenDeriv(Operator):
         self.site = site
 
     def _apply(self, p):
-        return p.deriv_even(self.site)
+        i = self.site - 1
+        terms = {}
+        for m, n in p.terms.items():
+            a = m.z[i]
+            if a == 0:
+                continue
+            z = list(m.z)
+            z[i] = a - 1
+            terms[Monomial(tuple(z), m.mask)] = a * n
+        return _IntPoly(terms, p.den, p.nsites)
 
     def _parity(self):
         return 0
 
 
 class OddDeriv(Operator):
+    """Left Grassmann derivative: anticommute `var` to the front, delete it."""
+
     __slots__ = ("var",)
 
     def __init__(self, var: int):
         self.var = var
 
     def _apply(self, p):
-        return p.deriv_odd(self.var)
+        bit = 1 << self.var
+        terms = {}
+        for m, n in p.terms.items():
+            if not m.mask & bit:
+                continue
+            below = (m.mask & (bit - 1)).bit_count()
+            terms[Monomial(m.z, m.mask ^ bit)] = -n if below & 1 else n
+        return _IntPoly(terms, p.den, p.nsites)
 
     def _parity(self):
         return 1
@@ -218,12 +313,16 @@ class DegreeDiagonal(Operator):
 
     def _apply(self, p):
         i = self.site - 1
-        terms = {}
-        for m, c in p.terms.items():
-            v = self.spec.value(m.z[i]) * c
-            if v:
-                terms[m] = v
-        return SuperPolynomial(terms, p.nsites)
+        value = self.spec.value
+        # in term order, so a pole is reported at the same degree as a
+        # term-by-term walk would meet it
+        hs = {d: value(d) for d in dict.fromkeys(m.z[i] for m in p.terms)}
+        common = lcm(*(h.denominator for h in hs.values()))
+        scale = {d: h.numerator * (common // h.denominator)
+                 for d, h in hs.items() if h}
+        terms = {m: scale[m.z[i]] * n for m, n in p.terms.items()
+                 if m.z[i] in scale}
+        return _IntPoly(terms, p.den * common, p.nsites)
 
     def _parity(self):
         return 0
@@ -236,36 +335,47 @@ class SwapSites(Operator):
     factors, e.g. th1 th2 -> th2 th1 = -th1 th2.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_tables")
 
     def __init__(self, a: int, b: int):
         if a > b:
             a, b = b, a
         self.a = a
         self.b = b
+        self._tables: dict[int, list[tuple[int, int]]] = {}
+
+    def _table(self, nsites: int) -> list[tuple[int, int]]:
+        """(relabeled mask, sign) for every odd mask of `nsites` sites."""
+        table = self._tables.get(nsites)
+        if table is None:
+            ia, ib = self.a - 1, self.b - 1
+            bits_a = 0b11 << (2 * ia)
+            bits_b = 0b11 << (2 * ib)
+            shift = 2 * (ib - ia)
+            table = [((mask & ~(bits_a | bits_b)) | ((mask & bits_a) << shift)
+                      | ((mask & bits_b) >> shift), _relabel_sign(mask, ia, ib))
+                     for mask in range(1 << (2 * nsites))]
+            self._tables[nsites] = table
+        return table
 
     def _apply(self, p):
         ia, ib = self.a - 1, self.b - 1
-        bits_a = 0b11 << (2 * ia)
-        bits_b = 0b11 << (2 * ib)
-        shift = 2 * (ib - ia)
+        table = self._table(p.nsites)
         terms = {}
-        for m, c in p.terms.items():
+        for m, n in p.terms.items():
             z = list(m.z)
             z[ia], z[ib] = z[ib], z[ia]
-            keep = m.mask & ~(bits_a | bits_b)
-            mask = keep | ((m.mask & bits_a) << shift) | ((m.mask & bits_b) >> shift)
-            # parity of the permutation sending the old ordered factor list
-            # to the new canonical one
-            sign = _relabel_sign(m.mask, ia, ib)
-            terms[Monomial(tuple(z), mask)] = sign * c
-        return SuperPolynomial(terms, p.nsites)
+            mask, sign = table[m.mask]
+            terms[Monomial(tuple(z), mask)] = sign * n
+        return _IntPoly(terms, p.den, p.nsites)
 
     def _parity(self):
         return 0
 
 
 def _relabel_sign(mask: int, ia: int, ib: int) -> int:
+    """Parity of the permutation sending the old ordered factor list to the
+    new canonical one."""
     order = [k for k in range(mask.bit_length()) if mask >> k & 1]
     ra = range(2 * ia, 2 * ia + 2)
     rb = range(2 * ib, 2 * ib + 2)
@@ -292,10 +402,7 @@ class Sum(Operator):
         self.ops = tuple(flat)
 
     def _apply(self, p):
-        out = SuperPolynomial.zero(p.nsites)
-        for op in self.ops:
-            out = out + op._apply(p)
-        return out
+        return _lincomb([(1, op._apply(p)) for op in self.ops], p.nsites)
 
     def _parity(self):
         ps = {op._parity() for op in self.ops}
@@ -338,41 +445,47 @@ class TerminatingExp(Operator):
         self.op = op
 
     def _apply(self, p):
-        out = p
+        parts = [(1, p)]
         term = p
-        budget = p.max_z_degree() + 5
+        budget = max((sum(m.z) for m in p.terms), default=0) + 5
         k = 0
-        while not term.is_zero():
+        while term.terms:
             k += 1
             if k > budget:
                 raise NonTerminatingExp(
                     f"series not terminated after {budget} iterations")
-            term = Q(1, k) * self.op._apply(term)
-            out = out + term
-        return out
+            term = self.op._apply(term)
+            # A^k p / k! = A(A^(k-1) p / (k-1)!) / k
+            term = _IntPoly(term.terms, term.den * k, term.nsites)
+            parts.append((1, term))
+        return _lincomb(parts, p.nsites)
 
     def _parity(self):
         return 0
 
 
 class Cached(Operator):
-    """Memoizes the image of each basis monomial (operators are linear)."""
+    """Memoizes the image of each basis monomial (operators are linear).
+
+    Each image is stored reduced, which bounds the integer growth of
+    everything built from it.
+    """
 
     __slots__ = ("op", "_images")
 
     def __init__(self, op: Operator):
         self.op = op
-        self._images: dict[Monomial, SuperPolynomial] = {}
+        self._images: dict[Monomial, _IntPoly] = {}
 
     def _apply(self, p):
-        out = SuperPolynomial.zero(p.nsites)
-        for m, c in p.terms.items():
+        parts = []
+        for m, n in p.terms.items():
             img = self._images.get(m)
             if img is None:
-                img = self.op._apply(monomial_poly(m))
+                img = _reduced(self.op._apply(_IntPoly({m: 1}, 1, p.nsites)))
                 self._images[m] = img
-            out = out + c * img
-        return out
+            parts.append((n, img))
+        return _lincomb(parts, p.nsites, p.den)
 
     def _parity(self):
         return self.op._parity()

@@ -8,10 +8,12 @@ from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv,
                           NonTerminatingExp, OddDeriv, PochhammerSpec, Scalar,
                           SwapSites, TerminatingExp, compose, equal_on_degree,
                           graded_commutator, op_sum, rising_factorial)
+from ybsl21.rops import ParamPair, build_r
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
 TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
 ONE = SuperPolynomial.one(2)
+PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
 
 
 def z(site):
@@ -201,3 +203,79 @@ def test_degree_diagonal_empty_is_identity():
     op = DegreeDiagonal(1, PochhammerSpec([], []))
     r = equal_on_degree(op, Scalar(1), 3)
     assert r.passed
+
+
+# -- the integer evaluation path against SuperPolynomial arithmetic ----------
+
+fracs = st.builds(Q, st.integers(-12, 12), st.integers(2, 12))
+
+
+@st.composite
+def frac_polys(draw, parity=None):
+    """Two-site polynomials with fractional coefficients; `parity` keeps
+    only odd masks of that parity (a parity-homogeneous multiplier)."""
+    masks = st.integers(0, 15)
+    if parity is not None:
+        masks = masks.filter(lambda k: k.bit_count() % 2 == parity)
+    pairs = [(Monomial(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))),
+                       draw(masks)), draw(fracs))
+             for _ in range(draw(st.integers(0, 4)))]
+    return SuperPolynomial.from_terms(pairs, 2)
+
+
+frac_ops = st.sampled_from([
+    MulZ(2), EvenDeriv(1), MulOdd(THB1), OddDeriv(TH2), SwapSites(1, 2),
+    Scalar(Q(-5, 6)),
+    MulPoly(Q(1, 2) * z(1) + Q(2, 3) * (sp(TH1) * sp(THB1))),
+    MulPoly(Q(3, 4) * sp(THB2)),
+    DegreeDiagonal(2, PochhammerSpec([Q(1, 2)], [Q(7, 3)])),
+    TerminatingExp(Q(1, 3) * compose(MulOdd(TH1), OddDeriv(TH2))),
+])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1).flatmap(frac_polys), frac_polys())
+def test_mul_poly_matches_product(q, p):
+    assert MulPoly(q).apply(p) == q * p
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac_polys())
+def test_derivatives_match_polynomial_calculus(p):
+    for site in (1, 2):
+        assert EvenDeriv(site).apply(p) == p.deriv_even(site)
+    for var in (TH1, THB1, TH2, THB2):
+        assert OddDeriv(var).apply(p) == p.deriv_odd(var)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(Q(0)), fracs), frac_polys())
+def test_scalar_matches_scaling(c, p):
+    assert Scalar(c).apply(p) == c * p
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac_ops, frac_ops, frac_polys())
+def test_sum_and_compose_match_their_parts(a, b, p):
+    assert op_sum(a, b).apply(p) == a.apply(p) + b.apply(p)
+    assert compose(a, b).apply(p) == a.apply(b.apply(p))
+
+
+R_OPS = {k: build_r(k, PP) for k in (1, 2, 3)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(R_OPS)), fracs, fracs, frac_polys(), frac_polys())
+def test_built_operator_is_linear(k, a, b, p, q):
+    op = R_OPS[k]
+    assert op.apply(a * p + b * q) == a * op.apply(p) + b * op.apply(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac_ops, frac_ops, frac_polys())
+def test_cached_cold_and_warm_agree(a, b, p):
+    op = compose(a, b)
+    cached = Cached(op)
+    want = op.apply(p)
+    assert cached.apply(p) == want
+    assert cached.apply(p) == want

@@ -1,9 +1,10 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
 from ybsl21.lax import SpectralTriple
-from ybsl21.opalg import (DegreeDiagonal, MulOdd, MulZ, OddDeriv,
+from ybsl21.opalg import (Cached, DegreeDiagonal, MulOdd, MulZ, OddDeriv,
                           PochhammerSpec, Scalar, SwapSites, compose,
                           equal_on_degree, op_sum)
 from ybsl21.rops import (ParamPair, SingularParameters, _rhat_stages,
@@ -150,6 +151,28 @@ def test_rhat_trivial_is_identity():
 
 def test_rhat_fixes_constant():
     assert build_rhat(PP).apply(ONE) == ONE
+
+
+def _cached_within(op):
+    if isinstance(op, Cached):
+        yield op
+    for sub in (getattr(op, "op", None), *getattr(op, "ops", ())):
+        if sub is not None:
+            yield from _cached_within(sub)
+
+
+def test_cached_columns_stay_reduced():
+    rhat = build_rhat(PP)
+    for m in enumerate_basis(2, 2):
+        rhat.apply(monomial_poly(m))
+    caches = list(_cached_within(rhat))
+    assert len(caches) == 4          # Rcheck and its three factors
+    for cached in caches:
+        assert cached._images
+        for col in cached._images.values():
+            assert col.den > 0
+            assert all(col.terms.values())
+            assert gcd(col.den, *col.terms.values()) == 1
 
 
 def test_full_r_examples():
