@@ -9,10 +9,12 @@ omitted so identical (config, seed) runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,6 +121,21 @@ def sample_weight_spectral(seed: int, samples: int):
 # check drivers, one per command
 # ---------------------------------------------------------------------------
 
+def _driver(results: Callable[[RunConfig], Iterable]):
+    """A driver built from `results(cfg)`, which yields what it finishes.
+
+    `driver(cfg, done)` appends each result to `done` as it is yielded and
+    returns `done` (a new list when none is given), so a fault in the middle
+    keeps everything finished before it.
+    """
+    @functools.wraps(results)
+    def driver(cfg: RunConfig, done: list | None = None) -> list:
+        done = [] if done is None else done
+        done.extend(results(cfg))
+        return done
+    return driver
+
+
 def _pairs_for(cfg: RunConfig, max_degree: int) -> list[ParamPair]:
     if cfg.explicit_params is not None:
         pp = ParamPair.from_rationals(*cfg.explicit_params)
@@ -127,14 +144,14 @@ def _pairs_for(cfg: RunConfig, max_degree: int) -> list[ParamPair]:
     return sample_params(cfg.seed, cfg.samples, max_degree)
 
 
-def run_algebra(cfg: RunConfig) -> list[CheckReport]:
-    reports = []
+@_driver
+def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
     for w in sample_weights(cfg.seed, cfg.samples):
         g = build_generators(1, w, nsites=1)
-        reports.append(check_relations(g, cfg.max_degree))
-        reports.append(check_casimir(g, cfg.max_degree))
+        yield check_relations(g, cfg.max_degree)
+        yield check_casimir(g, cfg.max_degree)
     for kind in ("chiral", "antichiral"):
-        reports.append(check_relations(fundamental_rep(kind)))
+        yield check_relations(fundamental_rep(kind))
     # closed-form module vectors vs iterated raising
     verma = CheckReport(check_name="verma-oracle", max_degree=4)
     with verma.timed():
@@ -152,60 +169,62 @@ def run_algebra(cfg: RunConfig) -> list[CheckReport]:
                                 (closed - raised).text())
             except SingularWeight as exc:
                 verma.notes.append(f"skipped (ell,b)=({w.ell},{w.b}): {exc}")
-    reports.append(verma)
+    yield verma
     for n in (1, 2):
         for kind in ("chiral", "antichiral"):
-            reports.append(check_finite_subspace(n, kind))
-    return reports
+            yield check_finite_subspace(n, kind)
 
 
-def run_lax(cfg: RunConfig) -> list[CheckReport]:
-    reports = []
+@_driver
+def run_lax(cfg: RunConfig) -> Iterator[CheckReport]:
     rng = random.Random(cfg.seed ^ 0x1A5)
     for _ in range(cfg.samples):
         t = SpectralTriple(*(_rand_rational(rng) for _ in range(3)))
         params = {"u1": str(t.u1), "u2": str(t.u2), "u3": str(t.u3)}
         lp = build_lax(1, t, "chiral", nsites=1)
-        rep = matrices_equal(lp, build_lax_factorized(1, t, nsites=1),
+        yield matrices_equal(lp, build_lax_factorized(1, t, nsites=1),
                              max_degree=max(cfg.max_degree, 4), nsites=1,
                              name="lax-factorized-vs-explicit", params=params)
-        reports.append(rep)
-        rep = matrices_equal(lp, build_lax_tensor(1, t, "chiral", nsites=1),
+        yield matrices_equal(lp, build_lax_tensor(1, t, "chiral", nsites=1),
                              max_degree=min(cfg.max_degree, 3), nsites=1,
                              name="lax-tensor-vs-printed", params=params)
-        reports.append(rep)
-        reports.append(check_invariance(1, t, _rand_rational(rng),
-                                        max_degree=cfg.max_degree, nsites=1))
-    return reports
+        yield check_invariance(1, t, _rand_rational(rng),
+                               max_degree=cfg.max_degree, nsites=1)
 
 
-def run_rll(cfg: RunConfig) -> list[CheckReport]:
-    reports = []
+@_driver
+def run_rll(cfg: RunConfig) -> Iterator[CheckReport]:
     for w, u, v in sample_weight_spectral(cfg.seed, cfg.samples):
         for kind in ("chiral", "antichiral"):
-            reports.append(check_rll(w, u, v, cfg.max_degree, kind))
-    return reports
+            yield check_rll(w, u, v, cfg.max_degree, kind)
 
 
-def run_defining(cfg: RunConfig) -> list[CheckReport]:
+@_driver
+def run_defining(cfg: RunConfig) -> Iterator[CheckReport]:
     degree = min(cfg.max_degree, 2)
-    return [check_defining(k, pp, degree)
-            for pp in _pairs_for(cfg, degree) for k in (1, 2, 3)]
+    for pp in _pairs_for(cfg, degree):
+        for k in (1, 2, 3):
+            yield check_defining(k, pp, degree)
 
 
-def run_lemmas(cfg: RunConfig) -> list[CheckReport]:
-    return [check_lemma_system(k, pp, cfg.max_degree)
-            for pp in _pairs_for(cfg, cfg.max_degree) for k in (1, 2, 3)]
+@_driver
+def run_lemmas(cfg: RunConfig) -> Iterator[CheckReport]:
+    for pp in _pairs_for(cfg, cfg.max_degree):
+        for k in (1, 2, 3):
+            yield check_lemma_system(k, pp, cfg.max_degree)
 
 
-def run_recurrences(cfg: RunConfig) -> list[CheckReport]:
-    return [check_recurrences(pp, nmax=4) for pp in _pairs_for(cfg, 4)]
+@_driver
+def run_recurrences(cfg: RunConfig) -> Iterator[CheckReport]:
+    for pp in _pairs_for(cfg, 4):
+        yield check_recurrences(pp, nmax=4)
 
 
-def run_factorization(cfg: RunConfig) -> list[CheckReport]:
+@_driver
+def run_factorization(cfg: RunConfig) -> Iterator[CheckReport]:
     degree = min(cfg.max_degree, 2)
-    reports = [check_factorization(pp, degree)
-               for pp in _pairs_for(cfg, degree)]
+    for pp in _pairs_for(cfg, degree):
+        yield check_factorization(pp, degree)
     # trivial exchange: equal parameter sets give the identity operator
     w = sample_weights(cfg.seed, 1)[0]
     pp = ParamPair.from_weights(w, w, Q(1), Q(1))
@@ -213,22 +232,21 @@ def run_factorization(cfg: RunConfig) -> list[CheckReport]:
     rep = CheckReport(check_name="rhat-trivial-identity", params=pp.render(),
                       max_degree=degree)
     with rep.timed():
-        rep.merge(equal_on_degree(build_rhat(pp), Scalar(1), degree, nsites=2))
-    reports.append(rep)
-    return reports
+        rep.merge(equal_on_degree(build_rhat(pp), Scalar(1), degree))
+    yield rep
 
 
-def run_spectrum(cfg: RunConfig) -> list[CheckReport]:
-    reports = [check_conjugator_oracles(nmax=3)]
+@_driver
+def run_spectrum(cfg: RunConfig) -> Iterator[CheckReport]:
+    yield check_conjugator_oracles(nmax=3)
     for pp in _pairs_for(cfg, 4):
         for which in (1, 2, 3):
-            reports.append(check_sector(which, pp, nmax=3))
-        reports.append(check_composite(pp, nmax=3))
-    return reports
+            yield check_sector(which, pp, nmax=3)
+        yield check_composite(pp, nmax=3)
 
 
-def run_ybe(cfg: RunConfig) -> list[CheckReport]:
-    reports = []
+@_driver
+def run_ybe(cfg: RunConfig) -> Iterator[CheckReport]:
     rng = random.Random(cfg.seed ^ 0x1BE)
     count = 0
     attempts = 0
@@ -244,9 +262,7 @@ def run_ybe(cfg: RunConfig) -> list[CheckReport]:
         except SingularParameters:
             continue
         count += 1
-        reports.append(check_ybe(ws[0], ws[1], ws[2], u, v,
-                                 max_degree=cfg.ybe_degree))
-    return reports
+        yield check_ybe(ws[0], ws[1], ws[2], u, v, max_degree=cfg.ybe_degree)
 
 
 DRIVERS = {
@@ -292,7 +308,7 @@ def run(cfg: RunConfig, stream=None) -> int:
 
 
 def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
-    """Extend `done` with each step's results, then pass it to `emit`.
+    """Run each step as `step(cfg, done)`, then pass `done` to `emit`.
 
     The one place a fault becomes an exit code: a configuration fault is
     reported alone with exit 2; an internal fault is reported after the
@@ -300,7 +316,7 @@ def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
     """
     try:
         for step in steps:
-            done.extend(step(cfg))
+            step(cfg, done)
     except CONFIG_FAULTS as exc:
         _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
         return 2
@@ -348,6 +364,7 @@ def format_text(r: CheckReport, include_timings: bool = True) -> str:
     return "\n".join(lines)
 
 
+@_driver
 def spectrum_table(cfg: RunConfig) -> list[dict]:
     """Computed vs closed-formula sector entries for every operator, n <= 3."""
     pp = _pairs_for(cfg, 4)[0]

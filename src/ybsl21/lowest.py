@@ -235,19 +235,18 @@ def sector_levels(nmax: int) -> list[tuple[int, str]]:
             for sector in (("even", "odd") if n else ("odd",))]
 
 
-def check_sector(which: int, pp: ParamPair, nmax: int = 3,
-                 nsites: int = 2) -> CheckReport:
+def check_sector(which: int, pp: ParamPair, nmax: int = 3) -> CheckReport:
     """Computed sector matrices equal the printed ones for n <= nmax."""
     report = CheckReport(check_name=f"spectrum-R{which}", params=pp.render(),
                          max_degree=nmax)
     with report.timed(SingularParameters, NotInSpan):
         guard_factor(which, pp, nmax)
-        op = build_r(which, pp, nsites=nsites, max_degree=nmax + 1)
-        one = SuperPolynomial.one(nsites)
+        op = build_r(which, pp, max_degree=nmax + 1)
+        one = SuperPolynomial.one(2)
         if op.apply(one) != one:
             report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
         for n, sector in sector_levels(nmax):
-            got = sector_action(op, sector, n, nsites)
+            got = sector_action(op, sector, n)
             want = expected_sector_matrix(which, pp, sector, n)
             if got.entries != want.entries:
                 report.add_failure(f"{sector} n={n}", str(got.entries),
@@ -300,8 +299,7 @@ def expected_composite_matrix(pp: ParamPair, sector: str,
                         entries=((psi_plus, Q(0)), (Q(0), psi_minus)))
 
 
-def check_composite(pp: ParamPair, nmax: int = 3,
-                    nsites: int = 2) -> CheckReport:
+def check_composite(pp: ParamPair, nmax: int = 3) -> CheckReport:
     """Composite spectra vs the printed formulas, entrywise and as the
     normalization-free ratios (odd-entry ratio, mixing over diagonal with
     the constant C, and the Gamma-ratio recurrences across n)."""
@@ -317,14 +315,14 @@ def check_composite(pp: ParamPair, nmax: int = 3,
     with report.timed(SingularParameters, NotInSpan):
         # n = 0 anchor: the normalized operator fixes 1 (even basis is
         # degenerate there, so 2x2 comparisons start at n = 1)
-        op = build_rhat(pp, nsites=nsites, max_degree=nmax + 1)
-        one = SuperPolynomial.one(nsites)
+        op = build_rhat(pp, max_degree=nmax + 1)
+        one = SuperPolynomial.one(2)
         if op.apply(one) != one:
             report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
         even_prev = odd_prev = None
         for n in range(nmax + 1):
-            even = sector_action(op, "even", n, nsites) if n >= 1 else None
-            odd = sector_action(op, "odd", n, nsites)
+            even = sector_action(op, "even", n) if n >= 1 else None
+            odd = sector_action(op, "odd", n)
             ow = expected_composite_matrix(pp, "odd", n)
             if odd.entries != ow.entries:
                 report.add_failure(f"odd n={n}", str(odd.entries),
@@ -363,7 +361,7 @@ def check_composite(pp: ParamPair, nmax: int = 3,
 # conjugator substitution oracles
 # ---------------------------------------------------------------------------
 
-def check_conjugator_oracles(nmax: int = 3, nsites: int = 2) -> CheckReport:
+def check_conjugator_oracles(nmax: int = 3) -> CheckReport:
     """The exponential conjugators reproduce the substitution formulas.
 
     These identities validate the terminating-exponential implementation of
@@ -377,16 +375,16 @@ def check_conjugator_oracles(nmax: int = 3, nsites: int = 2) -> CheckReport:
                                (got - want).text())
 
     with report.timed():
-        z1, z2, th1, thb1, th2, thb2 = _vars(nsites)
+        z1, z2, th1, thb1, th2, thb2 = _vars(2)
         z12 = z1 - z2
-        s3, _ = conjugator(3, (1, 2), nsites)
-        s1, _ = conjugator(1, (1, 2), nsites)
-        s2e, _ = conjugator_r2_even((1, 2), nsites)
-        t12, tb12 = theta_12(nsites), theta_bar_12(nsites)
+        s3, _ = conjugator(3)
+        s1, _ = conjugator(1)
+        s2e, _ = conjugator_r2_even()
+        t12, tb12 = theta_12(), theta_bar_12()
         w = z12 + th1 * thb2
         for n in range(nmax + 1):
-            phi_p, phi_m = sector_basis("even", n, nsites)
-            psi_p, psi_m = sector_basis("odd", n, nsites)
+            phi_p, phi_m = sector_basis("even", n)
+            psi_p, psi_m = sector_basis("odd", n)
             expect(f"S3 Phi{n}+", s3.apply(phi_p), z1 ** n)
             expect(f"S3 Phi{n}-", s3.apply(phi_m), (z1 - th1 * thb1) ** n)
             expect(f"S3 Psi{n}+", s3.apply(psi_p), thb1 * z1 ** n)

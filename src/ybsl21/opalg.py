@@ -389,6 +389,54 @@ def _relabel_sign(mask: int, ia: int, ib: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+class OnSites(Operator):
+    """An even two-site operator acting on sites a < b of a larger algebra.
+
+    `op` acts on sites (1, 2); here those are sites a and b, and every other
+    variable is a spectator.  An even operator that only touches the
+    variables of a and b commutes with the spectators, so each monomial is
+    split as sign * spectator * active, `op` is applied to the active part
+    read as a two-site monomial, and the spectator is multiplied back.
+    """
+
+    __slots__ = ("op", "a", "b")
+
+    def __init__(self, op: Operator, sites: tuple[int, int]):
+        a, b = sites
+        if not 0 < a < b:
+            raise ValueError(f"sites must satisfy 0 < a < b, got {sites}")
+        if op._parity() != 0:
+            raise IndefiniteParity("a lifted operator must be even")
+        self.op = op
+        self.a = a
+        self.b = b
+
+    def _apply(self, p):
+        ia, ib = self.a - 1, self.b - 1
+        sa, sb = 2 * ia, 2 * ib
+        active_bits = (0b11 << sa) | (0b11 << sb)
+        parts = []
+        for m, n in p.terms.items():
+            active = m.mask & active_bits
+            spectator = m.mask ^ active
+            sign, _ = _merge_masks(spectator, active)
+            local = Monomial((m.z[ia], m.z[ib]),
+                             (active >> sa) & 0b11 | (active >> sb) << 2)
+            img = self.op._apply(_IntPoly({local: 1}, 1, 2))
+            z = list(m.z)
+            terms = {}
+            for m2, n2 in img.terms.items():
+                z[ia], z[ib] = m2.z
+                s2, mask = _merge_masks(
+                    spectator, (m2.mask & 0b11) << sa | (m2.mask >> 2) << sb)
+                terms[Monomial(tuple(z), mask)] = s2 * n2
+            parts.append((sign * n, _IntPoly(terms, img.den, p.nsites)))
+        return _lincomb(parts, p.nsites, p.den)
+
+    def _parity(self):
+        return 0
+
+
 class Sum(Operator):
     __slots__ = ("ops",)
 

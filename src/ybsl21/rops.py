@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .lax import SpectralTriple, SuperMatrixOperator, build_lax, matrices_equal
 from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
-                    OddDeriv, Operator, PochhammerSpec, Scalar, SwapSites,
-                    TerminatingExp, compose, equal_on_degree, op_sum)
+                    OddDeriv, OnSites, Operator, PochhammerSpec, Scalar,
+                    SwapSites, TerminatingExp, compose, equal_on_degree,
+                    op_sum)
 from .report import CheckReport
 from .sl21 import Weight, build_generators
 from .superpoly import SuperPolynomial, theta, theta_bar
@@ -126,42 +127,40 @@ def _w_minus(site: int) -> Operator:
                   Q(1, 2) * compose(MulOdd(theta(site)), EvenDeriv(site)))
 
 
-def _half_tt(site: int, nsites: int) -> SuperPolynomial:
-    th = SuperPolynomial.odd_var(theta(site), nsites)
-    thb = SuperPolynomial.odd_var(theta_bar(site), nsites)
+def _half_tt(site: int) -> SuperPolynomial:
+    th = SuperPolynomial.odd_var(theta(site), 2)
+    thb = SuperPolynomial.odd_var(theta_bar(site), 2)
     return Q(1, 2) * (th * thb)
 
 
-def conjugator(k: int, sites: tuple[int, int] = (1, 2),
-               nsites: int = 2) -> tuple[Operator, Operator]:
+def conjugator(k: int) -> tuple[Operator, Operator]:
     """The similarity transformation S_k and its inverse.
 
     Every factor is a terminating exponential: odd-prefactor generators
     square to zero, the rest strictly lower a z-degree.
     """
-    a, b = sites
-    za = SuperPolynomial.z_var(a, nsites)
-    zb = SuperPolynomial.z_var(b, nsites)
     if k == 1:
         gens = [
-            compose(MulPoly(_half_tt(b, nsites)), EvenDeriv(b)),
-            compose(MulOdd(theta(a)), _v_minus(b)),
-            compose(MulOdd(theta_bar(a)), _w_minus(b)),
-            compose(MulPoly(za + _half_tt(a, nsites)), EvenDeriv(b)),
+            compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
+            compose(MulOdd(theta(1)), _v_minus(2)),
+            compose(MulOdd(theta_bar(1)), _w_minus(2)),
+            compose(MulPoly(SuperPolynomial.z_var(1, 2) + _half_tt(1)),
+                    EvenDeriv(2)),
         ]
     elif k == 2:
         gens = [
-            compose(MulOdd(theta(a)), OddDeriv(theta(b))),
-            compose(MulOdd(theta_bar(b)), OddDeriv(theta_bar(a))),
-            compose(MulPoly(_half_tt(a, nsites)), EvenDeriv(a)),
-            -1 * compose(MulPoly(_half_tt(b, nsites)), EvenDeriv(b)),
+            compose(MulOdd(theta(1)), OddDeriv(theta(2))),
+            compose(MulOdd(theta_bar(2)), OddDeriv(theta_bar(1))),
+            compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
+            -1 * compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
         ]
     elif k == 3:
         gens = [
-            -1 * compose(MulPoly(_half_tt(a, nsites)), EvenDeriv(a)),
-            compose(MulOdd(theta(b)), _v_minus(a)),
-            compose(MulOdd(theta_bar(b)), _w_minus(a)),
-            compose(MulPoly(zb + _half_tt(b, nsites)), EvenDeriv(a)),
+            -1 * compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
+            compose(MulOdd(theta(2)), _v_minus(1)),
+            compose(MulOdd(theta_bar(2)), _w_minus(1)),
+            compose(MulPoly(SuperPolynomial.z_var(2, 2) + _half_tt(2)),
+                    EvenDeriv(1)),
         ]
     else:
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
@@ -170,72 +169,67 @@ def conjugator(k: int, sites: tuple[int, int] = (1, 2),
     return s, s_inv
 
 
-def conjugator_r2_even(sites: tuple[int, int] = (1, 2),
-                       nsites: int = 2) -> tuple[Operator, Operator]:
+def conjugator_r2_even() -> tuple[Operator, Operator]:
     """Only the even z-shift factors of the R2 conjugator."""
-    a, b = sites
     gens = [
-        compose(MulPoly(_half_tt(a, nsites)), EvenDeriv(a)),
-        -1 * compose(MulPoly(_half_tt(b, nsites)), EvenDeriv(b)),
+        compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
+        -1 * compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
     ]
     s = compose(*(TerminatingExp(g) for g in gens))
     s_inv = compose(*(TerminatingExp(-1 * g) for g in reversed(gens)))
     return s, s_inv
 
 
-def kernel(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
-           nsites: int = 2) -> Operator:
+def kernel(k: int, pp: ParamPair) -> Operator:
     """The degree-diagonal middle factor of the k-th exchange operator.
 
     Gamma ratios are normalized by their value at z-degree 0, so the two
     ratios of the k = 1, 3 kernels keep their exact relative weight
     1/(z d + u1 - v3).
     """
-    a, b = sites
     u1, u2, u3 = pp.u.as_tuple()
     v1, v2, v3 = pp.v.as_tuple()
     if k == 1:
         x, y = u1 - v3, v1 - v3
         f1 = (v1 - v2) / (u1 - v1)
-        p_main = DegreeDiagonal(b, PochhammerSpec([x + 1], [y + 1]))
-        p_mix = DegreeDiagonal(b, PochhammerSpec([x], [y + 1]))
+        p_main = DegreeDiagonal(2, PochhammerSpec([x + 1], [y + 1]))
+        p_mix = DegreeDiagonal(2, PochhammerSpec([x], [y + 1]))
         diag = compose(p_main, op_sum(Scalar(f1),
-                                      compose(MulOdd(theta_bar(b)),
-                                              OddDeriv(theta_bar(b)))))
-        mix = compose(Scalar(Q(1) / x), p_mix, MulZ(b),
-                      OddDeriv(theta(b)), OddDeriv(theta_bar(b)))
+                                      compose(MulOdd(theta_bar(2)),
+                                              OddDeriv(theta_bar(2)))))
+        mix = compose(Scalar(Q(1) / x), p_mix, MulZ(2),
+                      OddDeriv(theta(2)), OddDeriv(theta_bar(2)))
         return diag - mix
     if k == 2:
         f2 = (u2 - u1) * (v2 - v3) / (v2 - u2)
-        tha = SuperPolynomial.odd_var(theta(a), nsites)
-        thb_b = SuperPolynomial.odd_var(theta_bar(b), nsites)
-        thb_a = SuperPolynomial.odd_var(theta_bar(a), nsites)
-        th_b = SuperPolynomial.odd_var(theta(b), nsites)
-        z12 = SuperPolynomial.z_var(a, nsites) - SuperPolynomial.z_var(b, nsites)
-        dd = compose(OddDeriv(theta_bar(a)), OddDeriv(theta(b)))
+        th1 = SuperPolynomial.odd_var(theta(1), 2)
+        thb2 = SuperPolynomial.odd_var(theta_bar(2), 2)
+        thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
+        th2 = SuperPolynomial.odd_var(theta(2), 2)
+        z12 = SuperPolynomial.z_var(1, 2) - SuperPolynomial.z_var(2, 2)
+        dd = compose(OddDeriv(theta_bar(1)), OddDeriv(theta(2)))
         return op_sum(
             Scalar(f2),
-            (u1 - u2) * compose(MulOdd(theta(b)), OddDeriv(theta(b))),
-            (v2 - v3) * compose(MulOdd(theta_bar(a)), OddDeriv(theta_bar(a))),
-            compose(MulPoly(z12 + tha * thb_b), dd),
-            (u2 - v2) * compose(MulPoly(th_b * thb_a), dd),
+            (u1 - u2) * compose(MulOdd(theta(2)), OddDeriv(theta(2))),
+            (v2 - v3) * compose(MulOdd(theta_bar(1)), OddDeriv(theta_bar(1))),
+            compose(MulPoly(z12 + th1 * thb2), dd),
+            (u2 - v2) * compose(MulPoly(th2 * thb1), dd),
         )
     if k == 3:
         x, y = u1 - v3, u1 - u3
         f3 = (u2 - u3) / (u3 - v3)
-        p_main = DegreeDiagonal(a, PochhammerSpec([x + 1], [y + 1]))
-        p_mix = DegreeDiagonal(a, PochhammerSpec([x], [y + 1]))
+        p_main = DegreeDiagonal(1, PochhammerSpec([x + 1], [y + 1]))
+        p_mix = DegreeDiagonal(1, PochhammerSpec([x], [y + 1]))
         diag = compose(p_main, op_sum(Scalar(f3),
-                                      compose(MulOdd(theta(a)),
-                                              OddDeriv(theta(a)))))
-        mix = compose(Scalar(Q(1) / x), p_mix, MulZ(a),
-                      OddDeriv(theta(a)), OddDeriv(theta_bar(a)))
+                                      compose(MulOdd(theta(1)),
+                                              OddDeriv(theta(1)))))
+        mix = compose(Scalar(Q(1) / x), p_mix, MulZ(1),
+                      OddDeriv(theta(1)), OddDeriv(theta_bar(1)))
         return diag + mix
     raise ValueError(f"k must be 1, 2 or 3, got {k}")
 
 
-def build_r(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
-            nsites: int = 2, max_degree: int = 4) -> Operator:
+def build_r(k: int, pp: ParamPair, max_degree: int = 4) -> Operator:
     """Conjugated, normalized exchange operator; op(1) = 1 exactly.
 
     When the exchanged pair is already equal there is nothing to exchange
@@ -244,14 +238,14 @@ def build_r(k: int, pp: ParamPair, sites: tuple[int, int] = (1, 2),
     if pp.exchanged(k) == pp:
         return Scalar(1)
     guard_factor(k, pp, max_degree)
-    s, s_inv = conjugator(k, sites, nsites)
-    raw = compose(s_inv, kernel(k, pp, sites, nsites), s)
-    return _normalized(raw, f"R{k}", nsites)
+    s, s_inv = conjugator(k)
+    raw = compose(s_inv, kernel(k, pp), s)
+    return _normalized(raw, f"R{k}")
 
 
-def _normalized(raw: Operator, name: str, nsites: int) -> Operator:
+def _normalized(raw: Operator, name: str) -> Operator:
     """raw divided by its action on 1, which must be a nonzero scalar."""
-    one = SuperPolynomial.one(nsites)
+    one = SuperPolynomial.one(2)
     image = raw.apply(one)
     c = image.coefficient(next(iter(one.terms)))
     if image != c * one or c == 0:
@@ -260,55 +254,51 @@ def _normalized(raw: Operator, name: str, nsites: int) -> Operator:
     return Cached(raw if c == 1 else compose(Scalar(1 / c), raw))
 
 
-def _lax_pair(pp: ParamPair,
-              nsites: int) -> tuple[SuperMatrixOperator, SuperMatrixOperator]:
+def _lax_pair(pp: ParamPair) -> tuple[SuperMatrixOperator, SuperMatrixOperator]:
     """The chiral Lax matrices L1(pp.u), L2(pp.v)."""
-    return (build_lax(1, pp.u, "chiral", nsites=nsites),
-            build_lax(2, pp.v, "chiral", nsites=nsites))
+    return build_lax(1, pp.u, "chiral"), build_lax(2, pp.v, "chiral")
 
 
 def _intertwines(op: Operator, pp: ParamPair, out: ParamPair,
-                 max_degree: int, nsites: int) -> CheckReport:
+                 max_degree: int) -> CheckReport:
     """op L1(pp.u) L2(pp.v) = L1(out.u) L2(out.v) op, entry by entry."""
-    l1, l2 = _lax_pair(pp, nsites)
-    l1x, l2x = _lax_pair(out, nsites)
+    l1, l2 = _lax_pair(pp)
+    l1x, l2x = _lax_pair(out)
     return matrices_equal((l1 @ l2).wrap_left(op),
-                          (l1x @ l2x).wrap_right(op), max_degree,
-                          nsites=nsites)
+                          (l1x @ l2x).wrap_right(op), max_degree)
 
 
-def check_defining(k: int, pp: ParamPair, max_degree: int = 2,
-                   nsites: int = 2) -> CheckReport:
+def check_defining(k: int, pp: ParamPair, max_degree: int = 2) -> CheckReport:
     """R_k L1(u) L2(v) = L1(u') L2(v') R_k with the k-th pair exchanged."""
     report = CheckReport(check_name=f"defining-R{k}", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
-        r = build_r(k, pp, nsites=nsites, max_degree=max_degree)
-        report.merge(_intertwines(r, pp, pp.exchanged(k), max_degree, nsites))
+        r = build_r(k, pp, max_degree=max_degree)
+        report.merge(_intertwines(r, pp, pp.exchanged(k), max_degree))
     return report
 
 
-def check_lemma_system(k: int, pp: ParamPair, max_degree: int = 3,
-                       nsites: int = 2) -> CheckReport:
+def check_lemma_system(k: int, pp: ParamPair,
+                       max_degree: int = 3) -> CheckReport:
     """The equivalent system: sum equation, variable commutations, and the
     extra odd relation for k = 1, 3; each sub-equation itemized."""
     report = CheckReport(check_name=f"lemma-R{k}", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
-        r = build_r(k, pp, nsites=nsites, max_degree=max_degree)
-        l1, l2 = _lax_pair(pp, nsites)
-        l1x, l2x = _lax_pair(pp.exchanged(k), nsites)
+        r = build_r(k, pp, max_degree=max_degree)
+        l1, l2 = _lax_pair(pp)
+        l1x, l2x = _lax_pair(pp.exchanged(k))
         lhs = (l1 + l2).wrap_left(r)
         rhs = (l1x + l2x).wrap_right(r)
-        sub = matrices_equal(lhs, rhs, max_degree, nsites=nsites, name="sum-eq")
+        sub = matrices_equal(lhs, rhs, max_degree, name="sum-eq")
         report.merge(sub, prefix="sum-eq ")
 
-        th1p = SuperPolynomial.odd_var(theta(1), nsites)
-        thb1p = SuperPolynomial.odd_var(theta_bar(1), nsites)
-        th2p = SuperPolynomial.odd_var(theta(2), nsites)
-        thb2p = SuperPolynomial.odd_var(theta_bar(2), nsites)
-        z1p = SuperPolynomial.z_var(1, nsites)
-        z2p = SuperPolynomial.z_var(2, nsites)
+        th1p = SuperPolynomial.odd_var(theta(1), 2)
+        thb1p = SuperPolynomial.odd_var(theta_bar(1), 2)
+        th2p = SuperPolynomial.odd_var(theta(2), 2)
+        thb2p = SuperPolynomial.odd_var(theta_bar(2), 2)
+        z1p = SuperPolynomial.z_var(1, 2)
+        z2p = SuperPolynomial.z_var(2, 2)
         if k == 1:
             comm = [("z1", MulPoly(z1p)), ("th1", MulPoly(th1p)),
                     ("thb1", MulPoly(thb1p))]
@@ -322,7 +312,7 @@ def check_lemma_system(k: int, pp: ParamPair, max_degree: int = 3,
                     ("thb2", MulPoly(thb2p))]
         for label, m in comm:
             sub = equal_on_degree(compose(r, m), compose(m, r), max_degree,
-                                  nsites=nsites, name=f"[R{k},{label}]")
+                                  name=f"[R{k},{label}]")
             report.merge(sub, prefix=f"[R{k},{label}] on ")
 
         if k == 1:
@@ -336,7 +326,7 @@ def check_lemma_system(k: int, pp: ParamPair, max_degree: int = 3,
             extra = None
         if extra is not None:
             sub = equal_on_degree(compose(r, extra), compose(extra, r),
-                                  max_degree, nsites=nsites, name=label)
+                                  max_degree, name=label)
             report.merge(sub, prefix=f"[{label}] on ")
     return report
 
@@ -345,17 +335,17 @@ def check_lemma_system(k: int, pp: ParamPair, max_degree: int = 3,
 # recurrence and coefficient-relation suite
 # ---------------------------------------------------------------------------
 
-def r3_diagonal_functions(pp: ParamPair, nmax: int, nsites: int = 2):
+def r3_diagonal_functions(pp: ParamPair, nmax: int):
     """Read a[n], b[n], c[n] off the implemented R3 kernel by probing.
 
     The kernel acts as a[.] + b[.] th d_th + c[.] z d_th d_thb in the
     variables of site 1; probing monomials recovers the three functions
     up to the one common normalization the construction fixes.
     """
-    kern = kernel(3, pp, (1, 2), nsites)
-    z1 = SuperPolynomial.z_var(1, nsites)
-    th1 = SuperPolynomial.odd_var(theta(1), nsites)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), nsites)
+    kern = kernel(3, pp)
+    z1 = SuperPolynomial.z_var(1, 2)
+    th1 = SuperPolynomial.odd_var(theta(1), 2)
+    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
     a, bdiag, c = {}, {}, {}
     for n in range(nmax + 2):
         zn = z1 ** n
@@ -372,13 +362,13 @@ def r3_diagonal_functions(pp: ParamPair, nmax: int, nsites: int = 2):
     return a, bdiag, c
 
 
-def r2_constants(pp: ParamPair, nsites: int = 2) -> dict[str, Fraction]:
+def r2_constants(pp: ParamPair) -> dict[str, Fraction]:
     """The five constants of the R2 kernel, read off by probing."""
-    kern = kernel(2, pp, (1, 2), nsites)
-    one = SuperPolynomial.one(nsites)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), nsites)
-    th2 = SuperPolynomial.odd_var(theta(2), nsites)
-    z1 = SuperPolynomial.z_var(1, nsites)
+    kern = kernel(2, pp)
+    one = SuperPolynomial.one(2)
+    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
+    th2 = SuperPolynomial.odd_var(theta(2), 2)
+    z1 = SuperPolynomial.z_var(1, 2)
     mono = lambda p: next(iter(p.terms))
     a = kern.apply(one).coefficient(mono(one))
     b = kern.apply(thb1).coefficient(mono(thb1)) - a
@@ -390,8 +380,7 @@ def r2_constants(pp: ParamPair, nsites: int = 2) -> dict[str, Fraction]:
     return {"a": a, "b": b, "c": c, "d": d, "e": e}
 
 
-def check_recurrences(pp: ParamPair, nmax: int = 4,
-                      nsites: int = 2) -> CheckReport:
+def check_recurrences(pp: ParamPair, nmax: int = 4) -> CheckReport:
     """The five R3 recurrence relations and four R2 coefficient relations."""
     report = CheckReport(check_name="recurrences", params=pp.render(),
                          max_degree=nmax)
@@ -405,7 +394,7 @@ def check_recurrences(pp: ParamPair, nmax: int = 4,
     with report.timed(SingularParameters):
         guard_factor(3, pp, nmax)
         guard_factor(2, pp, nmax)
-        a, b, c = r3_diagonal_functions(pp, nmax, nsites)
+        a, b, c = r3_diagonal_functions(pp, nmax)
         for n in range(1, nmax + 1):
             expect(f"a[{n}]-a[{n - 1}]=(u2-u3)c[{n}]",
                    a[n] - a[n - 1], (u2 - u3) * c[n])
@@ -424,7 +413,7 @@ def check_recurrences(pp: ParamPair, nmax: int = 4,
                    a[n] + b[n] * (n + u1 - u3) - (u2 - u3) * c[n],
                    a[n - 1] + (n + u1 - v3) * b[n - 1])
 
-        k2 = r2_constants(pp, nsites)
+        k2 = r2_constants(pp)
         expect("R2: a=(u2-u1)(v2-v3)/(v2-u2)*d",
                k2["a"], (u2 - u1) * (v2 - v3) / (v2 - u2) * k2["d"])
         expect("R2: b=(v2-v3)*d", k2["b"], (v2 - v3) * k2["d"])
@@ -437,30 +426,26 @@ def check_recurrences(pp: ParamPair, nmax: int = 4,
 # factorization and the dressed operator
 # ---------------------------------------------------------------------------
 
-def build_rhat(pp: ParamPair, sites: tuple[int, int] = (1, 2),
-               nsites: int = 2, max_degree: int = 4) -> Operator:
+def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
     """Rcheck = R1 R2 R3 with the factorization's argument threading."""
-    raw = compose(*(build_r(k, stage, sites, nsites, max_degree)
+    raw = compose(*(build_r(k, stage, max_degree=max_degree)
                     for k, stage in _rhat_stages(pp)))
-    return _normalized(raw, "Rcheck", nsites)
+    return _normalized(raw, "Rcheck")
 
 
-def build_full_R(pp: ParamPair, sites: tuple[int, int] = (1, 2),
-                 nsites: int = 2, max_degree: int = 4) -> Operator:
+def build_full_R(pp: ParamPair, max_degree: int = 4) -> Operator:
     """P12 Rcheck(u;v): the inverse R-matrix at spectral argument v - u."""
-    rhat = build_rhat(pp, sites, nsites, max_degree)
-    return Cached(compose(SwapSites(*sites), rhat))
+    return Cached(compose(SwapSites(1, 2), build_rhat(pp, max_degree)))
 
 
-def check_factorization(pp: ParamPair, max_degree: int = 2,
-                        nsites: int = 2) -> CheckReport:
+def check_factorization(pp: ParamPair, max_degree: int = 2) -> CheckReport:
     """Master exchange: Rcheck L1(u-triple) L2(v-triple) swaps all three."""
     report = CheckReport(check_name="factorization", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
-        rhat = build_rhat(pp, nsites=nsites, max_degree=max_degree)
-        report.merge(_intertwines(rhat, pp, ParamPair(pp.v, pp.u), max_degree,
-                                  nsites))
+        rhat = build_rhat(pp, max_degree)
+        report.merge(_intertwines(rhat, pp, ParamPair(pp.v, pp.u),
+                                  max_degree))
     return report
 
 
@@ -479,13 +464,9 @@ def weight_shift(k: int, w1: Weight, w2: Weight,
     raise ValueError(f"k must be 1, 2 or 3, got {k}")
 
 
-def total_generator(name: str, w1: Weight, w2: Weight,
-                    sites: tuple[int, int] = (1, 2),
-                    nsites: int = 2) -> Operator:
+def total_generator(name: str, w1: Weight, w2: Weight) -> Operator:
     """Two-site sum of one generator (used for invariance properties)."""
-    g1 = build_generators(sites[0], w1, nsites=nsites)
-    g2 = build_generators(sites[1], w2, nsites=nsites)
-    return g1[name] + g2[name]
+    return build_generators(1, w1)[name] + build_generators(2, w2)[name]
 
 
 def ybe_pairs(w1: Weight, w2: Weight, w3: Weight,
@@ -502,7 +483,9 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
 
     Built from the inverse-side operators A_ab = P_ab Rcheck_ab, which satisfy
     the same three-term relation; equality is required up to the single
-    scalar fixed by comparing both sides on the constant polynomial.
+    scalar fixed by comparing both sides on the constant polynomial.  Each
+    A_ab is built on two sites and lifted onto sites a, b, so its columns
+    are filled on two sites and each three-site column is filled once.
     """
     u, v = Q(u), Q(v)
     report = CheckReport(
@@ -513,7 +496,7 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
         max_degree=max_degree)
     with report.timed(SingularParameters):
         a12, a13, a23 = (
-            build_full_R(pp, sites=sites, nsites=3, max_degree=max_degree)
+            Cached(OnSites(build_full_R(pp, max_degree), sites))
             for pp, sites in zip(ybe_pairs(w1, w2, w3, u, v),
                                  ((1, 2), (1, 3), (2, 3))))
         lhs = compose(a12, a13, a23)

@@ -69,10 +69,10 @@ def test_run_failing_check_exits_1(monkeypatch):
     from ybsl21 import cli
     from ybsl21.report import CheckReport
 
-    def failing_driver(cfg):
+    def failing_driver(cfg, done):
         rep = CheckReport(check_name="synthetic")
         rep.add_failure("1", "1", "0", "1")
-        return [rep]
+        done.append(rep)
 
     monkeypatch.setitem(cli.DRIVERS, "check-recurrences", failing_driver)
     buf = io.StringIO()
@@ -93,7 +93,7 @@ def test_run_internal_error_exits_3(monkeypatch):
     from ybsl21 import cli
     from ybsl21.opalg import NonTerminatingExp
 
-    def exploding_driver(cfg):
+    def exploding_driver(cfg, done):
         raise NonTerminatingExp("series did not vanish")
 
     monkeypatch.setitem(cli.DRIVERS, "check-recurrences", exploding_driver)
@@ -195,6 +195,9 @@ def test_arithmetic_fault_exits_3_with_record(capsys):
     assert records[-1]["check_name"] == "internal-error"
     assert records[-1]["status"] == "error"
     assert records[-1]["notes"] == ["ZeroDivisionError: Fraction(0, 0)"]
+    # the reports the spectrum driver finished before the fault are kept
+    names = [r["check_name"] for r in records]
+    assert names.index("conjugator-oracles") < names.index("internal-error")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
-                          NonTerminatingExp, OddDeriv, PochhammerSpec, Scalar,
-                          SwapSites, TerminatingExp, compose, equal_on_degree,
-                          graded_commutator, op_sum, rising_factorial)
-from ybsl21.rops import ParamPair, build_r
+                          NonTerminatingExp, OddDeriv, OnSites, PochhammerSpec,
+                          Scalar, SwapSites, TerminatingExp, compose,
+                          equal_on_degree, graded_commutator, op_sum,
+                          rising_factorial)
+from ybsl21.rops import ParamPair, build_full_R, build_r
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
 TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
@@ -136,6 +137,46 @@ def test_swap_sites_three_site_signs():
     # adjacent transpositions braid and compose to the far swap
     lhs = compose(SwapSites(1, 2), SwapSites(2, 3), SwapSites(1, 2))
     assert equal_on_degree(lhs, SwapSites(1, 3), 1, nsites=3).passed
+
+
+#: even two-site operators to lift: the dressed exchange operator, and one
+#: that moves an odd variable and a z-degree from one site to the other
+LIFTED = {
+    "full-R": build_full_R(PP),
+    "hop": op_sum(compose(MulOdd(TH2), OddDeriv(TH1)),
+                  compose(MulZ(1), EvenDeriv(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED))
+def test_on_sites_is_op_on_two_sites(name):
+    op = LIFTED[name]
+    assert equal_on_degree(OnSites(op, (1, 2)), op, 2).passed
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED))
+@pytest.mark.parametrize("sites, spectator",
+                         [((1, 2), 3), ((1, 3), 2), ((2, 3), 1)])
+def test_on_sites_commutes_with_spectator(name, sites, spectator):
+    lifted = Cached(OnSites(LIFTED[name], sites))
+    for mul in (MulZ(spectator), MulOdd(theta(spectator)),
+                MulOdd(theta_bar(spectator))):
+        assert equal_on_degree(compose(lifted, mul), compose(mul, lifted), 1,
+                               nsites=3).passed
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED))
+def test_on_sites_matches_relabeled_lift(name):
+    op = LIFTED[name]
+    relabeled = compose(SwapSites(2, 3), OnSites(op, (1, 2)), SwapSites(2, 3))
+    assert equal_on_degree(OnSites(op, (1, 3)), relabeled, 1, nsites=3).passed
+
+
+def test_on_sites_rejects_odd_op_and_unordered_sites():
+    with pytest.raises(IndefiniteParity):
+        OnSites(MulOdd(TH1), (1, 2))
+    with pytest.raises(ValueError):
+        OnSites(LIFTED["hop"], (2, 1))
 
 
 def test_cached_matches_uncached():
