@@ -150,7 +150,7 @@ def _lax_chiral_explicit(site: int, t: SpectralTriple,
     thb = SuperPolynomial.odd_var(thb_id, nsites)
     zp = SuperPolynomial.z_var(site, nsites)
     tt = th * thb
-    mth, mthb = MulPoly(th), MulPoly(thb)
+    mth, mthb = MulOdd(th_id), MulOdd(thb_id)
 
     l11 = op_sum(z @ dz, mthb @ dthb, Scalar(u1))
     l12 = -1 * (dthb + Q(1, 2) * (mth @ dz))

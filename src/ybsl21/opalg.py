@@ -81,6 +81,7 @@ class _IntPoly:
 
     `den` is a positive int and no numerator is zero; the form need not be
     reduced (see `_reduced`), so equal polynomials may differ as forms.
+    `terms` is never mutated after construction, so forms may share it.
     """
 
     __slots__ = ("terms", "den", "nsites")
@@ -176,8 +177,8 @@ class Scalar(Operator):
         if not c:
             return _IntPoly({}, 1, p.nsites)
         a = c.numerator
-        return _IntPoly({m: a * n for m, n in p.terms.items()},
-                        p.den * c.denominator, p.nsites)
+        terms = p.terms if a == 1 else {m: a * n for m, n in p.terms.items()}
+        return _IntPoly(terms, p.den * c.denominator, p.nsites)
 
     def _parity(self):
         return 0

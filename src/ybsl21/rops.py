@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .lax import SpectralTriple, SuperMatrixOperator, build_lax, matrices_equal
 from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
@@ -133,11 +134,15 @@ def _half_tt(site: int) -> SuperPolynomial:
     return Q(1, 2) * (th * thb)
 
 
-def conjugator(k: int) -> tuple[Operator, Operator]:
+@cache
+def conjugator(k: int) -> tuple[Cached, Cached]:
     """The similarity transformation S_k and its inverse.
 
     Every factor is a terminating exponential: odd-prefactor generators
-    square to zero, the rest strictly lower a z-degree.
+    square to zero, the rest strictly lower a z-degree.  Neither depends on
+    the parameters, so each is built once per process (on first call) and
+    every exchange operator shares its columns; a cache grows only with the
+    z-degree reached.
     """
     if k == 1:
         gens = [
@@ -164,20 +169,24 @@ def conjugator(k: int) -> tuple[Operator, Operator]:
         ]
     else:
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    s = compose(*(TerminatingExp(g) for g in gens))
-    s_inv = compose(*(TerminatingExp(-1 * g) for g in reversed(gens)))
-    return s, s_inv
+    return _exp_pair(gens)
 
 
-def conjugator_r2_even() -> tuple[Operator, Operator]:
-    """Only the even z-shift factors of the R2 conjugator."""
-    gens = [
+@cache
+def conjugator_r2_even() -> tuple[Cached, Cached]:
+    """Only the even z-shift factors of the R2 conjugator; built once, like
+    `conjugator`."""
+    return _exp_pair([
         compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
         -1 * compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
-    ]
+    ])
+
+
+def _exp_pair(gens: list[Operator]) -> tuple[Cached, Cached]:
+    """prod exp(g) over gens and its inverse, each with its own columns."""
     s = compose(*(TerminatingExp(g) for g in gens))
     s_inv = compose(*(TerminatingExp(-1 * g) for g in reversed(gens)))
-    return s, s_inv
+    return Cached(s), Cached(s_inv)
 
 
 def kernel(k: int, pp: ParamPair) -> Operator:

@@ -7,8 +7,8 @@ from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
                           NonTerminatingExp, OddDeriv, OnSites, PochhammerSpec,
                           Scalar, SwapSites, TerminatingExp, compose,
-                          equal_on_degree, graded_commutator, op_sum,
-                          rising_factorial)
+                          _to_int, _to_poly, equal_on_degree,
+                          graded_commutator, op_sum, rising_factorial)
 from ybsl21.rops import ParamPair, build_full_R, build_r
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
@@ -177,6 +177,19 @@ def test_on_sites_rejects_odd_op_and_unordered_sites():
         OnSites(MulOdd(TH1), (1, 2))
     with pytest.raises(ValueError):
         OnSites(LIFTED["hop"], (2, 1))
+
+
+def test_mul_odd_is_mul_poly_of_one_odd_variable():
+    for var in (TH1, THB1, TH2, THB2):
+        assert equal_on_degree(MulOdd(var), MulPoly(sp(var)), 3).passed
+
+
+def test_unit_numerator_scalar_leaves_input_terms():
+    p = _to_int(Q(2, 5) * z(1) + Q(-3, 7) * (sp(TH1) * sp(THB2)))
+    before = dict(p.terms)
+    out = Scalar(Q(1, 3))._apply(p)
+    assert p.terms == before and p.den == 35
+    assert _to_poly(out) == Q(1, 3) * _to_poly(p)
 
 
 def test_cached_matches_uncached():

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction as Q
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from ybsl21.cli import main
 from ybsl21.lax import SpectralTriple
 from ybsl21.opalg import (Cached, DegreeDiagonal, MulOdd, MulZ, OddDeriv,
                           PochhammerSpec, Scalar, SwapSites, compose,
@@ -12,6 +15,7 @@ from ybsl21.rops import (ParamPair, SingularParameters, _rhat_stages,
                          build_r, build_rhat, check_defining,
                          check_factorization, check_lemma_system,
                          check_recurrences, check_ybe, conjugator,
+                         conjugator_r2_even,
                          guard_factor, pair_guard, total_generator,
                          weight_shift)
 from ybsl21.sl21 import Weight
@@ -20,6 +24,7 @@ from ybsl21.superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
 
 PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
 ONE = SuperPolynomial.one(2)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_guards_reject_singular_sets():
@@ -166,13 +171,50 @@ def test_cached_columns_stay_reduced():
     for m in enumerate_basis(2, 2):
         rhat.apply(monomial_poly(m))
     caches = list(_cached_within(rhat))
-    assert len(caches) == 4          # Rcheck and its three factors
+    # Rcheck and its three factors, plus S_k and S_k^-1 shared per process
+    assert len(caches) == len({id(c) for c in caches}) == 4 + 6
+    shared = [c for k in (1, 2, 3) for c in conjugator(k)]
+    assert all(any(c is s for c in caches) for s in shared)
     for cached in caches:
         assert cached._images
         for col in cached._images.values():
             assert col.den > 0
             assert all(col.terms.values())
             assert gcd(col.den, *col.terms.values()) == 1
+
+
+def test_conjugators_built_once():
+    for k in (1, 2, 3):
+        assert conjugator(k) is conjugator(k)
+    assert conjugator_r2_even() is conjugator_r2_even()
+
+
+def test_exchange_operators_share_conjugator_columns():
+    other = ParamPair.from_rationals(Q(5, 2), Q(1), Q(-1, 3), Q(7, 3), Q(4),
+                                     Q(1, 5))
+    conjugator.cache_clear()     # so the first build fills the columns
+    first, second = build_r(1, PP), build_r(1, other)
+    basis = [monomial_poly(m) for m in enumerate_basis(2, 2)]
+    for p in basis:
+        first.apply(p)
+    s, s_inv = conjugator(1)
+    filled = len(s._images), len(s_inv._images)
+    for p in basis:
+        second.apply(p)
+    assert (len(s._images), len(s_inv._images)) == filled
+    assert any(c is s for c in _cached_within(second))
+
+
+def test_cold_and_warm_conjugators_give_golden_bytes(capsys):
+    name = "check-defining-d1-seed0"
+    case = next(c for c in json.loads((GOLDEN / "cases.json").read_text())
+                if c["name"] == name)
+    want = (GOLDEN / f"{name}.txt").read_bytes()
+    conjugator.cache_clear()
+    conjugator_r2_even.cache_clear()
+    for _ in range(2):           # cold, then warm
+        assert main(case["argv"]) == case["exit"]
+        assert capsys.readouterr().out.encode() == want
 
 
 def test_full_r_examples():
