@@ -243,8 +243,9 @@ def check_sector(which: int, pp: ParamPair, nmax: int = 3) -> CheckReport:
         guard_factor(which, pp, nmax)
         op = build_r(which, pp, max_degree=nmax + 1)
         one = SuperPolynomial.one(2)
-        if op.apply(one) != one:
-            report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
+        anchor = op.apply(one)
+        if anchor != one:
+            report.add_failure("n=0 anchor", anchor.text(), "1", "-")
         for n, sector in sector_levels(nmax):
             got = sector_action(op, sector, n)
             want = expected_sector_matrix(which, pp, sector, n)
@@ -317,8 +318,9 @@ def check_composite(pp: ParamPair, nmax: int = 3) -> CheckReport:
         # degenerate there, so 2x2 comparisons start at n = 1)
         op = build_rhat(pp, max_degree=nmax + 1)
         one = SuperPolynomial.one(2)
-        if op.apply(one) != one:
-            report.add_failure("n=0 anchor", op.apply(one).text(), "1", "-")
+        anchor = op.apply(one)
+        if anchor != one:
+            report.add_failure("n=0 anchor", anchor.text(), "1", "-")
         even_prev = odd_prev = None
         for n in range(nmax + 1):
             even = sector_action(op, "even", n) if n >= 1 else None

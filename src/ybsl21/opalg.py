@@ -517,7 +517,10 @@ class Cached(Operator):
     """Memoizes the image of each basis monomial (operators are linear).
 
     Each image is stored reduced, which bounds the integer growth of
-    everything built from it.
+    everything built from it.  `build_r` and `build_rhat` return uncached
+    operators; the code that sweeps a basis wraps what the sweep reuses.
+    An operator applied to a few whole vectors is cheaper uncached: a
+    column filled for every monomial of the vector is used once.
     """
 
     __slots__ = ("op", "_images")

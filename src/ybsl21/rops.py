@@ -260,7 +260,7 @@ def _normalized(raw: Operator, name: str) -> Operator:
     if image != c * one or c == 0:
         raise NormalizationFailure(
             f"{name} applied to 1 gave {image.text()}, not a nonzero scalar")
-    return Cached(raw if c == 1 else compose(Scalar(1 / c), raw))
+    return raw if c == 1 else compose(Scalar(1 / c), raw)
 
 
 def _lax_pair(pp: ParamPair) -> tuple[SuperMatrixOperator, SuperMatrixOperator]:
@@ -282,7 +282,7 @@ def check_defining(k: int, pp: ParamPair, max_degree: int = 2) -> CheckReport:
     report = CheckReport(check_name=f"defining-R{k}", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
-        r = build_r(k, pp, max_degree=max_degree)
+        r = Cached(build_r(k, pp, max_degree=max_degree))
         report.merge(_intertwines(r, pp, pp.exchanged(k), max_degree))
     return report
 
@@ -294,7 +294,7 @@ def check_lemma_system(k: int, pp: ParamPair,
     report = CheckReport(check_name=f"lemma-R{k}", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
-        r = build_r(k, pp, max_degree=max_degree)
+        r = Cached(build_r(k, pp, max_degree=max_degree))
         l1, l2 = _lax_pair(pp)
         l1x, l2x = _lax_pair(pp.exchanged(k))
         lhs = (l1 + l2).wrap_left(r)
@@ -435,16 +435,26 @@ def check_recurrences(pp: ParamPair, nmax: int = 4) -> CheckReport:
 # factorization and the dressed operator
 # ---------------------------------------------------------------------------
 
+def _rhat_factors(pp: ParamPair, max_degree: int) -> list[Operator]:
+    """R1, R2, R3 with the factorization's argument threading."""
+    return [build_r(k, stage, max_degree=max_degree)
+            for k, stage in _rhat_stages(pp)]
+
+
 def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
     """Rcheck = R1 R2 R3 with the factorization's argument threading."""
-    raw = compose(*(build_r(k, stage, max_degree=max_degree)
-                    for k, stage in _rhat_stages(pp)))
-    return _normalized(raw, "Rcheck")
+    return _normalized(compose(*_rhat_factors(pp, max_degree)), "Rcheck")
 
 
 def build_full_R(pp: ParamPair, max_degree: int = 4) -> Operator:
-    """P12 Rcheck(u;v): the inverse R-matrix at spectral argument v - u."""
-    return Cached(compose(SwapSites(1, 2), build_rhat(pp, max_degree)))
+    """P12 Rcheck(u;v): the inverse R-matrix at spectral argument v - u.
+
+    Cached, and so is each factor of Rcheck: filling the product's columns
+    applies R2 and R1 to many shared monomials.
+    """
+    factors = [Cached(r) for r in _rhat_factors(pp, max_degree)]
+    rhat = _normalized(compose(*factors), "Rcheck")
+    return Cached(compose(SwapSites(1, 2), rhat))
 
 
 def check_factorization(pp: ParamPair, max_degree: int = 2) -> CheckReport:
@@ -452,7 +462,7 @@ def check_factorization(pp: ParamPair, max_degree: int = 2) -> CheckReport:
     report = CheckReport(check_name="factorization", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
-        rhat = build_rhat(pp, max_degree)
+        rhat = Cached(build_rhat(pp, max_degree=max_degree))
         report.merge(_intertwines(rhat, pp, ParamPair(pp.v, pp.u),
                                   max_degree))
     return report

@@ -51,3 +51,93 @@ def test_outside_vector_detected(p):
     if sol is not None:
         rebuilt = sol[0] * p
         assert rebuilt == alien + p
+
+
+def _reference_solve(span, target):
+    """Fraction Gauss-Jordan with the same pivot rule: columns in order,
+    each pivoting on the first row with a nonzero entry; free variables 0."""
+    monos = sorted({m for p in span for m in p.terms} | set(target.terms),
+                   key=Monomial.sort_key)
+    rows = [[p.coefficient(m) for p in span] + [target.coefficient(m)]
+            for m in monos]
+    ncols = len(span)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(rows[i][ncols] for i in range(r, len(rows))):
+        return None
+    x = [Q(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][ncols]
+    return x
+
+
+def _combination(weights, polys_):
+    out = SuperPolynomial.zero(2)
+    for c, p in zip(weights, polys_):
+        out = out + c * p
+    return out
+
+
+# few monomials, so the columns overlap and elimination has work to do
+dense_monomials = st.builds(
+    Monomial, st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.integers(0, 3))
+
+
+@st.composite
+def dense_polys(draw):
+    pairs = [(draw(dense_monomials), draw(coeffs))
+             for _ in range(draw(st.integers(1, 6)))]
+    return SuperPolynomial.from_terms(pairs, 2)
+
+
+@st.composite
+def spans_and_targets(draw):
+    """Spans with zero columns and dependent columns, and targets inside
+    the span, outside it, or arbitrary."""
+    base = draw(st.lists(dense_polys(), min_size=1, max_size=3))
+    span = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("base", "zero", "dependent")))
+        if kind == "zero":
+            span.append(SuperPolynomial.zero(2))
+        elif kind == "base":
+            span.append(draw(st.sampled_from(base)))
+        else:
+            weights = draw(st.lists(coeffs, min_size=len(base),
+                                    max_size=len(base)))
+            span.append(_combination(weights, base))
+    kind = draw(st.sampled_from(("inside", "outside", "arbitrary")))
+    if kind == "arbitrary":
+        return span, draw(dense_polys())
+    weights = draw(st.lists(coeffs, min_size=len(span), max_size=len(span)))
+    target = _combination(weights, span)
+    if kind == "outside":
+        target = target + SuperPolynomial.z_var(1, 2) ** 5
+    return span, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(spans_and_targets())
+def test_fraction_free_solve_matches_gauss_jordan(case):
+    span, target = case
+    got = solve_in_span(span, target)
+    assert got == _reference_solve(span, target)
+    if got is not None:
+        assert all(type(c) is Q for c in got)
+        assert _combination(got, span) == target

@@ -7,7 +7,9 @@ from ybsl21 import cli, rops
 from ybsl21.lowest import (NotInSpan, check_composite,
                            check_conjugator_oracles, check_sector, decompose,
                            interval, lowest_vector, mixing_constant,
-                           sector_action, sector_basis, verify_lowest)
+                           sector_action, sector_basis, sector_levels,
+                           verify_lowest)
+from ybsl21.opalg import Cached
 from ybsl21.rops import ParamPair, build_r, build_rhat
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
@@ -107,6 +109,20 @@ def test_sector_worked_examples():
     assert mo.entries[0][0] == Q(3)
     assert mo.entries[1][1] == Q(-1)
     assert mo.entries[0][1] == 0 and mo.entries[1][0] == 0
+
+
+@pytest.mark.parametrize("pp", [
+    PP, ParamPair.from_rationals(Q(5, 2), Q(1), Q(-1, 3), Q(7, 3), Q(4),
+                                 Q(1, 5))])
+@pytest.mark.parametrize("which", [1, 2, 3, "rhat"])
+def test_uncached_operator_gives_the_cached_sector_matrices(pp, which):
+    # build_r and build_rhat return uncached operators, applied here to
+    # whole vectors
+    op = (build_rhat(pp, max_degree=5) if which == "rhat"
+          else build_r(which, pp, max_degree=5))
+    cached = Cached(op)
+    for n, sector in sector_levels(4):
+        assert sector_action(op, sector, n) == sector_action(cached, sector, n)
 
 
 def test_triangularity():

@@ -167,12 +167,13 @@ def _cached_within(op):
 
 
 def test_cached_columns_stay_reduced():
-    rhat = build_rhat(PP)
+    full = build_full_R(PP)
     for m in enumerate_basis(2, 2):
-        rhat.apply(monomial_poly(m))
-    caches = list(_cached_within(rhat))
-    # Rcheck and its three factors, plus S_k and S_k^-1 shared per process
-    assert len(caches) == len({id(c) for c in caches}) == 4 + 6
+        full.apply(monomial_poly(m))
+    caches = list(_cached_within(full))
+    # the dressed product and Rcheck's three factors, plus S_k and S_k^-1
+    # shared per process
+    assert len(caches) == len({id(c) for c in caches}) == 1 + 3 + 6
     shared = [c for k in (1, 2, 3) for c in conjugator(k)]
     assert all(any(c is s for c in caches) for s in shared)
     for cached in caches:
@@ -181,6 +182,35 @@ def test_cached_columns_stay_reduced():
             assert col.den > 0
             assert all(col.terms.values())
             assert gcd(col.den, *col.terms.values()) == 1
+
+
+def test_exchange_operators_hold_only_the_shared_conjugator_caches():
+    for k in (1, 2, 3):
+        assert {id(c) for c in _cached_within(build_r(k, PP))} == \
+            {id(c) for c in conjugator(k)}
+    shared = {id(c) for k in (1, 2, 3) for c in conjugator(k)}
+    caches = list(_cached_within(build_rhat(PP)))
+    assert len(caches) == 6 and {id(c) for c in caches} == shared
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_defining(1, PP, max_degree=1),
+    lambda: check_lemma_system(3, PP, max_degree=1),
+    lambda: check_factorization(PP, max_degree=1),
+])
+def test_basis_sweeps_cache_one_operator(check, monkeypatch):
+    for k in (1, 2, 3):
+        conjugator(k)            # the shared caches are not the sweep's
+    created = []
+    init = Cached.__init__
+
+    def counting_init(self, op):
+        created.append(op)
+        init(self, op)
+
+    monkeypatch.setattr(Cached, "__init__", counting_init)
+    assert check().passed
+    assert len(created) == 1
 
 
 def test_conjugators_built_once():
