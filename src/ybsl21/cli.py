@@ -456,8 +456,21 @@ def _emit_rows(rows: list[dict], stream) -> None:
         stream.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _attach_rational_lists(argv: list[str]) -> list[str]:
+    """`--params -3,2,...` as `--params=-3,2,...`: argparse takes a separate
+    value that starts with '-' for an option, not for a negative rational."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        if arg in ("--params", "--weights"):
+            value = next(rest, None)
+            arg = arg if value is None else f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_rational_lists(argv))
     try:
         cfg = config_from_args(args)
         out = (open(cfg.output, "w", encoding="utf-8")

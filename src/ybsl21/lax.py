@@ -6,22 +6,25 @@ Matrix convention: a matrix with quantum-operator entries acts on basis
 vectors e_k (x) psi as e_k (x) psi -> sum_i e_i (x) M_ik(psi); all grading
 signs of abstract tensor legs are baked into the entries at construction
 time via the single Koszul rule (an odd factor passes an odd object at the
-cost of one sign).  With several auxiliary legs an odd entry additionally
-anticommutes past every leg standing between its own leg and the quantum
-space.
+cost of one sign).  Matrices of any size combine only through `@`;
+`diagonal` puts one quantum operator on every auxiliary index, and
+`on_leg` embeds a 3x3 matrix in one of several auxiliary legs, where an
+odd entry additionally anticommutes past every odd leg index standing
+between its own leg and the quantum space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .opalg import (EvenDeriv, MulOdd, MulPoly, MulZ, OddDeriv, Operator,
-                    Scalar, TerminatingExp, compose, equal_on_degree, op_sum)
+from .opalg import (Cached, EvenDeriv, MulOdd, MulPoly, MulZ, OddDeriv,
+                    Operator, Scalar, TerminatingExp, compose, equal_on_degree,
+                    op_sum)
 from .report import CheckReport
 from .sl21 import GRADING, Weight, build_generators, fundamental_rep
-from .superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
-                        theta, theta_bar)
+from .superpoly import SuperPolynomial, theta, theta_bar
 
 Q = Fraction
 
@@ -61,8 +64,12 @@ def covariant_derivatives(site: int) -> tuple[Operator, Operator]:
     return d_minus, d_plus
 
 
+def _is_zero(op: Operator) -> bool:
+    return isinstance(op, Scalar) and not op.c
+
+
 class SuperMatrixOperator:
-    """3x3 array of quantum operators with graded row/column indices."""
+    """Square array of quantum operators with graded row/column indices."""
 
     __slots__ = ("entries",)
 
@@ -70,32 +77,23 @@ class SuperMatrixOperator:
         self.entries = tuple(tuple(row) for row in entries)
 
     def __matmul__(self, other: "SuperMatrixOperator") -> "SuperMatrixOperator":
-        return SuperMatrixOperator([
-            [op_sum(*(compose(self.entries[i][j], other.entries[j][k])
-                      for j in range(3))) for k in range(3)]
-            for i in range(3)])
+        """Matrix product; a term with a Scalar(0) factor is skipped, and an
+        entry with no term left is Scalar(0)."""
+        rows = []
+        for row in self.entries:
+            out = []
+            for col in zip(*other.entries):
+                terms = [compose(a, b) for a, b in zip(row, col)
+                         if not (_is_zero(a) or _is_zero(b))]
+                out.append(op_sum(*terms) if len(terms) > 1
+                           else terms[0] if terms else Scalar(0))
+            rows.append(out)
+        return SuperMatrixOperator(rows)
 
     def __add__(self, other: "SuperMatrixOperator") -> "SuperMatrixOperator":
         return SuperMatrixOperator([
-            [self.entries[i][k] + other.entries[i][k] for k in range(3)]
-            for i in range(3)])
-
-    def conjugated(self, s_inv: Operator, s: Operator) -> "SuperMatrixOperator":
-        """Entry-wise sandwich s_inv . entry . s."""
-        return SuperMatrixOperator([
-            [compose(s_inv, self.entries[i][k], s) for k in range(3)]
-            for i in range(3)])
-
-    def wrap_left(self, op: Operator) -> "SuperMatrixOperator":
-        """op . entry for every entry (op must be even on the quantum space)."""
-        return SuperMatrixOperator([
-            [compose(op, self.entries[i][k]) for k in range(3)]
-            for i in range(3)])
-
-    def wrap_right(self, op: Operator) -> "SuperMatrixOperator":
-        return SuperMatrixOperator([
-            [compose(self.entries[i][k], op) for k in range(3)]
-            for i in range(3)])
+            [a + b for a, b in zip(row_a, row_b)]
+            for row_a, row_b in zip(self.entries, other.entries)])
 
     def entry(self, i: int, k: int) -> Operator:
         """1-based access matching the printed matrices."""
@@ -106,6 +104,36 @@ def rational_matrix(rows) -> SuperMatrixOperator:
     return SuperMatrixOperator([[Scalar(Q(x)) for x in row] for row in rows])
 
 
+def diagonal(op: Operator, n: int = 3) -> SuperMatrixOperator:
+    """op on every auxiliary index (op must be even on the quantum space)."""
+    zero = Scalar(0)
+    return SuperMatrixOperator([[op if i == k else zero for k in range(n)]
+                                for i in range(n)])
+
+
+def on_leg(m: SuperMatrixOperator, leg: int,
+           nlegs: int) -> SuperMatrixOperator:
+    """The 3x3 matrix m on auxiliary leg `leg` of `nlegs`, identity elsewhere.
+
+    Index I of the 3**nlegs square result stands for e_{i_0} (x) ... with
+    leg 0 the most significant base-3 digit.  An odd entry anticommutes past
+    every odd leg index to the right of `leg` on its way to the quantum
+    factor.
+    """
+    size = 3 ** nlegs
+    stride = 3 ** (nlegs - 1 - leg)
+    rows = [[Scalar(0)] * size for _ in range(size)]
+    for col, key in enumerate(product(range(3), repeat=nlegs)):
+        k = key[leg]
+        right_par = sum(GRADING[j] for j in key[leg + 1:]) & 1
+        for i in range(3):
+            entry = m.entries[i][k]
+            if right_par and (GRADING[i] + GRADING[k]) & 1:
+                entry = -1 * entry
+            rows[col + (i - k) * stride][col] = entry
+    return SuperMatrixOperator(rows)
+
+
 def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
                    max_degree: int, nsites: int = 2,
                    name: str = "matrix-equality",
@@ -113,12 +141,11 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
     report = CheckReport(check_name=name, params=params or {},
                          max_degree=max_degree)
     with report.timed():
-        for i in range(3):
-            for k in range(3):
-                sub = equal_on_degree(a.entries[i][k], b.entries[i][k],
-                                      max_degree, nsites=nsites,
-                                      name=f"entry({i + 1},{k + 1})")
-                report.merge(sub, prefix=f"entry({i + 1},{k + 1}) on ")
+        for i, (row_a, row_b) in enumerate(zip(a.entries, b.entries), 1):
+            for k, (x, y) in enumerate(zip(row_a, row_b), 1):
+                sub = equal_on_degree(x, y, max_degree, nsites=nsites,
+                                      name=f"entry({i},{k})")
+                report.merge(sub, prefix=f"entry({i},{k}) on ")
     return report
 
 
@@ -232,109 +259,33 @@ def build_lax_factorized(site: int, t: SpectralTriple,
     return left @ mid @ right
 
 
-# ---------------------------------------------------------------------------
-# multi-leg realization (auxiliary legs + one quantum polynomial space)
-# ---------------------------------------------------------------------------
-
-LegState = dict[tuple, SuperPolynomial]
-
-
-def _state_add(state: LegState, key: tuple, poly: SuperPolynomial) -> None:
-    acc = state.get(key)
-    s = poly if acc is None else acc + poly
-    if s.is_zero():
-        state.pop(key, None)
-    else:
-        state[key] = s
-
-
-def apply_matrix_on_leg(m: SuperMatrixOperator, leg: int, nlegs: int,
-                        state: LegState) -> LegState:
-    """Apply a 3x3 quantum-entry matrix to one auxiliary leg.
-
-    Odd entries anticommute past every leg to the right of `leg` on their
-    way to the quantum factor.
-    """
-    out: LegState = {}
-    for key, poly in state.items():
-        k = key[leg]
-        right_par = sum(GRADING[key[s]] for s in range(leg + 1, nlegs)) & 1
-        for i in range(3):
-            q = m.entries[i][k].apply(poly)
-            if q.is_zero():
-                continue
-            entry_par = (GRADING[i] + GRADING[k]) & 1
-            if entry_par and right_par:
-                q = Q(-1) * q
-            _state_add(out, key[:leg] + (i,) + key[leg + 1:], q)
-    return out
-
-
-def apply_fundamental_r(u, leg_a: int, leg_b: int, state: LegState) -> LegState:
-    """u + P on two auxiliary legs; P e_i (x) e_k = (-1)^{grading} e_k (x) e_i."""
+def fundamental_rmatrix(u) -> list[list[Fraction]]:
+    """Exact 9x9 matrix of u + P_12; index 3i+j stands for e_i (x) e_j."""
     u = Q(u)
-    out: LegState = {}
-    for key, poly in state.items():
-        i, j = key[leg_a], key[leg_b]
-        if u:
-            _state_add(out, key, u * poly)
-        sign = -1 if (GRADING[i] and GRADING[j]) else 1
-        swapped = list(key)
-        swapped[leg_a], swapped[leg_b] = j, i
-        _state_add(out, tuple(swapped), sign * poly)
-    return out
-
-
-def _state_text(state: LegState) -> str:
-    if not state:
-        return "0"
-    keys = sorted(state.keys())
-    return "; ".join(
-        f"e{'x'.join(str(i + 1) for i in key)}: {state[key].text()}" for key in keys)
-
-
-def fundamental_rmatrix(u) -> list[tuple[tuple, tuple, Fraction]]:
-    """Exact 9x9 matrix of u + P_12 as (target, source, coefficient) triples."""
-    u = Q(u)
-    triples = []
+    rows = [[Q(0)] * 9 for _ in range(9)]
     for i in range(3):
         for j in range(3):
-            if u:
-                triples.append(((i, j), (i, j), u))
-            sign = Q(-1) if (GRADING[i] and GRADING[j]) else Q(1)
-            triples.append(((j, i), (i, j), sign))
-    return triples
+            rows[3 * i + j][3 * i + j] += u
+            rows[3 * j + i][3 * i + j] += -1 if GRADING[i] and GRADING[j] else 1
+    return rows
 
 
 def check_rll(w: Weight, u, v, max_degree: int = 3,
               kind: str = "chiral") -> CheckReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on V (x) V (x) C[Z]."""
     u, v = Q(u), Q(v)
-    report = CheckReport(
-        check_name=f"rll-{kind}",
-        params={"ell": str(w.ell), "b": str(w.b), "u": str(u), "v": str(v)},
-        max_degree=max_degree)
-    with report.timed():
-        l_u = build_lax(1, SpectralTriple.from_weight(u, w), kind, nsites=1)
-        l_v = build_lax(1, SpectralTriple.from_weight(v, w), kind, nsites=1)
-        for m in enumerate_basis(max_degree, nsites=1):
-            pm = monomial_poly(m)
-            for i in range(3):
-                for j in range(3):
-                    start: LegState = {(i, j): pm}
-                    lhs = apply_matrix_on_leg(l_v, 1, 2, start)
-                    lhs = apply_matrix_on_leg(l_u, 0, 2, lhs)
-                    lhs = apply_fundamental_r(u - v, 0, 1, lhs)
-                    rhs = apply_fundamental_r(u - v, 0, 1, start)
-                    rhs = apply_matrix_on_leg(l_u, 0, 2, rhs)
-                    rhs = apply_matrix_on_leg(l_v, 1, 2, rhs)
-                    # zero components never survive _state_add, so plain
-                    # equality is exact
-                    if lhs != rhs:
-                        report.add_failure(
-                            f"e{i + 1}(x)e{j + 1}(x){m.text()}",
-                            _state_text(lhs), _state_text(rhs), "-")
-    return report
+
+    def lax(x, leg):
+        # each entry recurs in nine entries of the products: cache it
+        m = build_lax(1, SpectralTriple.from_weight(x, w), kind, nsites=1)
+        return on_leg(SuperMatrixOperator(
+            [[Cached(e) for e in row] for row in m.entries]), leg, 2)
+
+    l1, l2 = lax(u, 0), lax(v, 1)
+    r = rational_matrix(fundamental_rmatrix(u - v))
+    return matrices_equal(
+        r @ l1 @ l2, l2 @ l1 @ r, max_degree, nsites=1, name=f"rll-{kind}",
+        params={"ell": str(w.ell), "b": str(w.b), "u": str(u), "v": str(v)})
 
 
 def check_invariance(site: int, t: SpectralTriple, lam,
@@ -359,6 +310,6 @@ def check_invariance(site: int, t: SpectralTriple, lam,
         s_op = TerminatingExp(Scalar(lam) @ s_minus)
         s_inv = TerminatingExp(Scalar(-lam) @ s_minus)
         lhs = m_mat @ lax @ m_inv
-        rhs = lax.conjugated(s_inv, s_op)
+        rhs = diagonal(s_inv) @ lax @ diagonal(s_op)
         report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
     return report

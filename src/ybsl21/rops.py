@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .lax import SpectralTriple, SuperMatrixOperator, build_lax, matrices_equal
+from .lax import (SpectralTriple, SuperMatrixOperator, build_lax, diagonal,
+                  matrices_equal)
 from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
                     OddDeriv, OnSites, Operator, PochhammerSpec, Scalar,
                     SwapSites, TerminatingExp, compose, equal_on_degree,
@@ -273,8 +274,8 @@ def _intertwines(op: Operator, pp: ParamPair, out: ParamPair,
     """op L1(pp.u) L2(pp.v) = L1(out.u) L2(out.v) op, entry by entry."""
     l1, l2 = _lax_pair(pp)
     l1x, l2x = _lax_pair(out)
-    return matrices_equal((l1 @ l2).wrap_left(op),
-                          (l1x @ l2x).wrap_right(op), max_degree)
+    return matrices_equal(diagonal(op) @ (l1 @ l2),
+                          (l1x @ l2x) @ diagonal(op), max_degree)
 
 
 def check_defining(k: int, pp: ParamPair, max_degree: int = 2) -> CheckReport:
@@ -297,8 +298,8 @@ def check_lemma_system(k: int, pp: ParamPair,
         r = Cached(build_r(k, pp, max_degree=max_degree))
         l1, l2 = _lax_pair(pp)
         l1x, l2x = _lax_pair(pp.exchanged(k))
-        lhs = (l1 + l2).wrap_left(r)
-        rhs = (l1x + l2x).wrap_right(r)
+        lhs = diagonal(r) @ (l1 + l2)
+        rhs = (l1x + l2x) @ diagonal(r)
         sub = matrices_equal(lhs, rhs, max_degree, name="sum-eq")
         report.merge(sub, prefix="sum-eq ")
 

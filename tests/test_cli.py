@@ -133,6 +133,22 @@ def test_cli_bad_params_message(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option,value,code", [
+    ("--params", "-3,2,1,1/2,9/2,-3/2", 2),
+    ("--weights", "-7/3,1/3,1/2,-2/5,2,1/2", 0),
+], ids=["params", "weights"])
+def test_leading_negative_rational_in_either_form(capsys, option, value,
+                                                  code):
+    argv = ["--command", "check-recurrences", "--format", "text"]
+    outputs = []
+    for form in ([option, value], [f"{option}={value}"]):
+        assert main(argv + form) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert (outputs[0].out + outputs[0].err).startswith(
+        "CONFIG ERROR" if code else "PASS")
+
+
 def test_spectrum_table_rows():
     cfg = RunConfig(command="spectrum", seed=1, samples=1)
     rows = spectrum_table(cfg)

@@ -3,15 +3,16 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybsl21.lax import (SpectralTriple, apply_fundamental_r,
-                        apply_matrix_on_leg, build_lax, build_lax_factorized,
-                        build_lax_tensor, check_invariance, check_rll,
-                        covariant_derivatives, matrices_equal)
+from ybsl21 import lax
+from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, build_lax,
+                        build_lax_factorized, build_lax_tensor,
+                        check_invariance, check_rll, covariant_derivatives,
+                        fundamental_rmatrix, matrices_equal, on_leg,
+                        rational_matrix)
 from ybsl21.opalg import (EvenDeriv, MulOdd, OddDeriv, Scalar, compose,
                           equal_on_degree, op_sum)
 from ybsl21.sl21 import Weight
-from ybsl21.superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
-                              theta, theta_bar)
+from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
 T = SpectralTriple.from_weight(Q(2), Weight(Q(1), Q(1, 3)))
 
@@ -117,37 +118,57 @@ def test_covariant_derivative_anticommutators():
                            -1 * EvenDeriv(1), 3, nsites=1).passed
 
 
-def test_fundamental_rmatrix_agrees_with_leg_action():
-    from ybsl21.lax import fundamental_rmatrix
-    one = SuperPolynomial.one(1)
-    u = Q(5, 3)
-    triples = fundamental_rmatrix(u)
-    for i in range(3):
-        for j in range(3):
-            want = apply_fundamental_r(u, 0, 1, {(i, j): one})
-            got = {}
-            for tgt, src, c in triples:
-                if src == (i, j):
-                    got[tgt] = got.get(tgt, SuperPolynomial.zero(1)) + c * one
-            got = {k: v for k, v in got.items() if not v.is_zero()}
-            assert got == want
-
-
 def test_fundamental_permutation_signs():
-    one = SuperPolynomial.one(1)
+    p = fundamental_rmatrix(0)
+
+    def image(i, j):
+        # P applied to e_i (x) e_j, as {(k, l): coefficient}
+        col = 3 * i + j
+        return {divmod(row, 3): p[row][col] for row in range(9) if p[row][col]}
+
     # P(e2 x e2) = -e2 x e2 : the only negated swap
-    state = {(1, 1): one}
-    out = apply_fundamental_r(0, 0, 1, state)
-    assert out == {(1, 1): -1 * one}
-    state = {(0, 2): one}
-    out = apply_fundamental_r(0, 0, 1, state)
-    assert out == {(2, 0): one}
+    assert image(1, 1) == {(1, 1): -1}
+    assert image(0, 2) == {(2, 0): 1}
     # P^2 = identity on all 9 pairs
-    for i in range(3):
-        for j in range(3):
-            s = {(i, j): one}
-            assert apply_fundamental_r(0, 0, 1,
-                                       apply_fundamental_r(0, 0, 1, s)) == s
+    for i in range(9):
+        for k in range(9):
+            assert sum(p[i][j] * p[j][k] for j in range(9)) == (i == k)
+
+
+def test_fundamental_rmatrix_adds_u_on_the_diagonal():
+    u = Q(5, 3)
+    r, p = fundamental_rmatrix(u), fundamental_rmatrix(0)
+    for i in range(9):
+        for k in range(9):
+            assert r[i][k] == p[i][k] + (u if i == k else 0)
+
+
+def test_on_one_leg_is_the_matrix():
+    m = build_lax(1, T, "antichiral", nsites=1)
+    assert on_leg(m, 0, 1).entries == m.entries
+
+
+def _rll_report(l_u, l_v, u, v, embed=on_leg):
+    l1, l2 = embed(l_u, 0, 2), embed(l_v, 1, 2)
+    r = rational_matrix(fundamental_rmatrix(u - v))
+    return matrices_equal(r @ l1 @ l2, l2 @ l1 @ r, 2, nsites=1)
+
+
+@pytest.mark.parametrize("kind", ["chiral", "antichiral"])
+def test_rll_needs_the_odd_past_leg_sign(monkeypatch, kind):
+    w = Weight(Q(1), Q(1, 3))
+    u, v = Q(2), Q(1, 2)
+    l_u = build_lax(1, SpectralTriple.from_weight(u, w), kind, nsites=1)
+    l_v = build_lax(1, SpectralTriple.from_weight(v, w), kind, nsites=1)
+    assert _rll_report(l_u, l_v, u, v).passed
+
+    def unsigned(m, leg, nlegs):
+        # every leg index even: no odd entry picks up the sign
+        with monkeypatch.context() as mp:
+            mp.setattr(lax, "GRADING", (0, 0, 0))
+            return on_leg(m, leg, nlegs)
+
+    assert not _rll_report(l_u, l_v, u, v, embed=unsigned).passed
 
 
 @pytest.mark.parametrize("kind", ["chiral", "antichiral"])
@@ -165,25 +186,9 @@ def test_rll_detects_corruption():
     u, v = Q(2), Q(1, 2)
     l_u = build_lax(1, SpectralTriple.from_weight(u, w), "chiral", nsites=1)
     l_v = build_lax(1, SpectralTriple.from_weight(v, w), "chiral", nsites=1)
-    from ybsl21.lax import SuperMatrixOperator
     bad = [[l_u.entries[i][k] for k in range(3)] for i in range(3)]
     bad[0][1] = -1 * bad[0][1]
-    l_bad = SuperMatrixOperator(bad)
-    found_mismatch = False
-    for m in enumerate_basis(2, nsites=1):
-        pm = monomial_poly(m)
-        for i in range(3):
-            for j in range(3):
-                start = {(i, j): pm}
-                lhs = apply_matrix_on_leg(l_v, 1, 2, start)
-                lhs = apply_matrix_on_leg(l_bad, 0, 2, lhs)
-                lhs = apply_fundamental_r(u - v, 0, 1, lhs)
-                rhs = apply_fundamental_r(u - v, 0, 1, start)
-                rhs = apply_matrix_on_leg(l_bad, 0, 2, rhs)
-                rhs = apply_matrix_on_leg(l_v, 1, 2, rhs)
-                if lhs != rhs:
-                    found_mismatch = True
-    assert found_mismatch
+    assert not _rll_report(SuperMatrixOperator(bad), l_v, u, v).passed
 
 
 @pytest.mark.parametrize("lam", [Q(0), Q(1), Q(2, 3), Q(-5, 2)])

@@ -95,7 +95,7 @@ def test_defining_trivial_exchange():
 def test_defining_detects_kernel_mutation():
     # rebuild R1 with f1 replaced by f1 + 1; the defining equation must fail
     from ybsl21.lax import build_lax
-    from ybsl21.lax import matrices_equal
+    from ybsl21.lax import diagonal, matrices_equal
     pp = PP
     x, y = pp.u.u1 - pp.v.u3, pp.v.u1 - pp.v.u3
     f1_bad = (pp.v.u1 - pp.v.u2) / (pp.u.u1 - pp.v.u1) + 1
@@ -113,8 +113,8 @@ def test_defining_detects_kernel_mutation():
     xu, xv = (pp.v.u1, pp.u.u2, pp.u.u3), (pp.u.u1, pp.v.u2, pp.v.u3)
     l1x = build_lax(1, SpectralTriple(*xu), "chiral", nsites=2)
     l2x = build_lax(2, SpectralTriple(*xv), "chiral", nsites=2)
-    lhs = (l1 @ l2).wrap_left(bad_op)
-    rhs = (l1x @ l2x).wrap_right(bad_op)
+    lhs = diagonal(bad_op) @ (l1 @ l2)
+    rhs = (l1x @ l2x) @ diagonal(bad_op)
     assert not matrices_equal(lhs, rhs, 1, nsites=2).passed
 
 
