@@ -456,12 +456,26 @@ def _emit_rows(rows: list[dict], stream) -> None:
         stream.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _attach_rational_lists(argv: list[str]) -> list[str]:
+def _attach_rational_lists(argv: list[str],
+                           parser: argparse.ArgumentParser) -> list[str]:
     """`--params -3,2,...` as `--params=-3,2,...`: argparse takes a separate
-    value that starts with '-' for an option, not for a negative rational."""
+    value that starts with '-' for an option, not for a negative rational.
+
+    Every spelling the parser resolves to --params or --weights is joined:
+    the option itself and, when abbreviations are allowed, each prefix that
+    no other long option shares.
+    """
+    longs = [s for s in parser._option_string_actions if s.startswith("--")]
+    spellings = set()
+    for name in ("--params", "--weights"):
+        spellings.add(name)
+        if parser.allow_abbrev:
+            spellings.update(name[:n] for n in range(3, len(name))
+                             if [s for s in longs
+                                 if s.startswith(name[:n])] == [name])
     out, rest = [], iter(argv)
     for arg in rest:
-        if arg in ("--params", "--weights"):
+        if arg in spellings:
             value = next(rest, None)
             arg = arg if value is None else f"{arg}={value}"
         out.append(arg)
@@ -470,7 +484,8 @@ def _attach_rational_lists(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_rational_lists(argv))
+    parser = build_parser()
+    args = parser.parse_args(_attach_rational_lists(argv, parser))
     try:
         cfg = config_from_args(args)
         out = (open(cfg.output, "w", encoding="utf-8")

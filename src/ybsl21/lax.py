@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .opalg import (Cached, EvenDeriv, MulOdd, MulPoly, MulZ, OddDeriv,
-                    Operator, Scalar, TerminatingExp, compose, equal_on_degree,
-                    op_sum)
+from .opalg import (Cached, DiffOp, EvenDeriv, MulOdd, MulPoly, MulZ,
+                    OddDeriv, Operator, Scalar, TerminatingExp, compose,
+                    equal_on_degree, op_sum)
 from .report import CheckReport
 from .sl21 import GRADING, Weight, build_generators, fundamental_rep
 from .superpoly import SuperPolynomial, theta, theta_bar
@@ -65,7 +65,7 @@ def covariant_derivatives(site: int) -> tuple[Operator, Operator]:
 
 
 def _is_zero(op: Operator) -> bool:
-    return isinstance(op, Scalar) and not op.c
+    return isinstance(op, DiffOp) and not op.terms
 
 
 class SuperMatrixOperator:

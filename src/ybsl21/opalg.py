@@ -1,14 +1,22 @@
 """Linear-operator calculus on superpolynomials.
 
-Operators are immutable expression trees over graded primitives with known
-parity.  Application is exact; equality testing is extensional on
-degree-bounded monomial bases (there is no symbolic normal form).
+Operators are immutable and have known parity.  The differential part has a
+normal form: `Scalar`, `MulZ`, `MulOdd`, `MulPoly`, `EvenDeriv` and
+`OddDeriv` each return a `DiffOp`, a sum of terms z^a th^A dz^b dth^B with
+multiplications left of derivatives, and `compose` and `op_sum` fold DiffOp
+factors and summands into one by the graded Leibniz rule.  The other
+operators (degree-diagonal kernels, terminating exponentials, site swaps
+and lifts, memoized columns) stay expression-tree nodes over it.
+Application is exact; equality testing stays extensional on degree-bounded
+monomial bases: a verdict never comes from comparing normal forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import comb, gcd, lcm, perm
+from operator import add
 
 from .report import CheckReport
 from .superpoly import (Monomial, SuperPolynomial, _merge_masks,
@@ -130,7 +138,7 @@ def _lincomb(parts, nsites: int, den: int = 1) -> _IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# operator expression trees
+# operators
 # ---------------------------------------------------------------------------
 
 class Operator:
@@ -166,142 +174,269 @@ class Operator:
         return compose(self, other)
 
 
-class Scalar(Operator):
-    __slots__ = ("c",)
+# ---------------------------------------------------------------------------
+# the differential part: one normal form
+# ---------------------------------------------------------------------------
 
-    def __init__(self, c):
-        self.c = Q(c)
+def _bits(mask: int) -> list[int]:
+    """The odd-variable ids of a mask, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _deriv_sign(b_mask: int, mask: int) -> tuple[int, int]:
+    """(sign, rest) with dth^B th^mask = sign * th^rest; sign 0 when some
+    variable of B is missing.  dth^B = d_b1 .. d_bk acts with d_bk first."""
+    sign = 1
+    for v in reversed(_bits(b_mask)):
+        bit = 1 << v
+        if not mask & bit:
+            return 0, 0
+        if (mask & (bit - 1)).bit_count() & 1:
+            sign = -sign
+        mask ^= bit
+    return sign, mask
+
+
+def _reach(t: tuple[int, ...]) -> int:
+    """The length of t without its trailing zeros."""
+    return next((i + 1 for i in range(len(t) - 1, -1, -1) if t[i]), 0)
+
+
+def _fit(t: tuple[int, ...], width: int) -> tuple[int, ...]:
+    return t[:width] if len(t) >= width else t + (0,) * (width - len(t))
+
+
+class DiffOp(Operator):
+    """A polynomial-coefficient differential operator in normal form,
+    sum(n * z^alpha th^A dz^beta dth^B for (alpha, A, beta, B), n) / den.
+
+    Multiplications stand left of derivatives.  alpha and beta are per-site
+    exponent tuples, A and B odd-variable masks; th^A is the canonical
+    (ascending) product and dth^B = d_b1 .. d_bk for b1 < .. < bk.  The
+    numerators are nonzero ints over one positive denominator with no common
+    factor, and every exponent tuple is as long as the highest site with an
+    even factor, so each operator has one form.  `compose` and `op_sum` fold
+    adjacent DiffOps into one; equality checks stay extensional all the same.
+    """
+
+    __slots__ = ("terms", "den", "width", "_c", "_plans")
+
+    def __init__(self, terms: dict, den: int = 1):
+        terms = {k: n for k, n in terms.items() if n}
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: n // g for k, n in terms.items()}
+            den //= g
+        width = max((max(_reach(alpha), _reach(beta))
+                     for alpha, _, beta, _ in terms), default=0)
+        if any(len(alpha) != width or len(beta) != width
+               for alpha, _, beta, _ in terms):
+            terms = {(_fit(alpha, width), a, _fit(beta, width), b): n
+                     for (alpha, a, beta, b), n in terms.items()}
+        self.terms = terms
+        self.den = den
+        self.width = width
+        # the numerator of a pure scalar, which takes the fast path
+        self._c = terms.get(((), 0, (), 0)) if len(terms) == 1 else None
+        self._plans: dict[int, list] = {}
+
+    def _padded(self, width: int) -> dict:
+        if width == self.width:
+            return self.terms
+        pad = (0,) * (width - self.width)
+        return {(alpha + pad, a, beta + pad, b): n
+                for (alpha, a, beta, b), n in self.terms.items()}
+
+    def _plan(self, nsites: int) -> list:
+        """The terms for inputs of `nsites` sites, grouped by derivative
+        pattern and then by even multiplier: [(derivative signs, remaining
+        masks, dz, [(alpha or None, [(multiplication signs, merged masks,
+        numerator)])])].  The sign and mask lists are indexed by odd mask,
+        dz lists (site index, order) pairs, and each odd multiplier's
+        lists are shared across the groups."""
+        odd = 0
+        for _, a, _, b in self.terms:
+            odd |= a | b
+        if max(self.width, (odd.bit_length() + 1) // 2) > nsites:
+            raise ValueError(f"operator reaches beyond {nsites} sites")
+        size = 1 << (2 * nsites)
+        pad = (0,) * (nsites - self.width)
+        tables: dict[int, tuple] = {}
+        groups: dict[tuple, dict] = {}
+        for (alpha, a, beta, b), n in self.terms.items():
+            t = tables.get(a)
+            if t is None:
+                merged = [_merge_masks(a, mask) for mask in range(size)]
+                t = tables[a] = ([s for s, _ in merged],
+                                 [m for _, m in merged])
+            groups.setdefault((beta, b), {}).setdefault(
+                alpha + pad if any(alpha) else None, []).append((*t, n))
+        plan = []
+        for (beta, b), by_alpha in groups.items():
+            d = [_deriv_sign(b, mask) for mask in range(size)]
+            plan.append(([s for s, _ in d], [m for _, m in d],
+                         tuple((i, k) for i, k in enumerate(beta) if k),
+                         list(by_alpha.items())))
+        self._plans[nsites] = plan
+        return plan
 
     def _apply(self, p):
-        c = self.c
-        if not c:
-            return _IntPoly({}, 1, p.nsites)
-        a = c.numerator
-        terms = p.terms if a == 1 else {m: a * n for m, n in p.terms.items()}
-        return _IntPoly(terms, p.den * c.denominator, p.nsites)
-
-    def _parity(self):
-        return 0
-
-
-class MulZ(Operator):
-    """Multiplication by the even variable z_site."""
-
-    __slots__ = ("site",)
-
-    def __init__(self, site: int):
-        self.site = site
-
-    def _apply(self, p):
-        i = self.site - 1
-        terms = {}
-        for m, n in p.terms.items():
-            z = list(m.z)
-            z[i] += 1
-            terms[Monomial(tuple(z), m.mask)] = n
-        return _IntPoly(terms, p.den, p.nsites)
-
-    def _parity(self):
-        return 0
-
-
-class MulOdd(Operator):
-    """Left multiplication by one odd variable."""
-
-    __slots__ = ("var",)
-
-    def __init__(self, var: int):
-        self.var = var
-
-    def _apply(self, p):
-        bit = 1 << self.var
-        terms = {}
-        for m, n in p.terms.items():
-            if m.mask & bit:
-                continue
-            below = (m.mask & (bit - 1)).bit_count()
-            # the new variable starts at the front and moves right past
-            # the smaller canonical bits
-            terms[Monomial(m.z, m.mask | bit)] = -n if below & 1 else n
-        return _IntPoly(terms, p.den, p.nsites)
-
-    def _parity(self):
-        return 1
-
-
-class MulPoly(Operator):
-    """Left multiplication by a fixed parity-homogeneous polynomial."""
-
-    __slots__ = ("_q", "_p")
-
-    def __init__(self, poly: SuperPolynomial):
-        par = poly.parity()
-        if par is None and not poly.is_zero():
-            raise IndefiniteParity("multiplier must be parity-homogeneous")
-        self._q = _to_int(poly)
-        self._p = par or 0
-
-    def _apply(self, p):
-        q = self._q
-        terms: dict[Monomial, int] = {}
-        get = terms.get
-        for m1, n1 in q.terms.items():
-            for m2, n2 in p.terms.items():
-                sign, mask = _merge_masks(m1.mask, m2.mask)
-                if sign == 0:
+        c = self._c
+        if c is not None:
+            terms = (p.terms if c == 1
+                     else {m: c * n for m, n in p.terms.items()})
+            return _IntPoly(terms, p.den * self.den, p.nsites)
+        plan = self._plans.get(p.nsites) or self._plan(p.nsites)
+        out: dict[tuple, int] = {}
+        get = out.get
+        for (z, mask), n in p.terms.items():
+            for dsign, drest, dz, entries in plan:
+                f = dsign[mask]
+                if not f:
                     continue
-                m = Monomial(tuple(a + b for a, b in zip(m1.z, m2.z)), mask)
-                terms[m] = get(m, 0) + sign * n1 * n2
-        return _IntPoly({m: n for m, n in terms.items() if n},
-                        q.den * p.den, p.nsites)
+                rest = drest[mask]
+                f *= n
+                zz = z
+                if dz:
+                    zl = list(z)
+                    for i, k in dz:
+                        a = zl[i]
+                        if a < k:
+                            f = 0
+                            break
+                        zl[i] = a - k
+                        f *= perm(a, k)
+                    if not f:
+                        continue
+                    zz = tuple(zl)
+                for alpha, odd in entries:
+                    zk = zz if alpha is None else tuple(map(add, zz, alpha))
+                    for asign, amerged, c in odd:
+                        s = asign[rest]
+                        if s:
+                            key = (zk, amerged[rest])
+                            out[key] = get(key, 0) + s * c * f
+        # tuple.__new__ builds the Monomial without NamedTuple's checks
+        new = tuple.__new__
+        return _IntPoly({new(Monomial, k): n for k, n in out.items() if n},
+                        p.den * self.den, p.nsites)
 
     def _parity(self):
-        return self._p
+        ps = {(a.bit_count() + b.bit_count()) & 1 for _, a, _, b in self.terms}
+        if len(ps) > 1:
+            raise IndefiniteParity(f"sum mixes parities {ps}")
+        return ps.pop() if ps else 0
 
 
-class EvenDeriv(Operator):
-    __slots__ = ("site",)
-
-    def __init__(self, site: int):
-        self.site = site
-
-    def _apply(self, p):
-        i = self.site - 1
-        terms = {}
-        for m, n in p.terms.items():
-            a = m.z[i]
-            if a == 0:
-                continue
-            z = list(m.z)
-            z[i] = a - 1
-            terms[Monomial(tuple(z), m.mask)] = a * n
-        return _IntPoly(terms, p.den, p.nsites)
-
-    def _parity(self):
-        return 0
+def _odd_leibniz(v: int, terms: dict) -> dict:
+    """d_v composed with normal-form terms, normal-ordered:
+    d_v th^A = (d_v th^A) + (-1)^|A| th^A d_v."""
+    bit = 1 << v
+    out: dict = {}
+    get = out.get
+    for (alpha, a, beta, b), n in terms.items():
+        if a & bit:
+            key = (alpha, a ^ bit, beta, b)
+            s = -1 if (a & (bit - 1)).bit_count() & 1 else 1
+            out[key] = get(key, 0) + s * n
+        s, merged = _merge_masks(bit, b)
+        if s:
+            key = (alpha, a, beta, merged)
+            s = -s if a.bit_count() & 1 else s
+            out[key] = get(key, 0) + s * n
+    return out
 
 
-class OddDeriv(Operator):
+def _even_leibniz(order: tuple[int, ...], terms: dict) -> dict:
+    """dz^order composed with normal-form terms, normal-ordered site by site:
+    d^a z^b = sum_k C(a, k) b!/(b-k)! z^(b-k) d^(a-k)."""
+    out: dict = {}
+    get = out.get
+    for (alpha, a, beta, b), n in terms.items():
+        for ks in product(*(range(min(o, e) + 1)
+                            for o, e in zip(order, alpha))):
+            f = n
+            for o, e, k in zip(order, alpha, ks):
+                f *= comb(o, k) * perm(e, k)
+            key = (tuple(e - k for e, k in zip(alpha, ks)), a,
+                   tuple(d + o - k for d, o, k in zip(beta, order, ks)), b)
+            out[key] = get(key, 0) + f
+    return out
+
+
+def _fold_compose(x: DiffOp, y: DiffOp) -> DiffOp:
+    """The normal form of x y (y applied first)."""
+    width = max(x.width, y.width)
+    ys = y._padded(width)
+    out: dict = {}
+    get = out.get
+    for (alpha1, a1, beta1, b1), n1 in x._padded(width).items():
+        inner = ys
+        for v in reversed(_bits(b1)):
+            inner = _odd_leibniz(v, inner)
+        if any(beta1):
+            inner = _even_leibniz(beta1, inner)
+        for (alpha, a, beta, b), n in inner.items():
+            s, merged = _merge_masks(a1, a)
+            if s:
+                key = (tuple(map(add, alpha1, alpha)), merged, beta, b)
+                out[key] = get(key, 0) + s * n1 * n
+    return DiffOp(out, x.den * y.den)
+
+
+def _fold_sum(ops: list[DiffOp]) -> DiffOp:
+    width = max((op.width for op in ops), default=0)
+    den = lcm(*(op.den for op in ops))
+    out: dict = {}
+    get = out.get
+    for op in ops:
+        f = den // op.den
+        for key, n in op._padded(width).items():
+            out[key] = get(key, 0) + f * n
+    return DiffOp(out, den)
+
+
+def _unit(site: int) -> tuple[int, ...]:
+    return (0,) * (site - 1) + (1,)
+
+
+def Scalar(c) -> DiffOp:
+    """Multiplication by the rational c."""
+    c = Q(c)
+    return DiffOp({((), 0, (), 0): c.numerator}, c.denominator)
+
+
+def MulZ(site: int) -> DiffOp:
+    """Multiplication by the even variable z_site."""
+    return DiffOp({(_unit(site), 0, (), 0): 1})
+
+
+def MulOdd(var: int) -> DiffOp:
+    """Left multiplication by one odd variable."""
+    return DiffOp({((), 1 << var, (), 0): 1})
+
+
+def MulPoly(poly: SuperPolynomial) -> DiffOp:
+    """Left multiplication by a fixed parity-homogeneous polynomial."""
+    if poly.parity() is None and not poly.is_zero():
+        raise IndefiniteParity("multiplier must be parity-homogeneous")
+    q = _to_int(poly)
+    return DiffOp({(m.z, m.mask, (), 0): n for m, n in q.terms.items()}, q.den)
+
+
+def EvenDeriv(site: int) -> DiffOp:
+    """d/dz_site."""
+    return DiffOp({((), 0, _unit(site), 0): 1})
+
+
+def OddDeriv(var: int) -> DiffOp:
     """Left Grassmann derivative: anticommute `var` to the front, delete it."""
+    return DiffOp({((), 0, (), 1 << var): 1})
 
-    __slots__ = ("var",)
 
-    def __init__(self, var: int):
-        self.var = var
-
-    def _apply(self, p):
-        bit = 1 << self.var
-        terms = {}
-        for m, n in p.terms.items():
-            if not m.mask & bit:
-                continue
-            below = (m.mask & (bit - 1)).bit_count()
-            terms[Monomial(m.z, m.mask ^ bit)] = -n if below & 1 else n
-        return _IntPoly(terms, p.den, p.nsites)
-
-    def _parity(self):
-        return 1
-
+# ---------------------------------------------------------------------------
+# expression-tree nodes over the normal form
+# ---------------------------------------------------------------------------
 
 class DegreeDiagonal(Operator):
     """Scale each term by h(n) where n is the term's z-degree at `site`."""
@@ -544,11 +679,30 @@ class Cached(Operator):
 
 
 def op_sum(*ops: Operator) -> Operator:
-    return Sum(ops)
+    """The sum of `ops`, with every DiffOp summand merged into one."""
+    flat = []
+    for op in ops:
+        flat.extend(op.ops if isinstance(op, Sum) else (op,))
+    diff = [op for op in flat if isinstance(op, DiffOp)]
+    if len(diff) == len(flat):
+        return _fold_sum(diff)
+    rest = [op for op in flat if not isinstance(op, DiffOp)]
+    if diff:
+        rest.append(_fold_sum(diff))
+    return rest[0] if len(rest) == 1 else Sum(rest)
 
 
 def compose(*ops: Operator) -> Operator:
-    return Compose(ops)
+    """The product of `ops` (the last applied first), with adjacent DiffOp
+    factors normal-ordered into one."""
+    flat: list[Operator] = []
+    for op in ops:
+        for f in (op.ops if isinstance(op, Compose) else (op,)):
+            if isinstance(f, DiffOp) and flat and isinstance(flat[-1], DiffOp):
+                flat[-1] = _fold_compose(flat[-1], f)
+            else:
+                flat.append(f)
+    return flat[0] if len(flat) == 1 else Compose(flat)
 
 
 def graded_commutator(a: Operator, b: Operator) -> Operator:

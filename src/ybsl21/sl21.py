@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linsolve import solve_in_span
-from .opalg import (Cached, EvenDeriv, MulPoly, MulZ, OddDeriv, Operator,
-                    Scalar, compose, equal_on_degree, graded_commutator,
-                    op_sum, rising_factorial)
+from .opalg import (EvenDeriv, MulPoly, MulZ, OddDeriv, Operator, Scalar,
+                    compose, equal_on_degree, graded_commutator, op_sum,
+                    rising_factorial)
 from .report import CheckReport
 from .superpoly import SuperPolynomial, theta, theta_bar
 
@@ -366,8 +366,7 @@ def check_casimir(g: SiteGenerators, max_degree: int = 3) -> CheckReport:
                          params={"ell": str(g.weight.ell), "b": str(g.weight.b)},
                          max_degree=max_degree)
     with report.timed():
-        # the order-3 element is a 27-term sum, swept over every generator
-        c2, c3 = casimir(g, 2), Cached(casimir(g, 3))
+        c2, c3 = casimir(g, 2), casimir(g, 3)
         for label, c in (("C2", c2), ("C3", c3)):
             for name in GEN_NAMES:
                 sub = equal_on_degree(graded_commutator(c, g[name]), Scalar(0),

@@ -3,14 +3,17 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv,
+from ybsl21.lax import SuperMatrixOperator
+from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
                           NonTerminatingExp, OddDeriv, OnSites, PochhammerSpec,
                           Scalar, SwapSites, TerminatingExp, compose,
                           _to_int, _to_poly, equal_on_degree,
                           graded_commutator, op_sum, rising_factorial)
 from ybsl21.rops import ParamPair, build_full_R, build_r
-from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
+from ybsl21.sl21 import Weight, build_generators, casimir
+from ybsl21.superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
+                              theta, theta_bar)
 
 TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
 ONE = SuperPolynomial.one(2)
@@ -333,3 +336,96 @@ def test_cached_cold_and_warm_agree(a, b, p):
     want = op.apply(p)
     assert cached.apply(p) == want
     assert cached.apply(p) == want
+
+
+# -- the normal form of the differential part --------------------------------
+
+#: the primitives over two sites, each with its action written in
+#: SuperPolynomial arithmetic
+PRIMITIVES = (
+    [(MulZ(s), lambda p, s=s: z(s) * p) for s in (1, 2)]
+    + [(EvenDeriv(s), lambda p, s=s: p.deriv_even(s)) for s in (1, 2)]
+    + [(MulOdd(v), lambda p, v=v: sp(v) * p) for v in (TH1, THB1, TH2, THB2)]
+    + [(OddDeriv(v), lambda p, v=v: p.deriv_odd(v))
+       for v in (TH1, THB1, TH2, THB2)]
+    + [(Scalar(Q(-2, 3)), lambda p: Q(-2, 3) * p),
+       (MulPoly(z(1) * z(1) * sp(THB2) - Q(1, 2) * sp(TH1)),
+        lambda p: (z(1) * z(1) * sp(THB2) - Q(1, 2) * sp(TH1)) * p)])
+
+
+def normal_form(op):
+    assert isinstance(op, DiffOp)
+    return op.terms, op.den
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(PRIMITIVES), min_size=1, max_size=4))
+def test_normal_ordered_word_matches_its_factors(word):
+    op = compose(*(prim for prim, _ in word))
+    assert isinstance(op, DiffOp)
+    for m in enumerate_basis(2, 2):
+        p = stepwise = by_hand = monomial_poly(m)
+        for prim, action in reversed(word):
+            stepwise = prim.apply(stepwise)
+            by_hand = action(by_hand)
+        assert op.apply(p) == stepwise == by_hand
+
+
+def test_every_normal_ordered_pair_matches_its_factors():
+    basis = [monomial_poly(m) for m in enumerate_basis(1, 2)]
+    for left, left_action in PRIMITIVES:
+        for right, right_action in PRIMITIVES:
+            op = compose(left, right)
+            for p in basis:
+                assert op.apply(p) == left_action(right_action(p))
+
+
+def test_primitives_are_one_normal_form():
+    for prim, _ in PRIMITIVES:
+        assert isinstance(prim, DiffOp)
+    assert len(MulPoly(z(1) * z(2) + sp(TH1) * sp(TH2)).terms) == 2
+    with pytest.raises(IndefiniteParity):
+        MulPoly(z(1) + sp(TH1))
+
+
+def test_exact_normal_forms():
+    z1 = MulPoly(z(1) * z(1) * z(1))
+    assert normal_form(graded_commutator(EvenDeriv(1), z1)) == \
+        normal_form(MulPoly(3 * (z(1) * z(1))))
+    assert normal_form(graded_commutator(OddDeriv(TH1), MulOdd(TH1))) == \
+        normal_form(Scalar(1))
+    assert normal_form(graded_commutator(OddDeriv(TH1), MulOdd(TH2))) == \
+        ({}, 1)
+
+
+def test_quadratic_casimir_is_one_scalar():
+    g = build_generators(1, Weight(Q(2, 3), Q(1, 5)))
+    # l^2 - b^2 = 4/9 - 1/25
+    assert normal_form(casimir(g, 2)) == ({((), 0, (), 0): 91}, 225)
+
+
+def test_mixed_parity_sum_raises_only_on_parity():
+    op = op_sum(MulZ(1), MulOdd(TH1))
+    assert op.apply(ONE) == z(1) + sp(TH1)
+    with pytest.raises(IndefiniteParity):
+        op.parity()
+
+
+def test_diff_op_applies_on_every_site_count_it_reaches():
+    op = compose(MulZ(1), OddDeriv(THB1))
+    for nsites in (1, 2, 3):
+        thb = SuperPolynomial.odd_var(THB1, nsites)
+        assert op.apply(thb) == SuperPolynomial.z_var(1, nsites)
+    with pytest.raises(ValueError):
+        MulZ(2).apply(SuperPolynomial.one(1))
+
+
+def test_matrix_product_skips_zero_factors():
+    # applying the (0, 0) entry's skipped term would raise NonTerminatingExp
+    zero, bad = Scalar(0), TerminatingExp(MulZ(1))
+    a = SuperMatrixOperator([[zero, Scalar(2)], [zero, zero]])
+    b = SuperMatrixOperator([[bad, zero], [Scalar(3), zero]])
+    prod = a @ b
+    assert normal_form(prod.entries[0][0]) == normal_form(Scalar(6))
+    for entry in (prod.entries[0][1], *prod.entries[1]):
+        assert normal_form(entry) == ({}, 1)

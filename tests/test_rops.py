@@ -7,10 +7,11 @@ import pytest
 
 from ybsl21.cli import main
 from ybsl21.lax import SpectralTriple
-from ybsl21.opalg import (Cached, DegreeDiagonal, MulOdd, MulZ, OddDeriv,
-                          PochhammerSpec, Scalar, SwapSites, compose,
+from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, MulOdd, MulZ,
+                          OddDeriv, PochhammerSpec, Scalar, SwapSites, compose,
                           equal_on_degree, op_sum)
-from ybsl21.rops import (ParamPair, SingularParameters, _rhat_stages,
+from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
+                         _rhat_stages,
                          build_full_R,
                          build_r, build_rhat, check_defining,
                          check_factorization, check_lemma_system,
@@ -145,6 +146,14 @@ def test_recurrence_functions_match_closed_forms():
 
 def test_factorization_master_equation():
     assert check_factorization(PP, max_degree=2).passed
+
+
+def test_lax_products_are_single_normal_forms():
+    # what the intertwining and lemma checks compare, entry by entry
+    l1, l2 = _lax_pair(PP)
+    for m in (l1 @ l2, l1 + l2):
+        for row in m.entries:
+            assert all(isinstance(entry, DiffOp) for entry in row)
 
 
 def test_rhat_trivial_is_identity():
