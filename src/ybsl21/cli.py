@@ -404,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "R-operator factorization")
     p.add_argument("--command", choices=COMMANDS, default="all")
     p.add_argument("--max-degree", type=int, default=3)
+    # a string default goes through type=int, so a bad YBSL21_SEED is a
+    # usage error (exit 2) unless --seed overrides it
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("YBSL21_SEED", "0")))
+                   default=os.environ.get("YBSL21_SEED", "0"))
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--params",
                    help="explicit u1,u2,u3,v1,v2,v3 as rationals p/q")

@@ -9,7 +9,6 @@ Only back-substitution divides.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .superpoly import Monomial, SuperPolynomial
 
@@ -18,13 +17,12 @@ Q = Fraction
 
 def _int_column(p: SuperPolynomial, row_of: dict[Monomial, int],
                 nrows: int) -> tuple[list[int], int]:
-    """(entries, d): p's coefficients times d, the lcm of their
-    denominators, in the rows `row_of` assigns."""
-    d = lcm(*(c.denominator for c in p.terms.values()))
+    """(entries, d): p's numerators in the rows `row_of` assigns, and its
+    denominator d."""
     col = [0] * nrows
-    for m, c in p.terms.items():
-        col[row_of[m]] = c.numerator * (d // c.denominator)
-    return col, d
+    for m, n in p.terms.items():
+        col[row_of[m]] = n
+    return col, p.den
 
 
 def solve_in_span(span: list[SuperPolynomial],

@@ -7,8 +7,10 @@ multiplications left of derivatives, and `compose` and `op_sum` fold DiffOp
 factors and summands into one by the graded Leibniz rule.  The other
 operators (degree-diagonal kernels, terminating exponentials, site swaps
 and lifts, memoized columns) stay expression-tree nodes over it.
-Application is exact; equality testing stays extensional on degree-bounded
-monomial bases: a verdict never comes from comparing normal forms.
+Every `_apply` takes and returns a `SuperPolynomial` in its integer form and
+may leave it unreduced; `apply` reduces the result once.  Application is
+exact; equality testing stays extensional on degree-bounded monomial bases:
+a verdict never comes from comparing normal forms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import add
 
 from .report import CheckReport
 from .superpoly import (Monomial, SuperPolynomial, _merge_masks,
-                        enumerate_basis, monomial_poly)
+                        enumerate_basis, lincomb, monomial_poly)
 
 Q = Fraction
 
@@ -81,77 +83,16 @@ class PochhammerSpec:
 
 
 # ---------------------------------------------------------------------------
-# integer form: what every _apply takes and returns
-# ---------------------------------------------------------------------------
-
-class _IntPoly:
-    """The polynomial sum(n * m for m, n in terms) / den.
-
-    `den` is a positive int and no numerator is zero; the form need not be
-    reduced (see `_reduced`), so equal polynomials may differ as forms.
-    `terms` is never mutated after construction, so forms may share it.
-    """
-
-    __slots__ = ("terms", "den", "nsites")
-
-    def __init__(self, terms: dict[Monomial, int], den: int, nsites: int):
-        self.terms = terms
-        self.den = den
-        self.nsites = nsites
-
-
-def _to_int(p: SuperPolynomial) -> _IntPoly:
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return _IntPoly({m: c.numerator * (den // c.denominator)
-                     for m, c in p.terms.items()}, den, p.nsites)
-
-
-def _reduced(p: _IntPoly) -> _IntPoly:
-    g = gcd(p.den, *p.terms.values())
-    if g == 1:
-        return p
-    return _IntPoly({m: n // g for m, n in p.terms.items()}, p.den // g,
-                    p.nsites)
-
-
-def _to_poly(p: _IntPoly) -> SuperPolynomial:
-    den = p.den
-    return SuperPolynomial({m: Q(n, den) for m, n in p.terms.items()},
-                           p.nsites)
-
-
-def _lincomb(parts, nsites: int, den: int = 1) -> _IntPoly:
-    """sum(w * q for w, q in parts) / den, for int weights w, over the lcm
-    of the parts' denominators."""
-    parts = [(w, q) for w, q in parts if q.terms]
-    if len(parts) == 1 and parts[0][0] == 1 and den == 1:
-        return parts[0][1]
-    common = lcm(*(q.den for _, q in parts))
-    terms: dict[Monomial, int] = {}
-    get = terms.get
-    for w, q in parts:
-        f = w * (common // q.den)
-        for m, n in q.terms.items():
-            terms[m] = get(m, 0) + f * n
-    return _IntPoly({m: n for m, n in terms.items() if n}, den * common,
-                    nsites)
-
-
-# ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
 class Operator:
-    """Base class; subclasses implement _apply and _parity.
-
-    `_apply` maps an `_IntPoly` to an `_IntPoly`; `apply` is the one place
-    where `Fraction` coefficients are converted in and out.
-    """
+    """Base class; subclasses implement _apply and _parity."""
 
     __slots__ = ()
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
-        return _to_poly(self._apply(_to_int(p)))
+        return self._apply(p).reduced()
 
     def parity(self) -> int:
         return self._parity()
@@ -285,7 +226,7 @@ class DiffOp(Operator):
         if c is not None:
             terms = (p.terms if c == 1
                      else {m: c * n for m, n in p.terms.items()})
-            return _IntPoly(terms, p.den * self.den, p.nsites)
+            return SuperPolynomial(terms, p.nsites, p.den * self.den)
         plan = self._plans.get(p.nsites) or self._plan(p.nsites)
         out: dict[tuple, int] = {}
         get = out.get
@@ -318,8 +259,9 @@ class DiffOp(Operator):
                             out[key] = get(key, 0) + s * c * f
         # tuple.__new__ builds the Monomial without NamedTuple's checks
         new = tuple.__new__
-        return _IntPoly({new(Monomial, k): n for k, n in out.items() if n},
-                        p.den * self.den, p.nsites)
+        return SuperPolynomial(
+            {new(Monomial, k): n for k, n in out.items() if n}, p.nsites,
+            p.den * self.den)
 
     def _parity(self):
         ps = {(a.bit_count() + b.bit_count()) & 1 for _, a, _, b in self.terms}
@@ -420,8 +362,8 @@ def MulPoly(poly: SuperPolynomial) -> DiffOp:
     """Left multiplication by a fixed parity-homogeneous polynomial."""
     if poly.parity() is None and not poly.is_zero():
         raise IndefiniteParity("multiplier must be parity-homogeneous")
-    q = _to_int(poly)
-    return DiffOp({(m.z, m.mask, (), 0): n for m, n in q.terms.items()}, q.den)
+    return DiffOp({(m.z, m.mask, (), 0): n for m, n in poly.terms.items()},
+                  poly.den)
 
 
 def EvenDeriv(site: int) -> DiffOp:
@@ -458,7 +400,7 @@ class DegreeDiagonal(Operator):
                  for d, h in hs.items() if h}
         terms = {m: scale[m.z[i]] * n for m, n in p.terms.items()
                  if m.z[i] in scale}
-        return _IntPoly(terms, p.den * common, p.nsites)
+        return SuperPolynomial(terms, p.nsites, p.den * common)
 
     def _parity(self):
         return 0
@@ -503,7 +445,7 @@ class SwapSites(Operator):
             z[ia], z[ib] = z[ib], z[ia]
             mask, sign = table[m.mask]
             terms[Monomial(tuple(z), mask)] = sign * n
-        return _IntPoly(terms, p.den, p.nsites)
+        return SuperPolynomial(terms, p.nsites, p.den)
 
     def _parity(self):
         return 0
@@ -558,7 +500,7 @@ class OnSites(Operator):
             sign, _ = _merge_masks(spectator, active)
             local = Monomial((m.z[ia], m.z[ib]),
                              (active >> sa) & 0b11 | (active >> sb) << 2)
-            img = self.op._apply(_IntPoly({local: 1}, 1, 2))
+            img = self.op._apply(SuperPolynomial({local: 1}, 2))
             z = list(m.z)
             terms = {}
             for m2, n2 in img.terms.items():
@@ -566,8 +508,8 @@ class OnSites(Operator):
                 s2, mask = _merge_masks(
                     spectator, (m2.mask & 0b11) << sa | (m2.mask >> 2) << sb)
                 terms[Monomial(tuple(z), mask)] = s2 * n2
-            parts.append((sign * n, _IntPoly(terms, img.den, p.nsites)))
-        return _lincomb(parts, p.nsites, p.den)
+            parts.append((sign * n, SuperPolynomial(terms, p.nsites, img.den)))
+        return lincomb(parts, p.nsites, p.den)
 
     def _parity(self):
         return 0
@@ -586,7 +528,7 @@ class Sum(Operator):
         self.ops = tuple(flat)
 
     def _apply(self, p):
-        return _lincomb([(1, op._apply(p)) for op in self.ops], p.nsites)
+        return lincomb([(1, op._apply(p)) for op in self.ops], p.nsites)
 
     def _parity(self):
         ps = {op._parity() for op in self.ops}
@@ -640,9 +582,9 @@ class TerminatingExp(Operator):
                     f"series not terminated after {budget} iterations")
             term = self.op._apply(term)
             # A^k p / k! = A(A^(k-1) p / (k-1)!) / k
-            term = _IntPoly(term.terms, term.den * k, term.nsites)
+            term = SuperPolynomial(term.terms, term.nsites, term.den * k)
             parts.append((1, term))
-        return _lincomb(parts, p.nsites)
+        return lincomb(parts, p.nsites)
 
     def _parity(self):
         return 0
@@ -662,17 +604,17 @@ class Cached(Operator):
 
     def __init__(self, op: Operator):
         self.op = op
-        self._images: dict[Monomial, _IntPoly] = {}
+        self._images: dict[Monomial, SuperPolynomial] = {}
 
     def _apply(self, p):
         parts = []
         for m, n in p.terms.items():
             img = self._images.get(m)
             if img is None:
-                img = _reduced(self.op._apply(_IntPoly({m: 1}, 1, p.nsites)))
+                img = self.op._apply(SuperPolynomial({m: 1}, p.nsites)).reduced()
                 self._images[m] = img
             parts.append((n, img))
-        return _lincomb(parts, p.nsites, p.den)
+        return lincomb(parts, p.nsites, p.den)
 
     def _parity(self):
         return self.op._parity()

@@ -1,7 +1,10 @@
 """Exact graded polynomial algebra over the rationals.
 
 Even variables z1..zn and odd (Grassmann) variables th1, thb1, .., thn, thbn.
-Coefficients are `fractions.Fraction`; there is no floating point anywhere.
+A polynomial holds int numerators over one positive int denominator, so
+arithmetic and equality run on ints; a `Fraction` is made only where a
+rational comes in (constructors, scaling) or goes out (`coefficient`,
+`text`).  There is no floating point anywhere.
 Odd monomial factors are stored canonically in the fixed global order
 (th1, thb1, th2, thb2, th3, thb3); every sign in the algebra derives from
 sorting products into this order.
@@ -10,6 +13,7 @@ sorting products into this order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 Q = Fraction
@@ -82,16 +86,21 @@ def _merge_masks(m1: int, m2: int) -> tuple[int, int]:
 
 
 class SuperPolynomial:
-    """Finite map Monomial -> Fraction with no stored zero coefficients.
+    """The polynomial sum(n * m for m, n in terms.items()) / den.
 
-    Instances are immutable values: every operation returns a new polynomial.
+    `terms` maps Monomial -> nonzero int and `den` is a positive int.  The
+    form need not be reduced (see `reduced`), so equal polynomials may differ
+    as forms; equality and hashing compare values.  Instances are immutable
+    values: `terms` is never mutated after construction, so forms may share
+    it, and every operation returns a new polynomial.
     """
 
-    __slots__ = ("terms", "nsites")
+    __slots__ = ("terms", "nsites", "den")
 
-    def __init__(self, terms: dict[Monomial, Fraction], nsites: int):
+    def __init__(self, terms: dict[Monomial, int], nsites: int, den: int = 1):
         self.terms = terms
         self.nsites = nsites
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -101,24 +110,20 @@ class SuperPolynomial:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Monomial, Fraction]], nsites: int) -> "SuperPolynomial":
-        terms: dict[Monomial, Fraction] = {}
+        coeffs: dict[Monomial, Fraction] = {}
         for m, c in pairs:
-            if not c:
-                continue
-            acc = terms.get(m)
-            c = c if acc is None else acc + c
-            if c:
-                terms[m] = c
-            elif acc is not None:
-                del terms[m]
-        return SuperPolynomial(terms, nsites)
+            coeffs[m] = coeffs.get(m, 0) + Q(c)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return SuperPolynomial({m: c.numerator * (den // c.denominator)
+                                for m, c in coeffs.items() if c}, nsites, den)
 
     @staticmethod
     def scalar(c, nsites: int = 2) -> "SuperPolynomial":
         c = Q(c)
         if not c:
             return SuperPolynomial.zero(nsites)
-        return SuperPolynomial({Monomial((0,) * nsites, 0): c}, nsites)
+        return SuperPolynomial({Monomial((0,) * nsites, 0): c.numerator},
+                               nsites, c.denominator)
 
     @staticmethod
     def one(nsites: int = 2) -> "SuperPolynomial":
@@ -128,26 +133,27 @@ class SuperPolynomial:
     def z_var(site: int, nsites: int = 2) -> "SuperPolynomial":
         z = [0] * nsites
         z[site - 1] = 1
-        return SuperPolynomial({Monomial(tuple(z), 0): Q(1)}, nsites)
+        return SuperPolynomial({Monomial(tuple(z), 0): 1}, nsites)
 
     @staticmethod
     def odd_var(var: int, nsites: int = 2) -> "SuperPolynomial":
-        return SuperPolynomial({Monomial((0,) * nsites, 1 << var): Q(1)}, nsites)
+        return SuperPolynomial({Monomial((0,) * nsites, 1 << var): 1}, nsites)
+
+    def reduced(self) -> "SuperPolynomial":
+        """The same polynomial with no factor common to `den` and every
+        numerator."""
+        g = gcd(self.den, *self.terms.values())
+        if g == 1:
+            return self
+        return SuperPolynomial({m: n // g for m, n in self.terms.items()},
+                               self.nsites, self.den // g)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         if self.nsites != other.nsites:
             raise ValueError("site-count mismatch")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            s = c if acc is None else acc + c
-            if s:
-                terms[m] = s
-            elif acc is not None:
-                del terms[m]
-        return SuperPolynomial(terms, self.nsites)
+        return lincomb([(1, self), (1, other)], self.nsites)
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         return self + (-1) * other
@@ -156,7 +162,10 @@ class SuperPolynomial:
         c = Q(c)
         if not c:
             return SuperPolynomial.zero(self.nsites)
-        return SuperPolynomial({m: c * v for m, v in self.terms.items()}, self.nsites)
+        k = c.numerator
+        terms = (self.terms if k == 1
+                 else {m: k * n for m, n in self.terms.items()})
+        return SuperPolynomial(terms, self.nsites, self.den * c.denominator)
 
     def __neg__(self) -> "SuperPolynomial":
         return (-1) * self
@@ -165,21 +174,16 @@ class SuperPolynomial:
         """Graded-commutative product; repeated odd variables vanish."""
         if self.nsites != other.nsites:
             raise ValueError("site-count mismatch")
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, mask = _merge_masks(m1.mask, m2.mask)
                 if sign == 0:
                     continue
                 m = Monomial(tuple(a + b for a, b in zip(m1.z, m2.z)), mask)
-                c = sign * c1 * c2
-                acc = terms.get(m)
-                s = c if acc is None else acc + c
-                if s:
-                    terms[m] = s
-                elif acc is not None:
-                    del terms[m]
-        return SuperPolynomial(terms, self.nsites)
+                terms[m] = terms.get(m, 0) + sign * c1 * c2
+        return SuperPolynomial({m: n for m, n in terms.items() if n},
+                               self.nsites, self.den * other.den)
 
     def __pow__(self, n: int) -> "SuperPolynomial":
         out = SuperPolynomial.one(self.nsites)
@@ -188,11 +192,16 @@ class SuperPolynomial:
         return out
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SuperPolynomial)
-                and self.nsites == other.nsites and self.terms == other.terms)
+        if not (isinstance(other, SuperPolynomial)
+                and self.nsites == other.nsites
+                and self.terms.keys() == other.terms.keys()):
+            return False
+        d1, d2, theirs = self.den, other.den, other.terms
+        return all(n * d2 == theirs[m] * d1 for m, n in self.terms.items())
 
     def __hash__(self):
-        return hash((self.nsites, frozenset(self.terms.items())))
+        r = self.reduced()
+        return hash((r.nsites, r.den, frozenset(r.terms.items())))
 
     # -- queries -----------------------------------------------------------
 
@@ -200,15 +209,12 @@ class SuperPolynomial:
         return not self.terms
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Q(0))
+        return Q(self.terms.get(m, 0), self.den)
 
     def parity(self) -> int | None:
         """0/1 for parity-homogeneous polynomials, None when mixed or zero."""
         ps = {m.parity for m in self.terms}
         return ps.pop() if len(ps) == 1 else None
-
-    def max_z_degree(self) -> int:
-        return max((m.z_degree for m in self.terms), default=0)
 
     def degree_measure(self) -> set[Fraction]:
         """Values of z-degree + (odd count)/2 across terms."""
@@ -218,7 +224,7 @@ class SuperPolynomial:
 
     def deriv_even(self, site: int) -> "SuperPolynomial":
         i = site - 1
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             a = m.z[i]
             if a == 0:
@@ -226,19 +232,19 @@ class SuperPolynomial:
             z = list(m.z)
             z[i] = a - 1
             terms[Monomial(tuple(z), m.mask)] = c * a
-        return SuperPolynomial(terms, self.nsites)
+        return SuperPolynomial(terms, self.nsites, self.den)
 
     def deriv_odd(self, var: int) -> "SuperPolynomial":
         """Left Grassmann derivative: anticommute `var` to the front, delete it."""
         bit = 1 << var
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             if not m.mask & bit:
                 continue
             below = (m.mask & (bit - 1)).bit_count()
             sign = -1 if below & 1 else 1
             terms[Monomial(m.z, m.mask ^ bit)] = sign * c
-        return SuperPolynomial(terms, self.nsites)
+        return SuperPolynomial(terms, self.nsites, self.den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -249,7 +255,7 @@ class SuperPolynomial:
             return "0"
         out = []
         for m in sorted(self.terms, key=Monomial.sort_key, reverse=True):
-            c = self.terms[m]
+            c = Q(self.terms[m], self.den)
             mono = m.text()
             body = str(abs(c)) if mono == "1" else f"{abs(c)} {mono}"
             if not out:
@@ -287,4 +293,21 @@ def enumerate_basis(max_z_degree: int, nsites: int = 2) -> list[Monomial]:
 
 
 def monomial_poly(m: Monomial) -> SuperPolynomial:
-    return SuperPolynomial({m: Q(1)}, m.nsites)
+    return SuperPolynomial({m: 1}, m.nsites)
+
+
+def lincomb(parts, nsites: int, den: int = 1) -> SuperPolynomial:
+    """sum(w * q for w, q in parts) / den for int weights w, over the lcm of
+    the parts' denominators; the result need not be reduced."""
+    parts = [(w, q) for w, q in parts if q.terms]
+    if len(parts) == 1 and parts[0][0] == 1 and den == 1:
+        return parts[0][1]
+    common = lcm(*(q.den for _, q in parts))
+    terms: dict[Monomial, int] = {}
+    get = terms.get
+    for w, q in parts:
+        f = w * (common // q.den)
+        for m, n in q.terms.items():
+            terms[m] = get(m, 0) + f * n
+    return SuperPolynomial({m: n for m, n in terms.items() if n}, nsites,
+                           den * common)

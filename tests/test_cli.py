@@ -165,6 +165,19 @@ def test_env_seed(monkeypatch):
     assert config_from_args(args).seed == 42
 
 
+def test_bad_env_seed_is_usage_error(monkeypatch, capsys):
+    _forbid_computation(monkeypatch)
+    monkeypatch.setenv("YBSL21_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--command", "check-algebra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid int value: 'abc'" in err and "Traceback" not in err
+    args = build_parser().parse_args(["--command", "check-algebra",
+                                      "--seed", "5"])
+    assert config_from_args(args).seed == 5
+
+
 def _forbid_computation(monkeypatch):
     from ybsl21 import cli
 

@@ -157,3 +157,90 @@ def test_derivs_commute(site, var, p):
     other = 3 - site
     assert p.deriv_even(site).deriv_even(other) == \
         p.deriv_even(other).deriv_even(site)
+
+
+# -- the integer form against a per-term Fraction reference ------------------
+
+@st.composite
+def forms(draw):
+    """(p, ref): p built directly as numerators over a denominator that need
+    not be reduced, ref the same polynomial as a Monomial -> Fraction map."""
+    den = draw(st.integers(1, 12))
+    nums = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
+                                max_size=4))
+    return (SuperPolynomial(nums, 2, den),
+            {m: Q(n, den) for m, n in nums.items()})
+
+
+def ref_combine(*parts):
+    out = {}
+    for w, ref in parts:
+        for m, c in ref.items():
+            out[m] = out.get(m, 0) + w * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(r1, r2):
+    out = {}
+    for m1, c1 in r1.items():
+        for m2, c2 in r2.items():
+            if m1.mask & m2.mask:
+                continue
+            # one sign flip per odd factor of m2 moved left past a later
+            # odd factor of m1
+            flips = sum(1 for i in range(6) for j in range(i)
+                        if m1.mask >> i & 1 and m2.mask >> j & 1)
+            m = Monomial(tuple(a + b for a, b in zip(m1.z, m2.z)),
+                         m1.mask | m2.mask)
+            out[m] = out.get(m, 0) + (-1) ** flips * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_text(ref):
+    if not ref:
+        return "0"
+    out = []
+    for m in sorted(ref, key=lambda m: (*m.z, m.mask), reverse=True):
+        c = ref[m]
+        body = str(abs(c)) if m.text() == "1" else f"{abs(c)} {m.text()}"
+        sign = ("" if c > 0 else "-") if not out else ("+ " if c > 0 else "- ")
+        out.append(sign + body)
+    return " ".join(out)
+
+
+def assert_matches(p, ref):
+    assert p.den > 0 and all(p.terms.values())
+    assert set(p.terms) == set(ref)
+    assert all(p.coefficient(m) == c for m, c in ref.items())
+    assert p.text() == ref_text(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(), forms(), st.fractions(min_value=-5, max_value=5,
+                                      max_denominator=7), monomials)
+def test_int_form_matches_fraction_reference(a, b, c, m):
+    (p, pr), (q, qr) = a, b
+    assert_matches(p, pr)
+    assert_matches(p + q, ref_combine((1, pr), (1, qr)))
+    assert_matches(p - q, ref_combine((1, pr), (-1, qr)))
+    assert_matches(p * q, ref_mul(pr, qr))
+    assert_matches(c * p, ref_combine((c, pr)))
+    assert_matches(Q(0) * p, {})
+    assert_matches(-p, ref_combine((-1, pr)))
+    assert p.coefficient(m) == pr.get(m, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(), st.integers(2, 6))
+def test_unreduced_form_equals_reduced(a, k):
+    p, _ = a
+    scaled = SuperPolynomial({m: k * n for m, n in p.terms.items()}, 2,
+                             k * p.den)
+    assert scaled == p and p == scaled
+    assert hash(scaled) == hash(p)
+    assert scaled.reduced().den == p.reduced().den
+    if p.terms:
+        m = next(iter(p.terms))
+        bumped = dict(scaled.terms)
+        bumped[m] += 1 if bumped[m] != -1 else 2
+        assert SuperPolynomial(bumped, 2, scaled.den) != p
