@@ -13,8 +13,8 @@ t = SpectralTriple.from_weight(Q(2), Weight(Q(1), Q(1, 3)))
 print("spectral triple (u1,u2,u3) =", tuple(str(x) for x in t.as_tuple()))
 
 explicit = build_lax(1, t, "chiral", nsites=1)
-factored = build_lax_factorized(1, t, nsites=1)
-tensored = build_lax_tensor(1, t, "chiral", nsites=1)
+factored = build_lax_factorized(t)
+tensored = build_lax_tensor(t, "chiral")
 
 print(format_text(matrices_equal(explicit, factored, 4, nsites=1,
                                  name="triangular factorization = explicit")))
@@ -27,4 +27,4 @@ for kind in ("chiral", "antichiral"):
                                 max_degree=2, kind=kind)))
 
 print("\neven-sector invariance under the lowering flow:")
-print(format_text(check_invariance(1, t, Q(2, 3), max_degree=3, nsites=1)))
+print(format_text(check_invariance(t, Q(2, 3), max_degree=3)))

@@ -35,7 +35,7 @@ print("\nlowest-weight sector at n = 1 (even):",
       lowest_vector("even", "+", 1).poly.text())
 m = sector_action(build_rhat(pp), "even", 1)
 print("full operator on (Phi1+, Phi1-):")
-for row in m.entries:
+for row in m:
     print("   [", ", ".join(str(x) for x in row), "]")
 print(format_text(check_sector(3, pp, nmax=3)))
 print(format_text(check_composite(pp, nmax=2)))

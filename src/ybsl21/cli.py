@@ -182,14 +182,14 @@ def run_lax(cfg: RunConfig) -> Iterator[CheckReport]:
         t = SpectralTriple(*(_rand_rational(rng) for _ in range(3)))
         params = {"u1": str(t.u1), "u2": str(t.u2), "u3": str(t.u3)}
         lp = build_lax(1, t, "chiral", nsites=1)
-        yield matrices_equal(lp, build_lax_factorized(1, t, nsites=1),
+        yield matrices_equal(lp, build_lax_factorized(t),
                              max_degree=max(cfg.max_degree, 4), nsites=1,
                              name="lax-factorized-vs-explicit", params=params)
-        yield matrices_equal(lp, build_lax_tensor(1, t, "chiral", nsites=1),
+        yield matrices_equal(lp, build_lax_tensor(t, "chiral"),
                              max_degree=min(cfg.max_degree, 3), nsites=1,
                              name="lax-tensor-vs-printed", params=params)
-        yield check_invariance(1, t, _rand_rational(rng),
-                               max_degree=cfg.max_degree, nsites=1)
+        yield check_invariance(t, _rand_rational(rng),
+                               max_degree=cfg.max_degree)
 
 
 @_driver
@@ -387,9 +387,9 @@ def spectrum_table(cfg: RunConfig) -> list[dict]:
             want = expected_sector_matrix(which, pp, sector, n)
             rows.append({
                 "operator": name, "sector": sector, "n": n,
-                "computed": [[str(x) for x in row] for row in got.entries],
-                "formula": [[str(x) for x in row] for row in want.entries],
-                "match": got.entries == want.entries,
+                "computed": [[str(x) for x in row] for row in got],
+                "formula": [[str(x) for x in row] for row in want],
+                "match": got == want,
                 "note": ("paper-typo-note: printed composite odd line "
                          "labels the Psi- image as Psi+"
                          if which == "rhat" and sector == "odd" else ""),

@@ -104,11 +104,11 @@ def rational_matrix(rows) -> SuperMatrixOperator:
     return SuperMatrixOperator([[Scalar(Q(x)) for x in row] for row in rows])
 
 
-def diagonal(op: Operator, n: int = 3) -> SuperMatrixOperator:
+def diagonal(op: Operator) -> SuperMatrixOperator:
     """op on every auxiliary index (op must be even on the quantum space)."""
     zero = Scalar(0)
-    return SuperMatrixOperator([[op if i == k else zero for k in range(n)]
-                                for i in range(n)])
+    return SuperMatrixOperator([[op if i == k else zero for k in range(3)]
+                                for i in range(3)])
 
 
 def on_leg(m: SuperMatrixOperator, leg: int,
@@ -143,8 +143,7 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
     with report.timed():
         for i, (row_a, row_b) in enumerate(zip(a.entries, b.entries), 1):
             for k, (x, y) in enumerate(zip(row_a, row_b), 1):
-                sub = equal_on_degree(x, y, max_degree, nsites=nsites,
-                                      name=f"entry({i},{k})")
+                sub = equal_on_degree(x, y, max_degree, nsites=nsites)
                 report.merge(sub, prefix=f"entry({i},{k}) on ")
     return report
 
@@ -205,9 +204,10 @@ _TENSOR_TERMS = (
 )
 
 
-def build_lax_tensor(site: int, t: SpectralTriple, kind: str = "chiral",
-                     nsites: int = 2) -> SuperMatrixOperator:
-    """Cross-construction of the Lax matrix from representation matrices.
+def build_lax_tensor(t: SpectralTriple,
+                     kind: str = "chiral") -> SuperMatrixOperator:
+    """Cross-construction of the one-site Lax matrix from representation
+    matrices.
 
     Each abstract term a (x) O is realized on e_k (x) psi as
     (-1)^{|O| grading(k)} (a e_k) (x) O(psi); this is the decisive test of
@@ -215,7 +215,7 @@ def build_lax_tensor(site: int, t: SpectralTriple, kind: str = "chiral",
     """
     u, w = t.to_weight()
     rep = fundamental_rep(kind)
-    g = build_generators(site, w, nsites=nsites)
+    g = build_generators(1, w, nsites=1)
     entries = [[Scalar(u) if i == k else Scalar(0) for k in range(3)]
                for i in range(3)]
     for coef, aux_name, q_name in _TENSOR_TERMS:
@@ -231,23 +231,23 @@ def build_lax_tensor(site: int, t: SpectralTriple, kind: str = "chiral",
     return SuperMatrixOperator(entries)
 
 
-def build_lax_factorized(site: int, t: SpectralTriple,
-                         nsites: int = 2) -> SuperMatrixOperator:
-    """Lower-triangular x upper-triangular x lower-triangular product."""
+def build_lax_factorized(t: SpectralTriple) -> SuperMatrixOperator:
+    """The one-site Lax matrix as a lower-triangular x upper-triangular x
+    lower-triangular product."""
     u1, u2, u3 = t.as_tuple()
-    th = SuperPolynomial.odd_var(theta(site), nsites)
-    thb = SuperPolynomial.odd_var(theta_bar(site), nsites)
-    zp = SuperPolynomial.z_var(site, nsites)
+    th = SuperPolynomial.odd_var(theta(1), 1)
+    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
+    zp = SuperPolynomial.z_var(1, 1)
     tt2 = Q(1, 2) * (th * thb)
     one, zero = Scalar(1), Scalar(0)
-    d_minus, d_plus = covariant_derivatives(site)
+    d_minus, d_plus = covariant_derivatives(1)
     left = SuperMatrixOperator([
         [one, zero, zero],
         [MulPoly(-thb), one, zero],
         [MulPoly(zp + tt2), MulPoly(-th), one],
     ])
     mid = SuperMatrixOperator([
-        [Scalar(u1), d_minus, -1 * EvenDeriv(site)],
+        [Scalar(u1), d_minus, -1 * EvenDeriv(1)],
         [zero, Scalar(u2 - 1), -1 * d_plus],
         [zero, zero, Scalar(u3)],
     ])
@@ -288,9 +288,10 @@ def check_rll(w: Weight, u, v, max_degree: int = 3,
         params={"ell": str(w.ell), "b": str(w.b), "u": str(u), "v": str(v)})
 
 
-def check_invariance(site: int, t: SpectralTriple, lam,
-                     max_degree: int = 3, nsites: int = 1) -> CheckReport:
-    """Even-sector invariance: M L M^-1 = S^-1 L S with S = exp(lam S-).
+def check_invariance(t: SpectralTriple, lam,
+                     max_degree: int = 3) -> CheckReport:
+    """Even-sector invariance of the one-site Lax matrix: M L M^-1 = S^-1 L S
+    with S = exp(lam S-).
 
     The odd parameters of the printed identity are set to zero; lam is an
     arbitrary rational.  M = exp(lam s-) is the auxiliary-space exponential
@@ -303,13 +304,13 @@ def check_invariance(site: int, t: SpectralTriple, lam,
                                  "u2": str(t.u2), "u3": str(t.u3)},
                          max_degree=max_degree)
     with report.timed():
-        lax = build_lax(site, t, "chiral", nsites=nsites)
+        lax = build_lax(1, t, "chiral", nsites=1)
         m_inv = rational_matrix([[1, 0, 0], [0, 1, 0], [-lam, 0, 1]])
         m_mat = rational_matrix([[1, 0, 0], [0, 1, 0], [lam, 0, 1]])
-        s_minus = -1 * EvenDeriv(site)
+        s_minus = -1 * EvenDeriv(1)
         s_op = TerminatingExp(Scalar(lam) @ s_minus)
         s_inv = TerminatingExp(Scalar(-lam) @ s_minus)
         lhs = m_mat @ lax @ m_inv
         rhs = diagonal(s_inv) @ lax @ diagonal(s_op)
-        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=nsites))
+        report.merge(matrices_equal(lhs, rhs, max_degree, nsites=1))
     return report

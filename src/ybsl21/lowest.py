@@ -45,46 +45,38 @@ class LowestVector:
     poly: SuperPolynomial
 
 
-@dataclass
-class SectorMatrix:
-    n: int
-    sector: str
-    entries: tuple      # 2x2, column j = image of basis vector j
-
-
-def _vars(nsites: int):
-    z1 = SuperPolynomial.z_var(1, nsites)
-    z2 = SuperPolynomial.z_var(2, nsites)
-    th1 = SuperPolynomial.odd_var(theta(1), nsites)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), nsites)
-    th2 = SuperPolynomial.odd_var(theta(2), nsites)
-    thb2 = SuperPolynomial.odd_var(theta_bar(2), nsites)
+def _vars():
+    z1 = SuperPolynomial.z_var(1, 2)
+    z2 = SuperPolynomial.z_var(2, 2)
+    th1 = SuperPolynomial.odd_var(theta(1), 2)
+    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
+    th2 = SuperPolynomial.odd_var(theta(2), 2)
+    thb2 = SuperPolynomial.odd_var(theta_bar(2), 2)
     return z1, z2, th1, thb1, th2, thb2
 
 
-def interval(nsites: int = 2) -> SuperPolynomial:
+def interval() -> SuperPolynomial:
     """The dressed two-site interval Z12."""
-    z1, z2, th1, thb1, th2, thb2 = _vars(nsites)
+    z1, z2, th1, thb1, th2, thb2 = _vars()
     return z1 - z2 + Q(1, 2) * (th1 * thb2) - Q(1, 2) * (th2 * thb1)
 
 
-def theta_12(nsites: int = 2) -> SuperPolynomial:
-    _, _, th1, _, th2, _ = _vars(nsites)
+def theta_12() -> SuperPolynomial:
+    _, _, th1, _, th2, _ = _vars()
     return th1 - th2
 
 
-def theta_bar_12(nsites: int = 2) -> SuperPolynomial:
-    _, _, _, thb1, _, thb2 = _vars(nsites)
+def theta_bar_12() -> SuperPolynomial:
+    _, _, _, thb1, _, thb2 = _vars()
     return thb1 - thb2
 
 
-def lowest_vector(sector: str, sign: str, n: int,
-                  nsites: int = 2) -> LowestVector:
+def lowest_vector(sector: str, sign: str, n: int) -> LowestVector:
     """Phi_n^(+/-) = (Z12 +/- th12 thb12 / 2)^n, Psi_n^- = th12 Z12^n,
     Psi_n^+ = thb12 Z12^n."""
-    z12 = interval(nsites)
-    t12 = theta_12(nsites)
-    tb12 = theta_bar_12(nsites)
+    z12 = interval()
+    t12 = theta_12()
+    tb12 = theta_bar_12()
     if sector == "even":
         s = Q(1, 2) if sign == "+" else Q(-1, 2)
         poly = (z12 + s * (t12 * tb12)) ** n
@@ -97,14 +89,13 @@ def lowest_vector(sector: str, sign: str, n: int,
 
 
 @cache
-def sector_basis(sector: str, n: int, nsites: int = 2):
+def sector_basis(sector: str, n: int):
     """(plus, minus) lowest vectors at level n; shared, never mutated."""
-    return (lowest_vector(sector, "+", n, nsites).poly,
-            lowest_vector(sector, "-", n, nsites).poly)
+    return (lowest_vector(sector, "+", n).poly,
+            lowest_vector(sector, "-", n).poly)
 
 
-def verify_lowest(v: LowestVector, w1: Weight, w2: Weight,
-                  nsites: int = 2) -> CheckReport:
+def verify_lowest(v: LowestVector, w1: Weight, w2: Weight) -> CheckReport:
     """Eigenvalue and annihilation conditions of one lowest-weight vector.
 
     Hard sub-checks: total S and B eigenvalues, annihilation by the total
@@ -118,8 +109,8 @@ def verify_lowest(v: LowestVector, w1: Weight, w2: Weight,
         params={"l1": str(w1.ell), "b1": str(w1.b),
                 "l2": str(w2.ell), "b2": str(w2.b)})
     with report.timed():
-        g1 = build_generators(1, w1, nsites=nsites)
-        g2 = build_generators(2, w2, nsites=nsites)
+        g1 = build_generators(1, w1)
+        g2 = build_generators(2, w2)
         half = Q(1, 2)
         if v.sector == "even":
             s_ev = v.n + w1.ell + w2.ell
@@ -157,25 +148,24 @@ def verify_lowest(v: LowestVector, w1: Weight, w2: Weight,
     return report
 
 
-def decompose(p: SuperPolynomial, n: int, sector: str,
-              nsites: int = 2) -> tuple[Fraction, Fraction]:
+def decompose(p: SuperPolynomial, n: int,
+              sector: str) -> tuple[Fraction, Fraction]:
     """Exact coefficients (c+, c-) of p in the sector basis at level n."""
-    plus, minus = sector_basis(sector, n, nsites)
+    plus, minus = sector_basis(sector, n)
     coeffs = solve_in_span([plus, minus], p)
     if coeffs is None:
         raise NotInSpan(p, f"decompose({sector}, n={n})")
     return coeffs[0], coeffs[1]
 
 
-def sector_action(op: Operator, sector: str, n: int,
-                  nsites: int = 2) -> SectorMatrix:
-    """Matrix of a built operator on the level-n sector basis, decomposed
-    exactly; build the operator with max_degree >= n + 1."""
-    plus, minus = sector_basis(sector, n, nsites)
-    col_plus = decompose(op.apply(plus), n, sector, nsites)
-    col_minus = decompose(op.apply(minus), n, sector, nsites)
-    entries = ((col_plus[0], col_minus[0]), (col_plus[1], col_minus[1]))
-    return SectorMatrix(n=n, sector=sector, entries=entries)
+def sector_action(op: Operator, sector: str, n: int) -> tuple:
+    """The 2x2 matrix of a built operator on the level-n sector basis, column
+    j the image of basis vector j, decomposed exactly; build the operator
+    with max_degree >= n + 1."""
+    plus, minus = sector_basis(sector, n)
+    col_plus = decompose(op.apply(plus), n, sector)
+    col_minus = decompose(op.apply(minus), n, sector)
+    return ((col_plus[0], col_minus[0]), (col_plus[1], col_minus[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +173,9 @@ def sector_action(op: Operator, sector: str, n: int,
 # ---------------------------------------------------------------------------
 
 def expected_sector_matrix(which, pp: ParamPair, sector: str,
-                           n: int) -> SectorMatrix:
+                           n: int) -> tuple:
     """The printed action of R1, R2, R3 or "rhat" divided by the printed
-    action on the constant 1."""
+    action on the constant 1, as a 2x2 matrix like `sector_action`'s."""
     if which == "rhat":
         return expected_composite_matrix(pp, sector, n)
     u1, u2, u3 = pp.u.as_tuple()
@@ -219,9 +209,8 @@ def expected_sector_matrix(which, pp: ParamPair, sector: str,
     else:
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
     if sector == "even":
-        return SectorMatrix(n=n, sector="even", entries=even)
-    return SectorMatrix(n=n, sector="odd",
-                        entries=((psi_plus, zero), (zero, psi_minus)))
+        return even
+    return ((psi_plus, zero), (zero, psi_minus))
 
 
 def sector_levels(nmax: int) -> list[tuple[int, str]]:
@@ -249,9 +238,9 @@ def check_sector(which: int, pp: ParamPair, nmax: int = 3) -> CheckReport:
         for n, sector in sector_levels(nmax):
             got = sector_action(op, sector, n)
             want = expected_sector_matrix(which, pp, sector, n)
-            if got.entries != want.entries:
-                report.add_failure(f"{sector} n={n}", str(got.entries),
-                                   str(want.entries), "-")
+            if got != want:
+                report.add_failure(f"{sector} n={n}", str(got), str(want),
+                                   "-")
     return report
 
 
@@ -271,8 +260,9 @@ def mixing_constant(pp: ParamPair) -> Fraction:
 
 
 def expected_composite_matrix(pp: ParamPair, sector: str,
-                              n: int) -> SectorMatrix:
-    """Printed composite action divided by its value on the constant 1.
+                              n: int) -> tuple:
+    """Printed composite action divided by its value on the constant 1, as a
+    2x2 matrix like `sector_action`'s.
 
     The printed even line for Phi_n^+ carries two different Gamma ratios on
     the "same" vector; its second term is the Phi_n^+ -> Phi_n^- mixing
@@ -292,12 +282,10 @@ def expected_composite_matrix(pp: ParamPair, sector: str,
         phi_minus = ((u2 - u1) * (v2 - v3) * (s / x)
                      * poch(x, n) / poch(s, n) / b0)
         mix_up = mixing_constant(pp) * poch(x, n) / (x * poch(s + 1, n) * b0)
-        return SectorMatrix(n=n, sector="even",
-                            entries=((phi_plus, mix_up), (mix_down, phi_minus)))
+        return ((phi_plus, mix_up), (mix_down, phi_minus))
     psi_plus = (v2 - u1) * (v2 - u3) * poch(x + 1, n) / poch(s + 1, n) / b0
     psi_minus = (u2 - v1) * (u2 - v3) * poch(x + 1, n) / poch(s + 1, n) / b0
-    return SectorMatrix(n=n, sector="odd",
-                        entries=((psi_plus, Q(0)), (Q(0), psi_minus)))
+    return ((psi_plus, Q(0)), (Q(0), psi_minus))
 
 
 def check_composite(pp: ParamPair, nmax: int = 3) -> CheckReport:
@@ -326,31 +314,29 @@ def check_composite(pp: ParamPair, nmax: int = 3) -> CheckReport:
             even = sector_action(op, "even", n) if n >= 1 else None
             odd = sector_action(op, "odd", n)
             ow = expected_composite_matrix(pp, "odd", n)
-            if odd.entries != ow.entries:
-                report.add_failure(f"odd n={n}", str(odd.entries),
-                                   str(ow.entries), "-")
-            psi_p, psi_m = odd.entries[0][0], odd.entries[1][1]
+            if odd != ow:
+                report.add_failure(f"odd n={n}", str(odd), str(ow), "-")
+            psi_p, psi_m = odd[0][0], odd[1][1]
             want_ratio = ((u2 - v1) * (u2 - v3)) / ((v2 - u1) * (v2 - u3))
             if psi_m / psi_p != want_ratio:
                 report.add_failure(f"odd ratio n={n}", str(psi_m / psi_p),
                                    str(want_ratio), "-")
             if n >= 1:
                 ew = expected_composite_matrix(pp, "even", n)
-                if even.entries != ew.entries:
-                    report.add_failure(f"even n={n}", str(even.entries),
-                                       str(ew.entries), "-")
-                mix, phi_m = even.entries[0][1], even.entries[1][1]
+                if even != ew:
+                    report.add_failure(f"even n={n}", str(even), str(ew), "-")
+                mix, phi_m = even[0][1], even[1][1]
                 want_mix = (mixing_constant(pp)
                             / ((u2 - u1) * (v2 - v3) * (n + s)))
                 if mix / phi_m != want_mix:
                     report.add_failure(f"mix/diag n={n}", str(mix / phi_m),
                                        str(want_mix), "-")
-                got = odd.entries[0][0] / odd_prev.entries[0][0]
+                got = odd[0][0] / odd_prev[0][0]
                 if got != (n + x) / (n + s):
                     report.add_failure(f"Psi+ step n={n}", str(got),
                                        str((n + x) / (n + s)), "-")
             if n >= 2:
-                got = even.entries[0][0] / even_prev.entries[0][0]
+                got = even[0][0] / even_prev[0][0]
                 want = (n + x) / (n + s)
                 if got != want:
                     report.add_failure(f"Phi+ diag step n={n}", str(got),
@@ -377,7 +363,7 @@ def check_conjugator_oracles(nmax: int = 3) -> CheckReport:
                                (got - want).text())
 
     with report.timed():
-        z1, z2, th1, thb1, th2, thb2 = _vars(2)
+        z1, z2, th1, thb1, th2, thb2 = _vars()
         z12 = z1 - z2
         s3, _ = conjugator(3)
         s1, _ = conjugator(1)

@@ -35,9 +35,10 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def add_failure(self, input_text: str, lhs: str, rhs: str, residual: str,
-                    limit: int = 5) -> None:
-        if len(self.failures) < limit:
+    def add_failure(self, input_text: str, lhs: str, rhs: str,
+                    residual: str) -> None:
+        """Record a failure; only the first 5 are stored."""
+        if len(self.failures) < 5:
             self.failures.append(Failure(input_text, lhs, rhs, residual))
         self.status = "fail"
 

@@ -300,7 +300,7 @@ def check_lemma_system(k: int, pp: ParamPair,
         l1x, l2x = _lax_pair(pp.exchanged(k))
         lhs = diagonal(r) @ (l1 + l2)
         rhs = (l1x + l2x) @ diagonal(r)
-        sub = matrices_equal(lhs, rhs, max_degree, name="sum-eq")
+        sub = matrices_equal(lhs, rhs, max_degree)
         report.merge(sub, prefix="sum-eq ")
 
         th1p = SuperPolynomial.odd_var(theta(1), 2)
@@ -321,8 +321,7 @@ def check_lemma_system(k: int, pp: ParamPair,
                     ("z2+th2*thb2/2", MulPoly(z2p + Q(1, 2) * (th2p * thb2p))),
                     ("thb2", MulPoly(thb2p))]
         for label, m in comm:
-            sub = equal_on_degree(compose(r, m), compose(m, r), max_degree,
-                                  name=f"[R{k},{label}]")
+            sub = equal_on_degree(compose(r, m), compose(m, r), max_degree)
             report.merge(sub, prefix=f"[R{k},{label}] on ")
 
         if k == 1:
@@ -336,7 +335,7 @@ def check_lemma_system(k: int, pp: ParamPair,
             extra = None
         if extra is not None:
             sub = equal_on_degree(compose(r, extra), compose(extra, r),
-                                  max_degree, name=label)
+                                  max_degree)
             report.merge(sub, prefix=f"[{label}] on ")
     return report
 
@@ -532,6 +531,6 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
         scalar = c_l / c_r
         report.notes.append(f"global scalar lhs/rhs on 1: {scalar}")
         sub = equal_on_degree(lhs, compose(Scalar(scalar), rhs), max_degree,
-                              nsites=3, name="ybe")
+                              nsites=3)
         report.merge(sub, prefix="ybe on ")
     return report

@@ -156,8 +156,7 @@ def _check_relations_ops(g: SiteGenerators, max_degree: int) -> CheckReport:
                 if cd[1] == ab[0]:
                     rhs_terms.append(Q(-sign) * e[(cd[0], ab[1])])
                 rhs = op_sum(*rhs_terms) if rhs_terms else Scalar(0)
-                sub = equal_on_degree(lhs, rhs, max_degree, nsites=g.nsites,
-                                      name=f"[E{ab},E{cd}]")
+                sub = equal_on_degree(lhs, rhs, max_degree, nsites=g.nsites)
                 report.merge(sub, prefix=f"[E{ab},E{cd}] on ")
     return report
 
@@ -237,17 +236,16 @@ def casimir(g: SiteGenerators, order: int) -> Operator:
     raise ValueError("order must be 2 or 3")
 
 
-def verma_vector(w: Weight, kind: str, k: int, site: int = 1,
-                 nsites: int = 1) -> SuperPolynomial:
-    """Closed form of the module basis vectors a_k, b_k, v_k, w_k."""
+def verma_vector(w: Weight, kind: str, k: int) -> SuperPolynomial:
+    """Closed form of the one-site module basis vectors a_k, b_k, v_k, w_k."""
     ell, b = Q(w.ell), Q(w.b)
     two_ell = 2 * ell
     if two_ell.denominator == 1 and two_ell <= 0:
         raise SingularWeight(f"2*ell = {two_ell} is a nonpositive integer")
-    one = SuperPolynomial.one(nsites)
-    z = SuperPolynomial.z_var(site, nsites)
-    th = SuperPolynomial.odd_var(theta(site), nsites)
-    thb = SuperPolynomial.odd_var(theta_bar(site), nsites)
+    one = SuperPolynomial.one(1)
+    z = SuperPolynomial.z_var(1, 1)
+    th = SuperPolynomial.odd_var(theta(1), 1)
+    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
     zk1 = z ** (k - 1) if k >= 1 else one
     if kind == "a":
         if k == 0:
@@ -319,12 +317,12 @@ def fundamental_rep(kind: str) -> FundamentalRep:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def finite_subspace_vectors(n: int, kind: str, nsites: int = 1,
-                            site: int = 1) -> list[SuperPolynomial]:
-    """Spanning vectors of the (2n+1)-dim invariant subspace at ell = -n/2."""
-    z = SuperPolynomial.z_var(site, nsites)
-    th = SuperPolynomial.odd_var(theta(site), nsites)
-    thb = SuperPolynomial.odd_var(theta_bar(site), nsites)
+def finite_subspace_vectors(n: int, kind: str) -> list[SuperPolynomial]:
+    """Spanning vectors of the (2n+1)-dim one-site invariant subspace at
+    ell = -n/2."""
+    z = SuperPolynomial.z_var(1, 1)
+    th = SuperPolynomial.odd_var(theta(1), 1)
+    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
     tt = th * thb
     if kind == "chiral":
         even_core = z - Q(1, 2) * tt
@@ -350,7 +348,7 @@ def check_finite_subspace(n: int, kind: str,
                          params={"ell": str(w.ell), "b": str(w.b)})
     with report.timed():
         g = build_generators(1, w, nsites=1)
-        span = finite_subspace_vectors(n, kind, nsites=1)
+        span = finite_subspace_vectors(n, kind)
         for name in GEN_NAMES:
             for j, vec in enumerate(span):
                 img = g[name].apply(vec)
@@ -370,8 +368,7 @@ def check_casimir(g: SiteGenerators, max_degree: int = 3) -> CheckReport:
         for label, c in (("C2", c2), ("C3", c3)):
             for name in GEN_NAMES:
                 sub = equal_on_degree(graded_commutator(c, g[name]), Scalar(0),
-                                      max_degree, nsites=g.nsites,
-                                      name=f"[{label},{name}]")
+                                      max_degree, nsites=g.nsites)
                 report.merge(sub, prefix=f"[{label},{name}] on ")
         ev = g.weight.ell ** 2 - g.weight.b ** 2
         one = SuperPolynomial.one(g.nsites)

@@ -96,12 +96,12 @@ def test_criterion_05_lax_suite():
                for _ in range(3)]
     for t in triples:
         lp = build_lax(1, t, "chiral", nsites=1)
-        ok &= matrices_equal(lp, build_lax_factorized(1, t, nsites=1), 4,
+        ok &= matrices_equal(lp, build_lax_factorized(t), 4,
                              nsites=1).passed
-        ok &= matrices_equal(lp, build_lax_tensor(1, t, "chiral", nsites=1),
+        ok &= matrices_equal(lp, build_lax_tensor(t, "chiral"),
                              3, nsites=1).passed
-        ok &= check_invariance(1, t, Q(rng.randint(-20, 20), rng.randint(1, 8)),
-                               max_degree=3, nsites=1).passed
+        ok &= check_invariance(t, Q(rng.randint(-20, 20), rng.randint(1, 8)),
+                               max_degree=3).passed
     _record("criterion-5 Lax: factorized=explicit (D=4), tensor=printed, "
             "even-sector invariance (D=3)", ok, t0)
 

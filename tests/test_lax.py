@@ -51,13 +51,13 @@ def test_printed_entries():
 def test_tensor_construction_equals_printed():
     for t in (T, SpectralTriple(Q(1, 2), Q(-3), Q(7, 5))):
         lp = build_lax(1, t, "chiral", nsites=1)
-        lt = build_lax_tensor(1, t, "chiral", nsites=1)
+        lt = build_lax_tensor(t, "chiral")
         assert matrices_equal(lp, lt, 3, nsites=1).passed
 
 
 def test_tensor_construction_sign_matters():
     # dropping the Koszul sign on entry (1,2) must break the equality
-    lt = build_lax_tensor(1, T, "chiral", nsites=1)
+    lt = build_lax_tensor(T, "chiral")
     lp = build_lax(1, T, "chiral", nsites=1)
     broken = [[lt.entries[i][k] for k in range(3)] for i in range(3)]
     broken[0][1] = -1 * broken[0][1]
@@ -68,7 +68,7 @@ def test_tensor_construction_sign_matters():
 
 def test_antichiral_names_equal_tensor():
     la = build_lax(1, T, "antichiral", nsites=1)
-    lta = build_lax_tensor(1, T, "antichiral", nsites=1)
+    lta = build_lax_tensor(T, "antichiral")
     assert matrices_equal(la, lta, 3, nsites=1).passed
 
 
@@ -79,13 +79,13 @@ def test_antichiral_names_equal_tensor():
 ])
 def test_factorized_equals_explicit(t):
     lp = build_lax(1, t, "chiral", nsites=1)
-    lf = build_lax_factorized(1, t, nsites=1)
+    lf = build_lax_factorized(t)
     assert matrices_equal(lp, lf, 4, nsites=1).passed
 
 
 def test_factorized_even_sector_corner():
     # at th = thb = 0 the (1,1) entry acts as z d + u1 on even polynomials
-    lf = build_lax_factorized(1, T, nsites=1)
+    lf = build_lax_factorized(T)
     z = SuperPolynomial.z_var(1, 1)
     for p in (SuperPolynomial.one(1), z, z * z):
         from ybsl21.opalg import MulZ
@@ -194,4 +194,4 @@ def test_rll_detects_corruption():
 @pytest.mark.parametrize("lam", [Q(0), Q(1), Q(2, 3), Q(-5, 2)])
 def test_invariance_even_sector(lam):
     t = SpectralTriple.from_weight(Q(0), Weight(Q(1), Q(0)))
-    assert check_invariance(1, t, lam, max_degree=3, nsites=1).passed
+    assert check_invariance(t, lam, max_degree=3).passed

@@ -102,13 +102,13 @@ def test_sector_worked_examples():
     # R3 even diagonal at (u1,u2,u3,v3) = (3,2,1,0), n=2: 5/3
     pp = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(10), Q(30), Q(0))
     m = sector_action(build_r(3, pp), "even", 2)
-    assert m.entries[0][0] == Q(5, 3)
+    assert m[0][0] == Q(5, 3)
     # R2 odd entries at (u1,u2,v2,v3) = (0,1,3,2): (3, -1)
     pp2 = ParamPair.from_rationals(Q(0), Q(1), Q(50), Q(77), Q(3), Q(2))
     mo = sector_action(build_r(2, pp2), "odd", 1)
-    assert mo.entries[0][0] == Q(3)
-    assert mo.entries[1][1] == Q(-1)
-    assert mo.entries[0][1] == 0 and mo.entries[1][0] == 0
+    assert mo[0][0] == Q(3)
+    assert mo[1][1] == Q(-1)
+    assert mo[0][1] == 0 and mo[1][0] == 0
 
 
 @pytest.mark.parametrize("pp", [
@@ -130,9 +130,9 @@ def test_triangularity():
     for which, lower_zero in ((1, True), (3, True), (2, False)):
         m = sector_action(build_r(which, PP), "even", 2)
         if lower_zero:
-            assert m.entries[1][0] == 0 and m.entries[0][1] != 0
+            assert m[1][0] == 0 and m[0][1] != 0
         else:
-            assert m.entries[0][1] == 0 and m.entries[1][0] != 0
+            assert m[0][1] == 0 and m[1][0] != 0
 
 
 def test_composite_matches_printed():
@@ -144,12 +144,12 @@ def test_composite_odd_ratio():
     even, odd = sector_action(rhat, "even", 1), sector_action(rhat, "odd", 1)
     want = ((PP.u.u2 - PP.v.u1) * (PP.u.u2 - PP.v.u3)) / \
         ((PP.v.u2 - PP.u.u1) * (PP.v.u2 - PP.u.u3))
-    assert odd.entries[1][1] / odd.entries[0][0] == want
+    assert odd[1][1] / odd[0][0] == want
     # mixing over diagonal involves the printed constant C
     s = PP.v.u1 - PP.u.u3
     want_mix = mixing_constant(PP) / ((PP.u.u2 - PP.u.u1) * (PP.v.u2 - PP.v.u3)
                                       * (1 + s))
-    assert even.entries[0][1] / even.entries[1][1] == want_mix
+    assert even[0][1] / even[1][1] == want_mix
 
 
 def test_composite_gamma_step():
@@ -157,17 +157,17 @@ def test_composite_gamma_step():
     rhat = build_rhat(PP)
     prev = sector_action(rhat, "odd", 1)
     cur = sector_action(rhat, "odd", 2)
-    assert cur.entries[0][0] / prev.entries[0][0] == (2 + x) / (2 + s)
+    assert cur[0][0] / prev[0][0] == (2 + x) / (2 + s)
     prev_e = sector_action(rhat, "even", 2)
     cur_e = sector_action(rhat, "even", 3)
-    assert cur_e.entries[0][0] / prev_e.entries[0][0] == (3 + x) / (3 + s)
+    assert cur_e[0][0] / prev_e[0][0] == (3 + x) / (3 + s)
 
 
 def test_span_preservation():
     rhat = build_rhat(PP)
     sector_action(rhat, "even", 3)   # raises NotInSpan if span breaks
     rhat_odd = sector_action(rhat, "odd", 3)
-    assert rhat_odd.entries[0][1] == 0 and rhat_odd.entries[1][0] == 0
+    assert rhat_odd[0][1] == 0 and rhat_odd[1][0] == 0
 
 
 @pytest.mark.parametrize("check, builds", [

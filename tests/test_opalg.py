@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +141,29 @@ def test_swap_sites_three_site_signs():
     # adjacent transpositions braid and compose to the far swap
     lhs = compose(SwapSites(1, 2), SwapSites(2, 3), SwapSites(1, 2))
     assert equal_on_degree(lhs, SwapSites(1, 3), 1, nsites=3).passed
+
+
+def test_swap_sites_sign_is_the_product_sign():
+    # every odd monomial of two and three sites under every swap a < b: the
+    # image is the product of the relabeled odd variables in the old order
+    cases, mismatches = 0, []
+    for nsites in (2, 3):
+        for a, b in combinations(range(1, nsites + 1), 2):
+            moved = {a: b, b: a}
+            for mask in range(1 << (2 * nsites)):
+                mono = want = SuperPolynomial.one(nsites)
+                for site in range(1, nsites + 1):
+                    for var in (theta, theta_bar):
+                        if mask >> var(site) & 1:
+                            mono = mono * SuperPolynomial.odd_var(
+                                var(site), nsites)
+                            want = want * SuperPolynomial.odd_var(
+                                var(moved.get(site, site)), nsites)
+                cases += 1
+                if SwapSites(a, b).apply(mono) != want:
+                    mismatches.append((nsites, a, b, mask))
+    assert cases == 208
+    assert mismatches == []
 
 
 #: even two-site operators to lift: the dressed exchange operator, and one

@@ -16,8 +16,8 @@ def test_pass_iff_no_failures():
 def test_failure_cap_keeps_status():
     r = CheckReport(check_name="x")
     for i in range(9):
-        r.add_failure(f"m{i}", "1", "0", "1", limit=3)
-    assert len(r.failures) == 3
+        r.add_failure(f"m{i}", "1", "0", "1")
+    assert len(r.failures) == 5
     assert r.status == "fail"
 
 

@@ -312,8 +312,7 @@ def test_rhat_commutes_with_totals_at_equal_weights():
     rhat = build_rhat(pp)
     for name in ("S", "B", "S+", "S-", "V+", "V-", "W+", "W-"):
         tot = total_generator(name, w, w)
-        r = equal_on_degree(compose(rhat, tot), compose(tot, rhat), 2,
-                            name=f"[rhat,{name}]")
+        r = equal_on_degree(compose(rhat, tot), compose(tot, rhat), 2)
         assert r.passed, name
 
 
