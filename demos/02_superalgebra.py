@@ -10,7 +10,7 @@ from ybsl21.sl21 import fundamental_rep, raised_vector, verma_vector
 from ybsl21.superpoly import SuperPolynomial
 
 w = Weight(Q(2, 3), Q(1, 5))
-g = build_generators(1, w, nsites=1)
+g = build_generators(1, w)
 one = SuperPolynomial.one(1)
 
 print("lowest-weight vector a0 = 1 at (ell, b) =", (str(w.ell), str(w.b)))

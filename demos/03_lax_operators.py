@@ -12,7 +12,7 @@ from ybsl21.lax import build_lax_tensor, check_invariance, check_rll, \
 t = SpectralTriple.from_weight(Q(2), Weight(Q(1), Q(1, 3)))
 print("spectral triple (u1,u2,u3) =", tuple(str(x) for x in t.as_tuple()))
 
-explicit = build_lax(1, t, "chiral", nsites=1)
+explicit = build_lax(1, t, "chiral")
 factored = build_lax_factorized(t)
 tensored = build_lax_tensor(t, "chiral")
 

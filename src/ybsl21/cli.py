@@ -21,13 +21,15 @@ from fractions import Fraction
 
 from .lax import SpectralTriple, check_invariance, check_rll, matrices_equal
 from .lax import build_lax, build_lax_factorized, build_lax_tensor
-from .lowest import (check_composite, check_conjugator_oracles, check_sector,
-                     expected_sector_matrix, sector_action, sector_levels)
+from .lowest import (NotInSpan, check_composite, check_conjugator_oracles,
+                     check_sector, expected_sector_matrix, sector_action,
+                     sector_levels)
 from .opalg import OperatorError, Scalar, equal_on_degree
 from .report import CheckReport
-from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
-                   check_defining, check_factorization, check_lemma_system,
-                   check_recurrences, check_ybe, pair_guard, ybe_pairs)
+from .rops import (NormalizationFailure, ParamPair, SingularParameters,
+                   build_r, build_rhat, check_defining, check_factorization,
+                   check_lemma_system, check_recurrences, check_ybe,
+                   pair_guard, ybe_pairs)
 from .sl21 import (SingularWeight, Weight, build_generators, check_casimir,
                    check_finite_subspace, check_relations, fundamental_rep,
                    raised_vector, verma_vector)
@@ -47,7 +49,8 @@ class GuardExhausted(Exception):
 #: faults that end a run with exit 2: the configuration is unusable
 CONFIG_FAULTS = (SingularParameters, SingularWeight, ValueError)
 #: faults that end a run with exit 3, after the reports finished so far
-INTERNAL_FAULTS = (OperatorError, GuardExhausted, ArithmeticError)
+INTERNAL_FAULTS = (OperatorError, GuardExhausted, ArithmeticError,
+                   NormalizationFailure, NotInSpan)
 
 
 @dataclass
@@ -147,7 +150,7 @@ def _pairs_for(cfg: RunConfig, max_degree: int) -> list[ParamPair]:
 @_driver
 def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
     for w in sample_weights(cfg.seed, cfg.samples):
-        g = build_generators(1, w, nsites=1)
+        g = build_generators(1, w)
         yield check_relations(g, cfg.max_degree)
         yield check_casimir(g, cfg.max_degree)
     for kind in ("chiral", "antichiral"):
@@ -156,7 +159,7 @@ def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
     verma = CheckReport(check_name="verma-oracle", max_degree=4)
     with verma.timed():
         for w in sample_weights(cfg.seed, cfg.samples):
-            g = build_generators(1, w, nsites=1)
+            g = build_generators(1, w)
             try:
                 for kind in ("a", "b", "v", "w"):
                     for k in range(0 if kind in ("a", "v", "w") else 1, 5):
@@ -181,7 +184,7 @@ def run_lax(cfg: RunConfig) -> Iterator[CheckReport]:
     for _ in range(cfg.samples):
         t = SpectralTriple(*(_rand_rational(rng) for _ in range(3)))
         params = {"u1": str(t.u1), "u2": str(t.u2), "u3": str(t.u3)}
-        lp = build_lax(1, t, "chiral", nsites=1)
+        lp = build_lax(1, t, "chiral")
         yield matrices_equal(lp, build_lax_factorized(t),
                              max_degree=max(cfg.max_degree, 4), nsites=1,
                              name="lax-factorized-vs-explicit", params=params)

@@ -148,14 +148,14 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
     return report
 
 
-def build_lax(site: int, t: SpectralTriple, kind: str = "chiral",
-              nsites: int = 2) -> SuperMatrixOperator:
+def build_lax(site: int, t: SpectralTriple,
+              kind: str = "chiral") -> SuperMatrixOperator:
     """The Lax matrix in the functional representation, entries as printed."""
     if kind == "chiral":
-        return _lax_chiral_explicit(site, t, nsites)
+        return _lax_chiral_explicit(site, t)
     if kind == "antichiral":
         u, w = t.to_weight()
-        g = build_generators(site, w, nsites=nsites)
+        g = build_generators(site, w)
         uS = Scalar(u)
         return SuperMatrixOperator([
             [g["S"] - g["B"] + uS, -1 * g["V-"], g["S-"]],
@@ -165,16 +165,15 @@ def build_lax(site: int, t: SpectralTriple, kind: str = "chiral",
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _lax_chiral_explicit(site: int, t: SpectralTriple,
-                         nsites: int) -> SuperMatrixOperator:
+def _lax_chiral_explicit(site: int, t: SpectralTriple) -> SuperMatrixOperator:
     u1, u2, u3 = t.as_tuple()
     z = MulZ(site)
     dz = EvenDeriv(site)
     th_id, thb_id = theta(site), theta_bar(site)
     dth, dthb = OddDeriv(th_id), OddDeriv(thb_id)
-    th = SuperPolynomial.odd_var(th_id, nsites)
-    thb = SuperPolynomial.odd_var(thb_id, nsites)
-    zp = SuperPolynomial.z_var(site, nsites)
+    th = SuperPolynomial.odd_var(th_id, site)
+    thb = SuperPolynomial.odd_var(thb_id, site)
+    zp = SuperPolynomial.z_var(site, site)
     tt = th * thb
     mth, mthb = MulOdd(th_id), MulOdd(thb_id)
 
@@ -215,7 +214,7 @@ def build_lax_tensor(t: SpectralTriple,
     """
     u, w = t.to_weight()
     rep = fundamental_rep(kind)
-    g = build_generators(1, w, nsites=1)
+    g = build_generators(1, w)
     entries = [[Scalar(u) if i == k else Scalar(0) for k in range(3)]
                for i in range(3)]
     for coef, aux_name, q_name in _TENSOR_TERMS:
@@ -277,7 +276,7 @@ def check_rll(w: Weight, u, v, max_degree: int = 3,
 
     def lax(x, leg):
         # each entry recurs in nine entries of the products: cache it
-        m = build_lax(1, SpectralTriple.from_weight(x, w), kind, nsites=1)
+        m = build_lax(1, SpectralTriple.from_weight(x, w), kind)
         return on_leg(SuperMatrixOperator(
             [[Cached(e) for e in row] for row in m.entries]), leg, 2)
 
@@ -304,7 +303,7 @@ def check_invariance(t: SpectralTriple, lam,
                                  "u2": str(t.u2), "u3": str(t.u3)},
                          max_degree=max_degree)
     with report.timed():
-        lax = build_lax(1, t, "chiral", nsites=1)
+        lax = build_lax(1, t, "chiral")
         m_inv = rational_matrix([[1, 0, 0], [0, 1, 0], [-lam, 0, 1]])
         m_mat = rational_matrix([[1, 0, 0], [0, 1, 0], [lam, 0, 1]])
         s_minus = -1 * EvenDeriv(1)

@@ -24,9 +24,9 @@ from .linsolve import solve_in_span
 from .opalg import Operator, rising_factorial
 from .report import CheckReport
 from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
-                   conjugator, conjugator_r2_even, guard_factor)
+                   conjugator, conjugator_r2_even, guard_factor, two_site_vars)
 from .sl21 import Weight, build_generators
-from .superpoly import SuperPolynomial, theta, theta_bar
+from .superpoly import SuperPolynomial
 
 Q = Fraction
 
@@ -45,29 +45,19 @@ class LowestVector:
     poly: SuperPolynomial
 
 
-def _vars():
-    z1 = SuperPolynomial.z_var(1, 2)
-    z2 = SuperPolynomial.z_var(2, 2)
-    th1 = SuperPolynomial.odd_var(theta(1), 2)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
-    th2 = SuperPolynomial.odd_var(theta(2), 2)
-    thb2 = SuperPolynomial.odd_var(theta_bar(2), 2)
-    return z1, z2, th1, thb1, th2, thb2
-
-
 def interval() -> SuperPolynomial:
     """The dressed two-site interval Z12."""
-    z1, z2, th1, thb1, th2, thb2 = _vars()
+    z1, z2, th1, thb1, th2, thb2 = two_site_vars()
     return z1 - z2 + Q(1, 2) * (th1 * thb2) - Q(1, 2) * (th2 * thb1)
 
 
 def theta_12() -> SuperPolynomial:
-    _, _, th1, _, th2, _ = _vars()
+    _, _, th1, _, th2, _ = two_site_vars()
     return th1 - th2
 
 
 def theta_bar_12() -> SuperPolynomial:
-    _, _, _, thb1, _, thb2 = _vars()
+    _, _, _, thb1, _, thb2 = two_site_vars()
     return thb1 - thb2
 
 
@@ -363,7 +353,7 @@ def check_conjugator_oracles(nmax: int = 3) -> CheckReport:
                                (got - want).text())
 
     with report.timed():
-        z1, z2, th1, thb1, th2, thb2 = _vars()
+        z1, z2, th1, thb1, th2, thb2 = two_site_vars()
         z12 = z1 - z2
         s3, _ = conjugator(3)
         s1, _ = conjugator(1)

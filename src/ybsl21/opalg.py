@@ -51,37 +51,6 @@ def rising_factorial(x: Fraction, n: int) -> Fraction:
     return out
 
 
-class PochhammerSpec:
-    """Degree-diagonal factor h(n) = prod (a_j)_n / prod (b_k)_n."""
-
-    __slots__ = ("nums", "dens", "_cache")
-
-    def __init__(self, nums, dens):
-        self.nums = tuple(Q(a) for a in nums)
-        self.dens = tuple(Q(b) for b in dens)
-        self._cache: dict[int, Fraction] = {}
-
-    def value(self, n: int) -> Fraction:
-        h = self._cache.get(n)
-        if h is not None:
-            return h
-        num = Q(1)
-        for a in self.nums:
-            num *= rising_factorial(a, n)
-        den = Q(1)
-        for b in self.dens:
-            den *= rising_factorial(b, n)
-        if den == 0:
-            raise PochhammerPole(
-                f"denominator Pochhammer vanishes at degree {n}: {self.dens}")
-        h = num / den
-        self._cache[n] = h
-        return h
-
-    def __repr__(self):
-        return f"PochhammerSpec({self.nums}, {self.dens})"
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -378,17 +347,30 @@ def OddDeriv(var: int) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 class DegreeDiagonal(Operator):
-    """Scale each term by h(n) where n is the term's z-degree at `site`."""
+    """Scale each term by (a)_n / (b)_n, where n is the term's z-degree at
+    `site`; the first pole is at n = 1 - b when b is a nonpositive integer."""
 
-    __slots__ = ("site", "spec")
+    __slots__ = ("site", "a", "b", "_cache")
 
-    def __init__(self, site: int, spec: PochhammerSpec):
+    def __init__(self, site: int, a, b):
         self.site = site
-        self.spec = spec
+        self.a = Q(a)
+        self.b = Q(b)
+        self._cache: dict[int, Fraction] = {}
+
+    def value(self, n: int) -> Fraction:
+        h = self._cache.get(n)
+        if h is None:
+            den = rising_factorial(self.b, n)
+            if den == 0:
+                raise PochhammerPole(f"denominator Pochhammer vanishes at "
+                                     f"degree {n}: {(self.b,)}")
+            h = self._cache[n] = rising_factorial(self.a, n) / den
+        return h
 
     def _apply(self, p):
         i = self.site - 1
-        value = self.spec.value
+        value = self.value
         # in term order, so a pole is reported at the same degree as a
         # term-by-term walk would meet it
         hs = {d: value(d) for d in dict.fromkeys(m.z[i] for m in p.terms)}
@@ -502,16 +484,12 @@ class OnSites(Operator):
 
 
 class Sum(Operator):
+    """A sum that keeps non-DiffOp summands apart; `op_sum` builds it flat."""
+
     __slots__ = ("ops",)
 
     def __init__(self, ops):
-        flat = []
-        for op in ops:
-            if isinstance(op, Sum):
-                flat.extend(op.ops)
-            else:
-                flat.append(op)
-        self.ops = tuple(flat)
+        self.ops = tuple(ops)
 
     def _apply(self, p):
         return lincomb([(1, op._apply(p)) for op in self.ops], p.nsites)
@@ -524,18 +502,13 @@ class Sum(Operator):
 
 
 class Compose(Operator):
-    """Composition; the rightmost factor is applied first."""
+    """Composition; the rightmost factor is applied first.  `compose` builds
+    it flat."""
 
     __slots__ = ("ops",)
 
     def __init__(self, ops):
-        flat = []
-        for op in ops:
-            if isinstance(op, Compose):
-                flat.extend(op.ops)
-            else:
-                flat.append(op)
-        self.ops = tuple(flat)
+        self.ops = tuple(ops)
 
     def _apply(self, p):
         for op in reversed(self.ops):

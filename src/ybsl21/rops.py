@@ -17,11 +17,10 @@ from functools import cache
 from .lax import (SpectralTriple, SuperMatrixOperator, build_lax, diagonal,
                   matrices_equal)
 from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
-                    OddDeriv, OnSites, Operator, PochhammerSpec, Scalar,
-                    SwapSites, TerminatingExp, compose, equal_on_degree,
-                    op_sum)
+                    OddDeriv, OnSites, Operator, Scalar, SwapSites,
+                    TerminatingExp, compose, equal_on_degree, op_sum)
 from .report import CheckReport
-from .sl21 import Weight, build_generators
+from .sl21 import Weight, build_generators, lowering
 from .superpoly import SuperPolynomial, theta, theta_bar
 
 Q = Fraction
@@ -119,20 +118,35 @@ def pair_guard(pp: ParamPair, max_degree: int) -> None:
         guard_factor(k, stage, max_degree)
 
 
-def _v_minus(site: int) -> Operator:
-    return op_sum(OddDeriv(theta(site)),
-                  Q(1, 2) * compose(MulOdd(theta_bar(site)), EvenDeriv(site)))
+def two_site_vars() -> tuple[SuperPolynomial, ...]:
+    """z1, z2, th1, thb1, th2, thb2 as two-site polynomials."""
+    return (SuperPolynomial.z_var(1, 2), SuperPolynomial.z_var(2, 2),
+            *(SuperPolynomial.odd_var(v, 2)
+              for v in (theta(1), theta_bar(1), theta(2), theta_bar(2))))
 
 
-def _w_minus(site: int) -> Operator:
-    return op_sum(OddDeriv(theta_bar(site)),
-                  Q(1, 2) * compose(MulOdd(theta(site)), EvenDeriv(site)))
-
-
-def _half_tt(site: int) -> SuperPolynomial:
-    th = SuperPolynomial.odd_var(theta(site), 2)
-    thb = SuperPolynomial.odd_var(theta_bar(site), 2)
-    return Q(1, 2) * (th * thb)
+def _conjugator_gens(k: int) -> list[Operator]:
+    """The exponents of S_k, in product order (the last acts first)."""
+    z1, z2, th1, thb1, th2, thb2 = two_site_vars()
+    half1, half2 = Q(1, 2) * (th1 * thb1), Q(1, 2) * (th2 * thb2)
+    if k == 1:
+        low = lowering(2)
+        return [compose(MulPoly(half2), EvenDeriv(2)),
+                compose(MulOdd(theta(1)), low["V-"]),
+                compose(MulOdd(theta_bar(1)), low["W-"]),
+                compose(MulPoly(z1 + half1), EvenDeriv(2))]
+    if k == 2:
+        return [compose(MulOdd(theta(1)), OddDeriv(theta(2))),
+                compose(MulOdd(theta_bar(2)), OddDeriv(theta_bar(1))),
+                compose(MulPoly(half1), EvenDeriv(1)),
+                -1 * compose(MulPoly(half2), EvenDeriv(2))]
+    if k == 3:
+        low = lowering(1)
+        return [-1 * compose(MulPoly(half1), EvenDeriv(1)),
+                compose(MulOdd(theta(2)), low["V-"]),
+                compose(MulOdd(theta_bar(2)), low["W-"]),
+                compose(MulPoly(z2 + half2), EvenDeriv(1))]
+    raise ValueError(f"k must be 1, 2 or 3, got {k}")
 
 
 @cache
@@ -145,42 +159,14 @@ def conjugator(k: int) -> tuple[Cached, Cached]:
     every exchange operator shares its columns; a cache grows only with the
     z-degree reached.
     """
-    if k == 1:
-        gens = [
-            compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
-            compose(MulOdd(theta(1)), _v_minus(2)),
-            compose(MulOdd(theta_bar(1)), _w_minus(2)),
-            compose(MulPoly(SuperPolynomial.z_var(1, 2) + _half_tt(1)),
-                    EvenDeriv(2)),
-        ]
-    elif k == 2:
-        gens = [
-            compose(MulOdd(theta(1)), OddDeriv(theta(2))),
-            compose(MulOdd(theta_bar(2)), OddDeriv(theta_bar(1))),
-            compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
-            -1 * compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
-        ]
-    elif k == 3:
-        gens = [
-            -1 * compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
-            compose(MulOdd(theta(2)), _v_minus(1)),
-            compose(MulOdd(theta_bar(2)), _w_minus(1)),
-            compose(MulPoly(SuperPolynomial.z_var(2, 2) + _half_tt(2)),
-                    EvenDeriv(1)),
-        ]
-    else:
-        raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    return _exp_pair(gens)
+    return _exp_pair(_conjugator_gens(k))
 
 
 @cache
 def conjugator_r2_even() -> tuple[Cached, Cached]:
     """Only the even z-shift factors of the R2 conjugator; built once, like
     `conjugator`."""
-    return _exp_pair([
-        compose(MulPoly(_half_tt(1)), EvenDeriv(1)),
-        -1 * compose(MulPoly(_half_tt(2)), EvenDeriv(2)),
-    ])
+    return _exp_pair(_conjugator_gens(2)[2:])
 
 
 def _exp_pair(gens: list[Operator]) -> tuple[Cached, Cached]:
@@ -202,8 +188,8 @@ def kernel(k: int, pp: ParamPair) -> Operator:
     if k == 1:
         x, y = u1 - v3, v1 - v3
         f1 = (v1 - v2) / (u1 - v1)
-        p_main = DegreeDiagonal(2, PochhammerSpec([x + 1], [y + 1]))
-        p_mix = DegreeDiagonal(2, PochhammerSpec([x], [y + 1]))
+        p_main = DegreeDiagonal(2, x + 1, y + 1)
+        p_mix = DegreeDiagonal(2, x, y + 1)
         diag = compose(p_main, op_sum(Scalar(f1),
                                       compose(MulOdd(theta_bar(2)),
                                               OddDeriv(theta_bar(2)))))
@@ -212,24 +198,20 @@ def kernel(k: int, pp: ParamPair) -> Operator:
         return diag - mix
     if k == 2:
         f2 = (u2 - u1) * (v2 - v3) / (v2 - u2)
-        th1 = SuperPolynomial.odd_var(theta(1), 2)
-        thb2 = SuperPolynomial.odd_var(theta_bar(2), 2)
-        thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
-        th2 = SuperPolynomial.odd_var(theta(2), 2)
-        z12 = SuperPolynomial.z_var(1, 2) - SuperPolynomial.z_var(2, 2)
+        z1, z2, th1, thb1, th2, thb2 = two_site_vars()
         dd = compose(OddDeriv(theta_bar(1)), OddDeriv(theta(2)))
         return op_sum(
             Scalar(f2),
             (u1 - u2) * compose(MulOdd(theta(2)), OddDeriv(theta(2))),
             (v2 - v3) * compose(MulOdd(theta_bar(1)), OddDeriv(theta_bar(1))),
-            compose(MulPoly(z12 + th1 * thb2), dd),
+            compose(MulPoly(z1 - z2 + th1 * thb2), dd),
             (u2 - v2) * compose(MulPoly(th2 * thb1), dd),
         )
     if k == 3:
         x, y = u1 - v3, u1 - u3
         f3 = (u2 - u3) / (u3 - v3)
-        p_main = DegreeDiagonal(1, PochhammerSpec([x + 1], [y + 1]))
-        p_mix = DegreeDiagonal(1, PochhammerSpec([x], [y + 1]))
+        p_main = DegreeDiagonal(1, x + 1, y + 1)
+        p_mix = DegreeDiagonal(1, x, y + 1)
         diag = compose(p_main, op_sum(Scalar(f3),
                                       compose(MulOdd(theta(1)),
                                               OddDeriv(theta(1)))))
@@ -303,33 +285,29 @@ def check_lemma_system(k: int, pp: ParamPair,
         sub = matrices_equal(lhs, rhs, max_degree)
         report.merge(sub, prefix="sum-eq ")
 
-        th1p = SuperPolynomial.odd_var(theta(1), 2)
-        thb1p = SuperPolynomial.odd_var(theta_bar(1), 2)
-        th2p = SuperPolynomial.odd_var(theta(2), 2)
-        thb2p = SuperPolynomial.odd_var(theta_bar(2), 2)
-        z1p = SuperPolynomial.z_var(1, 2)
-        z2p = SuperPolynomial.z_var(2, 2)
+        z1, z2, th1, thb1, th2, thb2 = two_site_vars()
         if k == 1:
-            comm = [("z1", MulPoly(z1p)), ("th1", MulPoly(th1p)),
-                    ("thb1", MulPoly(thb1p))]
+            comm = [("z1", MulPoly(z1)), ("th1", MulPoly(th1)),
+                    ("thb1", MulPoly(thb1))]
         elif k == 3:
-            comm = [("z2", MulPoly(z2p)), ("th2", MulPoly(th2p)),
-                    ("thb2", MulPoly(thb2p))]
+            comm = [("z2", MulPoly(z2)), ("th2", MulPoly(th2)),
+                    ("thb2", MulPoly(thb2))]
         else:
-            comm = [("z1-th1*thb1/2", MulPoly(z1p - Q(1, 2) * (th1p * thb1p))),
-                    ("th1", MulPoly(th1p)),
-                    ("z2+th2*thb2/2", MulPoly(z2p + Q(1, 2) * (th2p * thb2p))),
-                    ("thb2", MulPoly(thb2p))]
+            comm = [("z1-th1*thb1/2", MulPoly(z1 - Q(1, 2) * (th1 * thb1))),
+                    ("th1", MulPoly(th1)),
+                    ("z2+th2*thb2/2", MulPoly(z2 + Q(1, 2) * (th2 * thb2))),
+                    ("thb2", MulPoly(thb2))]
         for label, m in comm:
             sub = equal_on_degree(compose(r, m), compose(m, r), max_degree)
             report.merge(sub, prefix=f"[R{k},{label}] on ")
 
         if k == 1:
-            extra = _v_minus(2) + compose(MulOdd(theta_bar(1)),
-                                          -1 * EvenDeriv(2))
+            low = lowering(2)
+            extra = low["V-"] + compose(MulPoly(thb1), low["S-"])
             label = "V2- + thb1 S2-"
         elif k == 3:
-            extra = _w_minus(1) + compose(MulOdd(theta(2)), -1 * EvenDeriv(1))
+            low = lowering(1)
+            extra = low["W-"] + compose(MulPoly(th2), low["S-"])
             label = "W1- + th2 S1-"
         else:
             extra = None
@@ -352,9 +330,7 @@ def r3_diagonal_functions(pp: ParamPair, nmax: int):
     up to the one common normalization the construction fixes.
     """
     kern = kernel(3, pp)
-    z1 = SuperPolynomial.z_var(1, 2)
-    th1 = SuperPolynomial.odd_var(theta(1), 2)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
+    z1, _, th1, thb1, _, _ = two_site_vars()
     a, bdiag, c = {}, {}, {}
     for n in range(nmax + 2):
         zn = z1 ** n
@@ -375,9 +351,7 @@ def r2_constants(pp: ParamPair) -> dict[str, Fraction]:
     """The five constants of the R2 kernel, read off by probing."""
     kern = kernel(2, pp)
     one = SuperPolynomial.one(2)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
-    th2 = SuperPolynomial.odd_var(theta(2), 2)
-    z1 = SuperPolynomial.z_var(1, 2)
+    z1, _, _, thb1, th2, _ = two_site_vars()
     mono = lambda p: next(iter(p.terms))
     a = kern.apply(one).coefficient(mono(one))
     b = kern.apply(thb1).coefficient(mono(thb1)) - a

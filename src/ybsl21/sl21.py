@@ -1,10 +1,11 @@
 """The superalgebra sl(2|1): functional generators, 3-dim representations,
 relation and Casimir checkers, and closed-form module basis vectors.
 
-Generator names: even S, B, S+, S- and odd V+, V-, W+, W-.  The E-basis
-dictionary and the grading (bar1 = bar3 = 0, bar2 = 1) are hard-coded once;
-the relation checker derives every expected commutator from the structure
-delta-formula rather than a hand-written table.
+Generator names: even S, B, S+, S- and odd V+, V-, W+, W-.  The E-basis is
+one table, `E_BASIS`, of generator combinations, and the grading (bar1 =
+bar3 = 0, bar2 = 1) is hard-coded once; both relation checkers, on
+operators and on matrices, derive every expected commutator from the
+structure delta-formula (`_bracket`) rather than a hand-written table.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linsolve import solve_in_span
-from .opalg import (EvenDeriv, MulPoly, MulZ, OddDeriv, Operator, Scalar,
-                    compose, equal_on_degree, graded_commutator, op_sum,
-                    rising_factorial)
+from .opalg import (EvenDeriv, MulOdd, MulPoly, MulZ, OddDeriv, Operator,
+                    Scalar, compose, equal_on_degree, graded_commutator,
+                    op_sum, rising_factorial)
 from .report import CheckReport
 from .superpoly import SuperPolynomial, theta, theta_bar
 
@@ -26,6 +27,17 @@ GEN_NAMES = ("S", "B", "S+", "S-", "V+", "V-", "W+", "W-")
 #: grading of the 3x3 index labels 1, 2, 3 (and of the auxiliary basis
 #: e1, e2, e3), indexed from 0
 GRADING = (0, 1, 0)
+
+#: E_AB as a combination {generator: coefficient}, labels in row order.  The
+#: Cartan identifications E11 = S+B, E33 = B-S are forced by the
+#: delta-formula together with the off-diagonal dictionary (e.g.
+#: [E11, E13] = E13 needs [E11, S+] = S+), and agree with the diagonal of
+#: the Lax matrix.
+E_BASIS = {
+    (1, 1): {"S": 1, "B": 1}, (1, 2): {"V+": 1}, (1, 3): {"S+": 1},
+    (2, 1): {"W-": -1}, (2, 2): {"B": -2}, (2, 3): {"W+": 1},
+    (3, 1): {"S-": 1}, (3, 2): {"V-": 1}, (3, 3): {"B": 1, "S": -1},
+}
 
 
 class SingularWeight(Exception):
@@ -46,7 +58,7 @@ class Weight:
 class SiteGenerators:
     weight: Weight
     gens: dict[str, Operator]
-    nsites: int
+    site: int
 
     def __getitem__(self, name: str) -> Operator:
         return self.gens[name]
@@ -61,7 +73,17 @@ class FundamentalRep:
         return self.matrices[name]
 
 
-def build_generators(site: int, w: Weight, nsites: int = 2) -> SiteGenerators:
+def lowering(site: int) -> dict[str, Operator]:
+    """S-, V- and W- at a site, the generators that do not depend on the
+    weight."""
+    dz = EvenDeriv(site)
+    th, thb = theta(site), theta_bar(site)
+    return {"S-": -1 * dz,
+            "V-": OddDeriv(th) + Q(1, 2) * (MulOdd(thb) @ dz),
+            "W-": OddDeriv(thb) + Q(1, 2) * (MulOdd(th) @ dz)}
+
+
+def build_generators(site: int, w: Weight) -> SiteGenerators:
     """First-order differential operators of the lowest-weight representation.
 
     All nine operators act on the chosen site's variables and are the
@@ -71,17 +93,13 @@ def build_generators(site: int, w: Weight, nsites: int = 2) -> SiteGenerators:
     z = MulZ(site)
     dz = EvenDeriv(site)
     th, thb = theta(site), theta_bar(site)
-    mth, mthb = MulPoly(SuperPolynomial.odd_var(th, nsites)), \
-        MulPoly(SuperPolynomial.odd_var(thb, nsites))
+    mth, mthb = MulOdd(th), MulOdd(thb)
     dth, dthb = OddDeriv(th), OddDeriv(thb)
-    th_poly = SuperPolynomial.odd_var(th, nsites)
-    thb_poly = SuperPolynomial.odd_var(thb, nsites)
+    th_poly = SuperPolynomial.odd_var(th, site)
+    thb_poly = SuperPolynomial.odd_var(thb, site)
     th_thb = MulPoly(th_poly * thb_poly)       # theta thetabar
     thb_th = MulPoly(thb_poly * th_poly)       # thetabar theta = -theta thetabar
 
-    s_minus = -1 * dz
-    v_minus = dth + Q(1, 2) * (mthb @ dz)
-    w_minus = dthb + Q(1, 2) * (mth @ dz)
     v_plus = op_sum(
         -1 * (z @ dth),
         Q(-1, 2) * (mthb @ z @ dz),
@@ -104,31 +122,30 @@ def build_generators(site: int, w: Weight, nsites: int = 2) -> SiteGenerators:
     s_op = op_sum(z @ dz, Q(1, 2) * (mth @ dth), Q(1, 2) * (mthb @ dthb),
                   Scalar(ell))
     b_op = op_sum(Q(1, 2) * (mthb @ dthb), Q(-1, 2) * (mth @ dth), Scalar(b))
-    gens = {"S": s_op, "B": b_op, "S+": s_plus, "S-": s_minus,
-            "V+": v_plus, "V-": v_minus, "W+": w_plus, "W-": w_minus}
-    return SiteGenerators(weight=w, gens=gens, nsites=nsites)
+    gens = {"S": s_op, "B": b_op, "S+": s_plus, "V+": v_plus, "W+": w_plus,
+            **lowering(site)}
+    return SiteGenerators(weight=w, gens=gens, site=site)
 
 
 def e_basis_ops(g: SiteGenerators) -> dict[tuple[int, int], Operator]:
-    """The nine E_AB combinations generating the algebra.
-
-    The Cartan identifications E11 = S+B, E33 = B-S are forced by the
-    delta-formula together with the off-diagonal dictionary (e.g.
-    [E11, E13] = E13 needs [E11, S+] = S+), and agree with the diagonal
-    of the Lax matrix.
-    """
-    return {
-        (3, 1): g["S-"], (2, 1): -1 * g["W-"], (3, 2): g["V-"],
-        (1, 3): g["S+"], (2, 3): g["W+"], (1, 2): g["V+"],
-        (1, 1): g["S"] + g["B"], (2, 2): Q(-2) * g["B"],
-        (3, 3): g["B"] - g["S"],
-    }
+    """The nine E_AB combinations generating the algebra."""
+    return {ab: op_sum(*(Q(c) * g[name] for name, c in combo.items()))
+            for ab, combo in E_BASIS.items()}
 
 
-def _label_sign(ab, cd) -> int:
+def _bracket(ab, cd) -> tuple[int, list[tuple[int, tuple[int, int]]]]:
+    """The delta-formula [E_ab, E_cd} = d_bc E_ad - sign d_da E_cb: the
+    grading sign of the bracket and its right-hand side as (coefficient,
+    label) pairs."""
     p1 = (GRADING[ab[0] - 1] + GRADING[ab[1] - 1]) & 1
     p2 = (GRADING[cd[0] - 1] + GRADING[cd[1] - 1]) & 1
-    return -1 if p1 * p2 else 1
+    sign = -1 if p1 * p2 else 1
+    rhs = []
+    if ab[1] == cd[0]:
+        rhs.append((1, (ab[0], cd[1])))
+    if cd[1] == ab[0]:
+        rhs.append((-sign, (cd[0], ab[1])))
+    return sign, rhs
 
 
 def check_relations(g, max_degree: int = 3) -> CheckReport:
@@ -145,35 +162,23 @@ def _check_relations_ops(g: SiteGenerators, max_degree: int) -> CheckReport:
         max_degree=max_degree)
     with report.timed():
         e = e_basis_ops(g)
-        labels = [(a, bb) for a in (1, 2, 3) for bb in (1, 2, 3)]
-        for ab in labels:
-            for cd in labels:
-                sign = _label_sign(ab, cd)
+        for ab in E_BASIS:
+            for cd in E_BASIS:
+                sign, terms = _bracket(ab, cd)
                 lhs = compose(e[ab], e[cd]) - Q(sign) * compose(e[cd], e[ab])
-                rhs_terms = []
-                if ab[1] == cd[0]:
-                    rhs_terms.append(e[(ab[0], cd[1])])
-                if cd[1] == ab[0]:
-                    rhs_terms.append(Q(-sign) * e[(cd[0], ab[1])])
-                rhs = op_sum(*rhs_terms) if rhs_terms else Scalar(0)
-                sub = equal_on_degree(lhs, rhs, max_degree, nsites=g.nsites)
+                rhs = op_sum(*(Q(c) * e[x] for c, x in terms))
+                sub = equal_on_degree(lhs, rhs, max_degree, nsites=g.site)
                 report.merge(sub, prefix=f"[E{ab},E{cd}] on ")
     return report
 
 
 # -- exact 3x3 matrix helpers ------------------------------------------------
 
-def mat_zero():
-    return ((Q(0),) * 3,) * 3
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    c = Q(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+def mat_combo(pairs) -> tuple:
+    """sum(c * m for c, m in pairs); the zero matrix when there is none."""
+    pairs = [(Q(c), m) for c, m in pairs]
+    return tuple(tuple(sum((c * m[i][k] for c, m in pairs), Q(0))
+                       for k in range(3)) for i in range(3))
 
 
 def mat_mul(a, b):
@@ -182,14 +187,8 @@ def mat_mul(a, b):
 
 
 def e_basis_matrices(rep: FundamentalRep) -> dict[tuple[int, int], tuple]:
-    m = rep.matrices
-    return {
-        (3, 1): m["S-"], (2, 1): mat_scale(-1, m["W-"]), (3, 2): m["V-"],
-        (1, 3): m["S+"], (2, 3): m["W+"], (1, 2): m["V+"],
-        (1, 1): mat_add(m["S"], m["B"]),
-        (2, 2): mat_scale(-2, m["B"]),
-        (3, 3): mat_add(m["B"], mat_scale(-1, m["S"])),
-    }
+    return {ab: mat_combo((c, rep[name]) for name, c in combo.items())
+            for ab, combo in E_BASIS.items()}
 
 
 def _check_relations_matrix(rep: FundamentalRep) -> CheckReport:
@@ -197,17 +196,12 @@ def _check_relations_matrix(rep: FundamentalRep) -> CheckReport:
                          params={"rep": rep.kind}, max_degree=None)
     with report.timed():
         e = e_basis_matrices(rep)
-        labels = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
-        for ab in labels:
-            for cd in labels:
-                sign = _label_sign(ab, cd)
-                lhs = mat_add(mat_mul(e[ab], e[cd]),
-                              mat_scale(-sign, mat_mul(e[cd], e[ab])))
-                rhs = mat_zero()
-                if ab[1] == cd[0]:
-                    rhs = mat_add(rhs, e[(ab[0], cd[1])])
-                if cd[1] == ab[0]:
-                    rhs = mat_add(rhs, mat_scale(-sign, e[(cd[0], ab[1])]))
+        for ab in E_BASIS:
+            for cd in E_BASIS:
+                sign, terms = _bracket(ab, cd)
+                lhs = mat_combo([(1, mat_mul(e[ab], e[cd])),
+                                 (-sign, mat_mul(e[cd], e[ab]))])
+                rhs = mat_combo((c, e[x]) for c, x in terms)
                 if lhs != rhs:
                     report.add_failure(f"[E{ab},E{cd}]", str(lhs), str(rhs),
                                        "-")
@@ -269,7 +263,7 @@ def verma_vector(w: Weight, kind: str, k: int) -> SuperPolynomial:
 
 def raised_vector(g: SiteGenerators, kind: str, k: int) -> SuperPolynomial:
     """Independent oracle: build a_k, b_k, v_k, w_k by iterated raising."""
-    one = SuperPolynomial.one(g.nsites)
+    one = SuperPolynomial.one(g.site)
     if kind == "a":
         p = one
         for _ in range(k):
@@ -312,7 +306,7 @@ def fundamental_rep(kind: str) -> FundamentalRep:
     if kind == "antichiral":
         swap = {"V+": "W+", "W+": "V+", "V-": "W-", "W-": "V-"}
         mats = {swap.get(name, name): m for name, m in base.items()}
-        mats["B"] = mat_scale(-1, mats["B"])
+        mats["B"] = mat_combo([(-1, mats["B"])])
         return FundamentalRep(kind="antichiral", matrices=mats)
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -347,7 +341,7 @@ def check_finite_subspace(n: int, kind: str,
     report = CheckReport(check_name=f"finite-subspace-{kind}-n{n}",
                          params={"ell": str(w.ell), "b": str(w.b)})
     with report.timed():
-        g = build_generators(1, w, nsites=1)
+        g = build_generators(1, w)
         span = finite_subspace_vectors(n, kind)
         for name in GEN_NAMES:
             for j, vec in enumerate(span):
@@ -368,10 +362,10 @@ def check_casimir(g: SiteGenerators, max_degree: int = 3) -> CheckReport:
         for label, c in (("C2", c2), ("C3", c3)):
             for name in GEN_NAMES:
                 sub = equal_on_degree(graded_commutator(c, g[name]), Scalar(0),
-                                      max_degree, nsites=g.nsites)
+                                      max_degree, nsites=g.site)
                 report.merge(sub, prefix=f"[{label},{name}] on ")
         ev = g.weight.ell ** 2 - g.weight.b ** 2
-        one = SuperPolynomial.one(g.nsites)
+        one = SuperPolynomial.one(g.site)
         got = c2.apply(one)
         want = ev * one
         if got != want:

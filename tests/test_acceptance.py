@@ -40,7 +40,7 @@ def test_criterion_01_algebra_relations():
     t0 = time.perf_counter()
     ok = True
     for w in sample_weights(SEED, 3):
-        g = build_generators(1, w, nsites=1)
+        g = build_generators(1, w)
         ok &= check_relations(g, max_degree=3).passed
     for kind in ("chiral", "antichiral"):
         ok &= check_relations(fundamental_rep(kind)).passed
@@ -52,7 +52,7 @@ def test_criterion_02_casimirs():
     t0 = time.perf_counter()
     ok = True
     for w in sample_weights(SEED, 3):
-        g = build_generators(1, w, nsites=1)
+        g = build_generators(1, w)
         rep = check_casimir(g, max_degree=3)
         ok &= rep.passed
     _record("criterion-2 Casimir centrality and lowest eigenvalue (D=3)",
@@ -63,7 +63,7 @@ def test_criterion_03_verma_oracle():
     t0 = time.perf_counter()
     ok = True
     for w in sample_weights(SEED, 3):
-        g = build_generators(1, w, nsites=1)
+        g = build_generators(1, w)
         for kind in ("a", "b", "v", "w"):
             start = 1 if kind == "b" else 0
             for k in range(start, 5):
@@ -95,7 +95,7 @@ def test_criterion_05_lax_suite():
                               Q(rng.randint(-20, 20), rng.randint(1, 8)))
                for _ in range(3)]
     for t in triples:
-        lp = build_lax(1, t, "chiral", nsites=1)
+        lp = build_lax(1, t, "chiral")
         ok &= matrices_equal(lp, build_lax_factorized(t), 4,
                              nsites=1).passed
         ok &= matrices_equal(lp, build_lax_tensor(t, "chiral"),

@@ -231,6 +231,37 @@ def test_arithmetic_fault_exits_3_with_record(capsys):
     assert names.index("conjugator-oracles") < names.index("internal-error")
 
 
+def _internal_error(captured) -> dict:
+    """The run's last record, which must be the internal-error record."""
+    assert "Traceback" not in captured.out + captured.err
+    record = json.loads(captured.out.splitlines()[-1])
+    assert record["check_name"] == "internal-error"
+    assert record["status"] == "error"
+    return record
+
+
+def test_normalization_failure_exits_3_with_record(monkeypatch, capsys):
+    from ybsl21 import rops
+    from ybsl21.opalg import MulZ
+    # a kernel that maps 1 to z1, which no scalar normalizes
+    monkeypatch.setattr(rops, "kernel", lambda k, pp: MulZ(1))
+    assert main(["--command", "check-defining", "--max-degree", "1",
+                 "--samples", "1"]) == 3
+    record = _internal_error(capsys.readouterr())
+    assert record["notes"] == ["NormalizationFailure: R1 applied to 1 gave "
+                               "1 z1, not a nonzero scalar"]
+
+
+def test_not_in_span_exits_3_with_record(monkeypatch, capsys):
+    from ybsl21 import cli
+    from ybsl21.opalg import MulZ
+    # z1 times a sector vector leaves the sector span
+    monkeypatch.setattr(cli, "build_r", lambda k, pp: MulZ(1))
+    assert main(["--spectrum-table", "--seed", "1"]) == 3
+    record = _internal_error(capsys.readouterr())
+    assert record["notes"][0].startswith("NotInSpan: decompose(odd, n=0): ")
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: fast runs whose stdout (golden/<name>.txt) and exit code are pinned
 #: byte for byte; a difference is a change of the CLI's output

@@ -35,7 +35,7 @@ def test_parametrization_roundtrip_random(u1, u2, u3):
 
 
 def test_printed_entries():
-    lax = build_lax(1, T, "chiral", nsites=1)
+    lax = build_lax(1, T, "chiral")
     # entry(1,2) = -(d_thb + th d/2)
     want12 = -1 * op_sum(OddDeriv(theta_bar(1)),
                          Q(1, 2) * compose(MulOdd(theta(1)), EvenDeriv(1)))
@@ -50,7 +50,7 @@ def test_printed_entries():
 
 def test_tensor_construction_equals_printed():
     for t in (T, SpectralTriple(Q(1, 2), Q(-3), Q(7, 5))):
-        lp = build_lax(1, t, "chiral", nsites=1)
+        lp = build_lax(1, t, "chiral")
         lt = build_lax_tensor(t, "chiral")
         assert matrices_equal(lp, lt, 3, nsites=1).passed
 
@@ -58,7 +58,7 @@ def test_tensor_construction_equals_printed():
 def test_tensor_construction_sign_matters():
     # dropping the Koszul sign on entry (1,2) must break the equality
     lt = build_lax_tensor(T, "chiral")
-    lp = build_lax(1, T, "chiral", nsites=1)
+    lp = build_lax(1, T, "chiral")
     broken = [[lt.entries[i][k] for k in range(3)] for i in range(3)]
     broken[0][1] = -1 * broken[0][1]
     from ybsl21.lax import SuperMatrixOperator
@@ -67,7 +67,7 @@ def test_tensor_construction_sign_matters():
 
 
 def test_antichiral_names_equal_tensor():
-    la = build_lax(1, T, "antichiral", nsites=1)
+    la = build_lax(1, T, "antichiral")
     lta = build_lax_tensor(T, "antichiral")
     assert matrices_equal(la, lta, 3, nsites=1).passed
 
@@ -78,7 +78,7 @@ def test_antichiral_names_equal_tensor():
     SpectralTriple(Q(-2, 7), Q(4), Q(0)),
 ])
 def test_factorized_equals_explicit(t):
-    lp = build_lax(1, t, "chiral", nsites=1)
+    lp = build_lax(1, t, "chiral")
     lf = build_lax_factorized(t)
     assert matrices_equal(lp, lf, 4, nsites=1).passed
 
@@ -101,7 +101,7 @@ def test_factorized_middle_only_differs():
         [Scalar(T.u1), d_minus, -1 * EvenDeriv(1)],
         [zero, Scalar(T.u2 - 1), -1 * d_plus],
         [zero, zero, Scalar(T.u3)]])
-    lp = build_lax(1, T, "chiral", nsites=1)
+    lp = build_lax(1, T, "chiral")
     assert not matrices_equal(lp, mid, 2, nsites=1).passed
 
 
@@ -144,7 +144,7 @@ def test_fundamental_rmatrix_adds_u_on_the_diagonal():
 
 
 def test_on_one_leg_is_the_matrix():
-    m = build_lax(1, T, "antichiral", nsites=1)
+    m = build_lax(1, T, "antichiral")
     assert on_leg(m, 0, 1).entries == m.entries
 
 
@@ -158,8 +158,8 @@ def _rll_report(l_u, l_v, u, v, embed=on_leg):
 def test_rll_needs_the_odd_past_leg_sign(monkeypatch, kind):
     w = Weight(Q(1), Q(1, 3))
     u, v = Q(2), Q(1, 2)
-    l_u = build_lax(1, SpectralTriple.from_weight(u, w), kind, nsites=1)
-    l_v = build_lax(1, SpectralTriple.from_weight(v, w), kind, nsites=1)
+    l_u = build_lax(1, SpectralTriple.from_weight(u, w), kind)
+    l_v = build_lax(1, SpectralTriple.from_weight(v, w), kind)
     assert _rll_report(l_u, l_v, u, v).passed
 
     def unsigned(m, leg, nlegs):
@@ -184,8 +184,8 @@ def test_rll_detects_corruption():
     # flip the sign of entry (1,2) of L(u); the relation must fail
     w = Weight(Q(1), Q(1, 3))
     u, v = Q(2), Q(1, 2)
-    l_u = build_lax(1, SpectralTriple.from_weight(u, w), "chiral", nsites=1)
-    l_v = build_lax(1, SpectralTriple.from_weight(v, w), "chiral", nsites=1)
+    l_u = build_lax(1, SpectralTriple.from_weight(u, w), "chiral")
+    l_v = build_lax(1, SpectralTriple.from_weight(v, w), "chiral")
     bad = [[l_u.entries[i][k] for k in range(3)] for i in range(3)]
     bad[0][1] = -1 * bad[0][1]
     assert not _rll_report(SuperMatrixOperator(bad), l_v, u, v).passed

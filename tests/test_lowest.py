@@ -3,28 +3,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ybsl21 import cli, rops
+from ybsl21 import cli, lowest, rops
 from ybsl21.lowest import (NotInSpan, check_composite,
                            check_conjugator_oracles, check_sector, decompose,
                            interval, lowest_vector, mixing_constant,
                            sector_action, sector_basis, sector_levels,
                            verify_lowest)
-from ybsl21.opalg import Cached
-from ybsl21.rops import ParamPair, build_r, build_rhat
+from ybsl21.opalg import Cached, Scalar, compose
+from ybsl21.rops import ParamPair, build_r, build_rhat, two_site_vars
 from ybsl21.sl21 import Weight
-from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
+from ybsl21.superpoly import SuperPolynomial
 
 PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
-
-
-def _vars():
-    z1 = SuperPolynomial.z_var(1, 2)
-    z2 = SuperPolynomial.z_var(2, 2)
-    th1 = SuperPolynomial.odd_var(theta(1), 2)
-    thb1 = SuperPolynomial.odd_var(theta_bar(1), 2)
-    th2 = SuperPolynomial.odd_var(theta(2), 2)
-    thb2 = SuperPolynomial.odd_var(theta_bar(2), 2)
-    return z1, z2, th1, thb1, th2, thb2
 
 
 def test_phi0_is_one():
@@ -33,14 +23,14 @@ def test_phi0_is_one():
 
 def test_phi1_plus_expansion():
     # the interval is dressed: z1 - z2 + (th1 thb2 - th2 thb1)/2
-    z1, z2, th1, thb1, th2, thb2 = _vars()
+    z1, z2, th1, thb1, th2, thb2 = two_site_vars()
     want = (z1 - z2 + Q(1, 2) * (th1 * thb2) - Q(1, 2) * (th2 * thb1)
             + Q(1, 2) * ((th1 - th2) * (thb1 - thb2)))
     assert lowest_vector("even", "+", 1).poly == want
 
 
 def test_psi1_minus_expansion():
-    z1, z2, th1, thb1, th2, thb2 = _vars()
+    z1, z2, th1, thb1, th2, thb2 = two_site_vars()
     want = (th1 - th2) * interval()
     assert lowest_vector("odd", "-", 1).poly == want
 
@@ -59,8 +49,8 @@ def test_total_s_eigenvalue_example():
     # S_tot Phi2+ at (1,0) x (1/2,1/4): eigenvalue 2 + 3/2 = 7/2
     from ybsl21.sl21 import build_generators
     w1, w2 = Weight(Q(1), Q(0)), Weight(Q(1, 2), Q(1, 4))
-    g1 = build_generators(1, w1, nsites=2)
-    g2 = build_generators(2, w2, nsites=2)
+    g1 = build_generators(1, w1)
+    g2 = build_generators(2, w2)
     v = lowest_vector("even", "+", 2).poly
     assert (g1["S"] + g2["S"]).apply(v) == Q(7, 2) * v
     # B_tot Psi1+ = (b1 + b2 + 1/2) Psi1+
@@ -70,8 +60,8 @@ def test_total_s_eigenvalue_example():
 
 def test_s_minus_annihilates():
     from ybsl21.sl21 import build_generators
-    g1 = build_generators(1, Weight(Q(1), Q(0)), nsites=2)
-    g2 = build_generators(2, Weight(Q(1, 2), Q(1, 4)), nsites=2)
+    g1 = build_generators(1, Weight(Q(1), Q(0)))
+    g2 = build_generators(2, Weight(Q(1, 2), Q(1, 4)))
     for n in range(4):
         v = lowest_vector("even", "+", n).poly
         assert (g1["S-"] + g2["S-"]).apply(v).is_zero()
@@ -84,11 +74,11 @@ def test_decompose_examples():
     # Phi1+ + Phi1- = 2 Z12 (the dressed interval)
     c = decompose(Q(2) * interval(), 1, "even")
     assert c == (Q(1), Q(1))
-    th1 = SuperPolynomial.odd_var(theta(1), 2)
+    z1, z2, th1, _, _, _ = two_site_vars()
     with pytest.raises(NotInSpan):
         decompose(th1, 1, "odd")
     # the bare difference z1 - z2 is outside the dressed even span
-    bare = SuperPolynomial.z_var(1, 2) - SuperPolynomial.z_var(2, 2)
+    bare = z1 - z2
     with pytest.raises(NotInSpan):
         decompose(bare, 1, "even")
 
@@ -168,6 +158,30 @@ def test_span_preservation():
     sector_action(rhat, "even", 3)   # raises NotInSpan if span breaks
     rhat_odd = sector_action(rhat, "odd", 3)
     assert rhat_odd[0][1] == 0 and rhat_odd[1][0] == 0
+
+
+def _doubled(build):
+    """`build` with its operator scaled by 2: the anchor and every sector
+    entry are off by a factor 2, every ratio of entries is unchanged."""
+    return lambda *args, **kwargs: compose(Scalar(2), build(*args, **kwargs))
+
+
+def test_sector_check_fails_on_a_perturbed_operator(monkeypatch):
+    monkeypatch.setattr(lowest, "build_r", _doubled(build_r))
+    r = check_sector(3, PP, nmax=1)
+    assert r.status == "fail" and not r.notes
+    assert [f.input for f in r.failures] == ["n=0 anchor", "odd n=0",
+                                             "even n=1", "odd n=1"]
+
+
+def test_composite_check_fails_entrywise_on_a_perturbed_operator(monkeypatch):
+    monkeypatch.setattr(lowest, "build_rhat", _doubled(build_rhat))
+    r = check_composite(PP, nmax=2)
+    # the ratio checks pass and divide by no zero: only the anchor and the
+    # entrywise comparisons fail
+    assert r.status == "fail" and len(r.notes) == 1
+    assert [f.input for f in r.failures] == ["n=0 anchor", "odd n=0",
+                                             "odd n=1", "even n=1", "odd n=2"]
 
 
 @pytest.mark.parametrize("check, builds", [

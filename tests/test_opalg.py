@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ybsl21.lax import SuperMatrixOperator
 from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
-                          NonTerminatingExp, OddDeriv, OnSites, PochhammerSpec,
-                          Scalar, SwapSites, TerminatingExp, compose,
+                          NonTerminatingExp, OddDeriv, OnSites, Scalar,
+                          SwapSites, TerminatingExp, compose,
                           equal_on_degree, graded_commutator, op_sum,
                           rising_factorial)
 from ybsl21.rops import ParamPair, build_full_R, build_r
@@ -42,7 +42,7 @@ def test_apply_deriv_after_mul():
 
 def test_degree_diagonal_pochhammer():
     # (3)_2 / (5)_2 = 12/30 = 2/5, frozen from the hand loop
-    op = DegreeDiagonal(1, PochhammerSpec([Q(3)], [Q(5)]))
+    op = DegreeDiagonal(1, Q(3), Q(5))
     assert op.apply(z(1) * z(1)) == Q(2, 5) * (z(1) * z(1))
 
 
@@ -229,9 +229,33 @@ def test_cached_matches_uncached():
 
 def test_pochhammer_pole_raises():
     from ybsl21.opalg import PochhammerPole
-    spec = PochhammerSpec([Q(1)], [Q(-1)])
+    op = DegreeDiagonal(1, Q(1), Q(-1))
     with pytest.raises(PochhammerPole):
-        spec.value(2)
+        op.value(2)
+
+
+#: the pole message of each nonpositive integer b, at its first pole 1 - b
+POLE_MESSAGES = {
+    0: "denominator Pochhammer vanishes at degree 1: (Fraction(0, 1),)",
+    -1: "denominator Pochhammer vanishes at degree 2: (Fraction(-1, 1),)",
+    -3: "denominator Pochhammer vanishes at degree 4: (Fraction(-3, 1),)",
+}
+
+
+@pytest.mark.parametrize("a", [Q(3), Q(-2), Q(1, 2)])
+@pytest.mark.parametrize("b", [Q(5), Q(7, 3), Q(0), Q(-1), Q(-3)])
+def test_degree_diagonal_values_and_first_pole(a, b):
+    from ybsl21.opalg import PochhammerPole
+    op = DegreeDiagonal(1, a, b)
+    pole = 1 - int(b) if b in POLE_MESSAGES else None
+    for n in range(6 if pole is None else pole):
+        want = rising_factorial(a, n) / rising_factorial(b, n)
+        assert op.value(n) == want
+        assert op.apply(z(1) ** n) == want * z(1) ** n
+    if pole is not None:
+        with pytest.raises(PochhammerPole) as exc:
+            op.value(pole)
+        assert str(exc.value) == POLE_MESSAGES[b]
 
 
 # -- properties -------------------------------------------------------------
@@ -281,7 +305,7 @@ def test_parity_shift(op, p):
 
 
 def test_degree_diagonal_empty_is_identity():
-    op = DegreeDiagonal(1, PochhammerSpec([], []))
+    op = DegreeDiagonal(1, 1, 1)
     r = equal_on_degree(op, Scalar(1), 3)
     assert r.passed
 
@@ -309,7 +333,7 @@ frac_ops = st.sampled_from([
     Scalar(Q(-5, 6)),
     MulPoly(Q(1, 2) * z(1) + Q(2, 3) * (sp(TH1) * sp(THB1))),
     MulPoly(Q(3, 4) * sp(THB2)),
-    DegreeDiagonal(2, PochhammerSpec([Q(1, 2)], [Q(7, 3)])),
+    DegreeDiagonal(2, Q(1, 2), Q(7, 3)),
     TerminatingExp(Q(1, 3) * compose(MulOdd(TH1), OddDeriv(TH2))),
 ])
 

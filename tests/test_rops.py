@@ -8,7 +8,7 @@ import pytest
 from ybsl21.cli import main
 from ybsl21.lax import SpectralTriple
 from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, MulOdd, MulZ,
-                          OddDeriv, PochhammerSpec, Scalar, SwapSites, compose,
+                          OddDeriv, Scalar, SwapSites, compose,
                           equal_on_degree, op_sum)
 from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          _rhat_stages,
@@ -100,8 +100,8 @@ def test_defining_detects_kernel_mutation():
     pp = PP
     x, y = pp.u.u1 - pp.v.u3, pp.v.u1 - pp.v.u3
     f1_bad = (pp.v.u1 - pp.v.u2) / (pp.u.u1 - pp.v.u1) + 1
-    p_main = DegreeDiagonal(2, PochhammerSpec([x + 1], [y + 1]))
-    p_mix = DegreeDiagonal(2, PochhammerSpec([x], [y + 1]))
+    p_main = DegreeDiagonal(2, x + 1, y + 1)
+    p_mix = DegreeDiagonal(2, x, y + 1)
     bad_kernel = compose(p_main, op_sum(
         Scalar(f1_bad),
         compose(MulOdd(theta_bar(2)), OddDeriv(theta_bar(2))))) - \
@@ -109,11 +109,11 @@ def test_defining_detects_kernel_mutation():
                 OddDeriv(theta(2)), OddDeriv(theta_bar(2)))
     s, s_inv = conjugator(1)
     bad_op = compose(s_inv, bad_kernel, s)
-    l1 = build_lax(1, pp.u, "chiral", nsites=2)
-    l2 = build_lax(2, pp.v, "chiral", nsites=2)
+    l1 = build_lax(1, pp.u, "chiral")
+    l2 = build_lax(2, pp.v, "chiral")
     xu, xv = (pp.v.u1, pp.u.u2, pp.u.u3), (pp.u.u1, pp.v.u2, pp.v.u3)
-    l1x = build_lax(1, SpectralTriple(*xu), "chiral", nsites=2)
-    l2x = build_lax(2, SpectralTriple(*xv), "chiral", nsites=2)
+    l1x = build_lax(1, SpectralTriple(*xu), "chiral")
+    l2x = build_lax(2, SpectralTriple(*xv), "chiral")
     lhs = diagonal(bad_op) @ (l1 @ l2)
     rhs = (l1x @ l2x) @ diagonal(bad_op)
     assert not matrices_equal(lhs, rhs, 1, nsites=2).passed

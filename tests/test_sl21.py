@@ -4,7 +4,7 @@ import pytest
 
 from ybsl21.sl21 import (SingularWeight, Weight, build_generators, casimir,
                          check_casimir, check_finite_subspace, check_relations,
-                         e_basis_matrices, fundamental_rep, mat_mul,
+                         e_basis_matrices, fundamental_rep, mat_combo, mat_mul,
                          raised_vector, verma_vector)
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
@@ -13,7 +13,7 @@ ONE1 = SuperPolynomial.one(1)
 
 def test_lowest_weight_action():
     w = Weight(Q(2, 3), Q(1, 5))
-    g = build_generators(1, w, nsites=1)
+    g = build_generators(1, w)
     assert g["S"].apply(ONE1) == Q(2, 3) * ONE1
     th = SuperPolynomial.odd_var(theta(1), 1)
     thb = SuperPolynomial.odd_var(theta_bar(1), 1)
@@ -29,12 +29,12 @@ def test_lowest_weight_action():
 @pytest.mark.parametrize("ell,b", [(Q(2, 3), Q(1, 5)), (Q(1), Q(0)),
                                    (Q(-3, 7), Q(5, 2))])
 def test_relations_functional(ell, b):
-    g = build_generators(1, Weight(ell, b), nsites=1)
+    g = build_generators(1, Weight(ell, b))
     assert check_relations(g, max_degree=3).passed
 
 
 def test_relations_two_site_basis():
-    g = build_generators(2, Weight(Q(1, 2), Q(2, 7)), nsites=2)
+    g = build_generators(2, Weight(Q(1, 2), Q(2, 7)))
     assert check_relations(g, max_degree=2).passed
 
 
@@ -43,9 +43,19 @@ def test_relations_matrix_reps():
         assert check_relations(fundamental_rep(kind)).passed
 
 
+def test_relations_matrix_detect_one_flipped_sign():
+    rep = fundamental_rep("chiral")
+    rep.matrices["V+"] = mat_combo([(-1, rep["V+"])])
+    r = check_relations(rep)
+    assert r.status == "fail"
+    assert [f.input for f in r.failures] == [
+        "[E(1, 2),E(2, 1)]", "[E(1, 2),E(2, 3)]", "[E(1, 2),E(3, 1)]",
+        "[E(1, 3),E(3, 2)]", "[E(2, 1),E(1, 2)]"]
+
+
 def test_relations_detect_corruption():
     w = Weight(Q(1), Q(1, 2))
-    g = build_generators(1, w, nsites=1)
+    g = build_generators(1, w)
     th = SuperPolynomial.odd_var(theta(1), 1)
     thb = SuperPolynomial.odd_var(theta_bar(1), 1)
     # drop the -b th thb term of S+ (only visible when b != 0)
@@ -56,13 +66,13 @@ def test_relations_detect_corruption():
 
 def test_casimir_eigenvalue_and_centrality():
     w = Weight(Q(1), Q(1, 2))
-    g = build_generators(1, w, nsites=1)
+    g = build_generators(1, w)
     assert casimir(g, 2).apply(ONE1) == Q(3, 4) * ONE1
     assert check_casimir(g, max_degree=3).passed
 
 
 def test_casimir_rejects_bad_order():
-    g = build_generators(1, Weight(Q(1), Q(0)), nsites=1)
+    g = build_generators(1, Weight(Q(1), Q(0)))
     with pytest.raises(ValueError):
         casimir(g, 4)
 
@@ -85,7 +95,7 @@ def test_verma_closed_forms():
                                    (Q(5, 4), Q(3))])
 def test_verma_vs_iterated_raising(ell, b):
     w = Weight(ell, b)
-    g = build_generators(1, w, nsites=1)
+    g = build_generators(1, w)
     for kind in ("a", "b", "v", "w"):
         start = 1 if kind == "b" else 0
         for k in range(start, 5):
@@ -97,7 +107,7 @@ def test_casimir_scalar_on_all_module_vectors():
     # C2 acts by l^2 - b^2 on every a_k, b_k, v_k, w_k (centrality plus the
     # lowest-weight eigenvalue)
     w = Weight(Q(5, 4), Q(2, 3))
-    g = build_generators(1, w, nsites=1)
+    g = build_generators(1, w)
     c2 = casimir(g, 2)
     ev = w.ell ** 2 - w.b ** 2
     for kind in ("a", "b", "v", "w"):
