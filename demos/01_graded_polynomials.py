@@ -7,7 +7,7 @@ th2, thb2 over the rationals; every coefficient is an exact Fraction.
 from fractions import Fraction as Q
 
 from ybsl21 import SuperPolynomial
-from ybsl21.superpoly import enumerate_basis, theta, theta_bar
+from ybsl21.superpoly import enumerate_basis, monomial_text, theta, theta_bar
 
 z1 = SuperPolynomial.z_var(1)
 z2 = SuperPolynomial.z_var(2)
@@ -27,4 +27,4 @@ print("d/dth1:   ", p.deriv_odd(theta(1)).text(), "   (left derivative)")
 basis = enumerate_basis(1)
 print(f"\nbasis up to z-degree 1: {len(basis)} monomials "
       f"(16 odd masks x 3 degree patterns)")
-print("first five:", ", ".join(m.text() for m in basis[:5]))
+print("first five:", ", ".join(monomial_text(m) for m in basis[:5]))

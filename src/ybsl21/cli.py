@@ -33,7 +33,7 @@ from .rops import (NormalizationFailure, ParamPair, SingularParameters,
 from .sl21 import (SingularWeight, Weight, build_generators, check_casimir,
                    check_finite_subspace, check_relations, fundamental_rep,
                    raised_vector, verma_vector)
-from .superpoly import SuperPolynomial
+from .superpoly import Z_MAX, LayoutError, SuperPolynomial
 
 Q = Fraction
 
@@ -48,9 +48,13 @@ class GuardExhausted(Exception):
 
 #: faults that end a run with exit 2: the configuration is unusable
 CONFIG_FAULTS = (SingularParameters, SingularWeight, ValueError)
-#: faults that end a run with exit 3, after the reports finished so far
-INTERNAL_FAULTS = (OperatorError, GuardExhausted, ArithmeticError,
-                   NormalizationFailure, NotInSpan)
+#: faults that end a run with exit 3, after the reports finished so far;
+#: caught first, as LayoutError and opalg.SiteMismatch are ValueErrors
+INTERNAL_FAULTS = (OperatorError, LayoutError, GuardExhausted,
+                   ArithmeticError, NormalizationFailure, NotInSpan)
+#: images rise at most 4 z-degrees above --max-degree or --ybe-degree, so
+#: twice that margin below Z_MAX keeps every z-degree within its key field
+MAX_DEGREE = Z_MAX - 8
 
 
 @dataclass
@@ -320,15 +324,15 @@ def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
     try:
         for step in steps:
             step(cfg, done)
-    except CONFIG_FAULTS as exc:
-        _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
-        return 2
     except INTERNAL_FAULTS as exc:
         emit(done)
         _emit(cfg, [CheckReport(check_name="internal-error", status="error",
                                 notes=[f"{type(exc).__name__}: {exc}"])],
               stream)
         return 3
+    except CONFIG_FAULTS as exc:
+        _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
+        return 2
     emit(done)
     return None
 
@@ -429,8 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     """Validate the arguments; any ValueError aborts before computation."""
-    if args.max_degree < 0 or args.ybe_degree < 0:
-        raise ValueError("--max-degree and --ybe-degree must be >= 0")
+    if not (0 <= args.max_degree <= MAX_DEGREE
+            and 0 <= args.ybe_degree <= MAX_DEGREE):
+        raise ValueError(f"--max-degree and --ybe-degree must be in "
+                         f"0..{MAX_DEGREE}")
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     if args.params and args.weights:

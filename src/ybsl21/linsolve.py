@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .superpoly import Monomial, SuperPolynomial
+from .superpoly import SuperPolynomial
 
 Q = Fraction
 
 
-def _int_column(p: SuperPolynomial, row_of: dict[Monomial, int],
+def _int_column(p: SuperPolynomial, row_of: dict[int, int],
                 nrows: int) -> tuple[list[int], int]:
     """(entries, d): p's numerators in the rows `row_of` assigns, and its
     denominator d."""
@@ -33,8 +33,7 @@ def solve_in_span(span: list[SuperPolynomial],
     nonzero entry, so the pivots are exactly the columns outside the span
     of the columns before them; every other x_i is 0, which makes x unique.
     """
-    monos = sorted({m for p in span for m in p.terms} | set(target.terms),
-                   key=Monomial.sort_key)
+    monos = sorted({m for p in span for m in p.terms} | set(target.terms))
     row_of = {m: i for i, m in enumerate(monos)}
     cols = [_int_column(p, row_of, len(monos)) for p in (*span, target)]
     scales = [d for _, d in cols]

@@ -18,11 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm, perm
-from operator import add
 
 from .report import CheckReport
-from .superpoly import (Monomial, SuperPolynomial, _merge_masks,
-                        enumerate_basis, lincomb, monomial_poly)
+from .superpoly import (FIELD_MASK, GUARD, ODD_MASK, Z_SHIFTS, Monomial,
+                        SuperPolynomial, _merge_masks, enumerate_basis,
+                        exponents, fit, lincomb, monomial_text)
 
 Q = Fraction
 
@@ -41,6 +41,15 @@ class NonTerminatingExp(OperatorError):
 
 class PochhammerPole(OperatorError):
     """A Pochhammer denominator vanished at the evaluated degree."""
+
+
+class SiteMismatch(OperatorError, ValueError):
+    """A polynomial on fewer or other sites than an operator acts on."""
+
+
+def _require_site(site: int, nsites: int) -> None:
+    if nsites < site:
+        raise SiteMismatch(f"no site {site} among {nsites} sites")
 
 
 def rising_factorial(x: Fraction, n: int) -> Fraction:
@@ -104,29 +113,20 @@ def _deriv_sign(b_mask: int, mask: int) -> tuple[int, int]:
     return sign, mask
 
 
-def _reach(t: tuple[int, ...]) -> int:
-    """The length of t without its trailing zeros."""
-    return next((i + 1 for i in range(len(t) - 1, -1, -1) if t[i]), 0)
-
-
-def _fit(t: tuple[int, ...], width: int) -> tuple[int, ...]:
-    return t[:width] if len(t) >= width else t + (0,) * (width - len(t))
-
-
 class DiffOp(Operator):
     """A polynomial-coefficient differential operator in normal form,
-    sum(n * z^alpha th^A dz^beta dth^B for (alpha, A, beta, B), n) / den.
+    sum(n * z^alpha th^A dz^beta dth^B for (x, y), n) / den.
 
-    Multiplications stand left of derivatives.  alpha and beta are per-site
-    exponent tuples, A and B odd-variable masks; th^A is the canonical
-    (ascending) product and dth^B = d_b1 .. d_bk for b1 < .. < bk.  The
-    numerators are nonzero ints over one positive denominator with no common
-    factor, and every exponent tuple is as long as the highest site with an
-    even factor, so each operator has one form.  `compose` and `op_sum` fold
-    adjacent DiffOps into one; equality checks stay extensional all the same.
+    Multiplications stand left of derivatives.  x is the monomial key of
+    z^alpha th^A and y that of z^beta th^B (see `superpoly`); th^A is the
+    canonical (ascending) product and dth^B = d_b1 .. d_bk for b1 < .. < bk.
+    The numerators are nonzero ints over one positive denominator with no
+    common factor, so each operator has one form.  `compose` and `op_sum`
+    fold adjacent DiffOps into one; equality checks stay extensional all
+    the same.
     """
 
-    __slots__ = ("terms", "den", "width", "_c", "_plans")
+    __slots__ = ("terms", "den", "_c", "_plans")
 
     def __init__(self, terms: dict, den: int = 1):
         terms = {k: n for k, n in terms.items() if n}
@@ -134,55 +134,39 @@ class DiffOp(Operator):
         if g != 1:
             terms = {k: n // g for k, n in terms.items()}
             den //= g
-        width = max((max(_reach(alpha), _reach(beta))
-                     for alpha, _, beta, _ in terms), default=0)
-        if any(len(alpha) != width or len(beta) != width
-               for alpha, _, beta, _ in terms):
-            terms = {(_fit(alpha, width), a, _fit(beta, width), b): n
-                     for (alpha, a, beta, b), n in terms.items()}
         self.terms = terms
         self.den = den
-        self.width = width
         # the numerator of a pure scalar, which takes the fast path
-        self._c = terms.get(((), 0, (), 0)) if len(terms) == 1 else None
+        self._c = terms.get((0, 0)) if len(terms) == 1 else None
         self._plans: dict[int, list] = {}
-
-    def _padded(self, width: int) -> dict:
-        if width == self.width:
-            return self.terms
-        pad = (0,) * (width - self.width)
-        return {(alpha + pad, a, beta + pad, b): n
-                for (alpha, a, beta, b), n in self.terms.items()}
 
     def _plan(self, nsites: int) -> list:
         """The terms for inputs of `nsites` sites, grouped by derivative
         pattern and then by even multiplier: [(derivative signs, remaining
-        masks, dz, [(alpha or None, [(multiplication signs, merged masks,
-        numerator)])])].  The sign and mask lists are indexed by odd mask,
-        dz lists (site index, order) pairs, and each odd multiplier's
-        lists are shared across the groups."""
-        odd = 0
-        for _, a, _, b in self.terms:
-            odd |= a | b
-        if max(self.width, (odd.bit_length() + 1) // 2) > nsites:
+        masks, dz, [(even multiplier key, [(multiplication signs, merged
+        masks, numerator)])])].  The sign and mask lists are indexed by odd
+        mask, dz lists (field shift, order, order << shift) triples, and
+        each odd multiplier's lists are shared across the groups."""
+        if any((k & ODD_MASK) >> 2 * nsites or any(exponents(k)[nsites:])
+               for key in self.terms for k in key):
             raise ValueError(f"operator reaches beyond {nsites} sites")
         size = 1 << (2 * nsites)
-        pad = (0,) * (nsites - self.width)
         tables: dict[int, tuple] = {}
-        groups: dict[tuple, dict] = {}
-        for (alpha, a, beta, b), n in self.terms.items():
+        groups: dict[int, dict] = {}
+        for (x, y), n in self.terms.items():
+            a = x & ODD_MASK
             t = tables.get(a)
             if t is None:
                 merged = [_merge_masks(a, mask) for mask in range(size)]
                 t = tables[a] = ([s for s, _ in merged],
                                  [m for _, m in merged])
-            groups.setdefault((beta, b), {}).setdefault(
-                alpha + pad if any(alpha) else None, []).append((*t, n))
+            groups.setdefault(y, {}).setdefault(x ^ a, []).append((*t, n))
         plan = []
-        for (beta, b), by_alpha in groups.items():
-            d = [_deriv_sign(b, mask) for mask in range(size)]
-            plan.append(([s for s, _ in d], [m for _, m in d],
-                         tuple((i, k) for i, k in enumerate(beta) if k),
+        for y, by_alpha in groups.items():
+            d = [_deriv_sign(y & ODD_MASK, mask) for mask in range(size)]
+            dz = tuple((shift, k, k << shift) for shift in Z_SHIFTS
+                       if (k := y >> shift & FIELD_MASK))
+            plan.append(([s for s, _ in d], [m for _, m in d], dz,
                          list(by_alpha.items())))
         self._plans[nsites] = plan
         return plan
@@ -194,9 +178,11 @@ class DiffOp(Operator):
                      else {m: c * n for m, n in p.terms.items()})
             return SuperPolynomial(terms, p.nsites, p.den * self.den)
         plan = self._plans.get(p.nsites) or self._plan(p.nsites)
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         get = out.get
-        for (z, mask), n in p.terms.items():
+        for key, n in p.terms.items():
+            mask = key & ODD_MASK
+            z = key ^ mask
             for dsign, drest, dz, entries in plan:
                 f = dsign[mask]
                 if not f:
@@ -205,32 +191,30 @@ class DiffOp(Operator):
                 f *= n
                 zz = z
                 if dz:
-                    zl = list(z)
-                    for i, k in dz:
-                        a = zl[i]
+                    for shift, k, step in dz:
+                        a = zz >> shift & FIELD_MASK
                         if a < k:
                             f = 0
                             break
-                        zl[i] = a - k
+                        zz -= step
                         f *= perm(a, k)
                     if not f:
                         continue
-                    zz = tuple(zl)
                 for alpha, odd in entries:
-                    zk = zz if alpha is None else tuple(map(add, zz, alpha))
+                    zk = zz + alpha
+                    if zk & GUARD:
+                        fit(zk)
                     for asign, amerged, c in odd:
                         s = asign[rest]
                         if s:
-                            key = (zk, amerged[rest])
-                            out[key] = get(key, 0) + s * c * f
-        # tuple.__new__ builds the Monomial without NamedTuple's checks
-        new = tuple.__new__
-        return SuperPolynomial(
-            {new(Monomial, k): n for k, n in out.items() if n}, p.nsites,
-            p.den * self.den)
+                            k = zk | amerged[rest]
+                            out[k] = get(k, 0) + s * c * f
+        return SuperPolynomial({k: n for k, n in out.items() if n}, p.nsites,
+                               p.den * self.den)
 
     def parity(self):
-        ps = {(a.bit_count() + b.bit_count()) & 1 for _, a, _, b in self.terms}
+        ps = {((x & ODD_MASK).bit_count() + (y & ODD_MASK).bit_count()) & 1
+              for x, y in self.terms}
         if len(ps) > 1:
             raise IndefiniteParity(f"sum mixes parities {ps}")
         return ps.pop() if ps else 0
@@ -242,104 +226,105 @@ def _odd_leibniz(v: int, terms: dict) -> dict:
     bit = 1 << v
     out: dict = {}
     get = out.get
-    for (alpha, a, beta, b), n in terms.items():
+    for (x, y), n in terms.items():
+        a = x & ODD_MASK
         if a & bit:
-            key = (alpha, a ^ bit, beta, b)
+            key = (x ^ bit, y)
             s = -1 if (a & (bit - 1)).bit_count() & 1 else 1
             out[key] = get(key, 0) + s * n
+        b = y & ODD_MASK
         s, merged = _merge_masks(bit, b)
         if s:
-            key = (alpha, a, beta, merged)
+            key = (x, y ^ b | merged)
             s = -s if a.bit_count() & 1 else s
             out[key] = get(key, 0) + s * n
     return out
 
 
-def _even_leibniz(order: tuple[int, ...], terms: dict) -> dict:
-    """dz^order composed with normal-form terms, normal-ordered site by site:
-    d^a z^b = sum_k C(a, k) b!/(b-k)! z^(b-k) d^(a-k)."""
+def _even_leibniz(order: int, terms: dict) -> dict:
+    """dz^order (an even key) composed with normal-form terms, normal-ordered
+    site by site: d^a z^b = sum_k C(a, k) b!/(b-k)! z^(b-k) d^(a-k)."""
+    sites = [(shift, o) for shift in Z_SHIFTS
+             if (o := order >> shift & FIELD_MASK)]
     out: dict = {}
     get = out.get
-    for (alpha, a, beta, b), n in terms.items():
+    for (x, y), n in terms.items():
+        exps = [x >> shift & FIELD_MASK for shift, _ in sites]
+        y = fit(y + order)
         for ks in product(*(range(min(o, e) + 1)
-                            for o, e in zip(order, alpha))):
+                            for (_, o), e in zip(sites, exps))):
             f = n
-            for o, e, k in zip(order, alpha, ks):
+            lowered = 0
+            for (shift, o), e, k in zip(sites, exps, ks):
                 f *= comb(o, k) * perm(e, k)
-            key = (tuple(e - k for e, k in zip(alpha, ks)), a,
-                   tuple(d + o - k for d, o, k in zip(beta, order, ks)), b)
+                lowered += k << shift
+            key = (x - lowered, y - lowered)
             out[key] = get(key, 0) + f
     return out
 
 
 def _fold_compose(x: DiffOp, y: DiffOp) -> DiffOp:
     """The normal form of x y (y applied first)."""
-    width = max(x.width, y.width)
-    ys = y._padded(width)
     out: dict = {}
     get = out.get
-    for (alpha1, a1, beta1, b1), n1 in x._padded(width).items():
-        inner = ys
-        for v in reversed(_bits(b1)):
+    for (x1, y1), n1 in x.terms.items():
+        inner = y.terms
+        for v in reversed(_bits(y1 & ODD_MASK)):
             inner = _odd_leibniz(v, inner)
-        if any(beta1):
-            inner = _even_leibniz(beta1, inner)
-        for (alpha, a, beta, b), n in inner.items():
-            s, merged = _merge_masks(a1, a)
+        if y1 & ~ODD_MASK:
+            inner = _even_leibniz(y1 & ~ODD_MASK, inner)
+        a1 = x1 & ODD_MASK
+        for (x2, y2), n in inner.items():
+            a2 = x2 & ODD_MASK
+            s, merged = _merge_masks(a1, a2)
             if s:
-                key = (tuple(map(add, alpha1, alpha)), merged, beta, b)
+                key = (fit(x1 - a1 + x2 - a2) | merged, y2)
                 out[key] = get(key, 0) + s * n1 * n
     return DiffOp(out, x.den * y.den)
 
 
 def _fold_sum(ops: list[DiffOp]) -> DiffOp:
-    width = max((op.width for op in ops), default=0)
     den = lcm(*(op.den for op in ops))
     out: dict = {}
     get = out.get
     for op in ops:
         f = den // op.den
-        for key, n in op._padded(width).items():
+        for key, n in op.terms.items():
             out[key] = get(key, 0) + f * n
     return DiffOp(out, den)
-
-
-def _unit(site: int) -> tuple[int, ...]:
-    return (0,) * (site - 1) + (1,)
 
 
 def Scalar(c) -> DiffOp:
     """Multiplication by the rational c."""
     c = Q(c)
-    return DiffOp({((), 0, (), 0): c.numerator}, c.denominator)
+    return DiffOp({(0, 0): c.numerator}, c.denominator)
 
 
 def MulZ(site: int) -> DiffOp:
     """Multiplication by the even variable z_site."""
-    return DiffOp({(_unit(site), 0, (), 0): 1})
+    return DiffOp({(Monomial((0,) * (site - 1) + (1,), 0), 0): 1})
 
 
 def MulOdd(var: int) -> DiffOp:
     """Left multiplication by one odd variable."""
-    return DiffOp({((), 1 << var, (), 0): 1})
+    return DiffOp({(1 << var, 0): 1})
 
 
 def MulPoly(poly: SuperPolynomial) -> DiffOp:
     """Left multiplication by a fixed parity-homogeneous polynomial."""
     if poly.parity() is None and not poly.is_zero():
         raise IndefiniteParity("multiplier must be parity-homogeneous")
-    return DiffOp({(m.z, m.mask, (), 0): n for m, n in poly.terms.items()},
-                  poly.den)
+    return DiffOp({(m, 0): n for m, n in poly.terms.items()}, poly.den)
 
 
 def EvenDeriv(site: int) -> DiffOp:
     """d/dz_site."""
-    return DiffOp({((), 0, _unit(site), 0): 1})
+    return DiffOp({(0, Monomial((0,) * (site - 1) + (1,), 0)): 1})
 
 
 def OddDeriv(var: int) -> DiffOp:
     """Left Grassmann derivative: anticommute `var` to the front, delete it."""
-    return DiffOp({((), 0, (), 1 << var): 1})
+    return DiffOp({(0, 1 << var): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +354,18 @@ class DegreeDiagonal(Operator):
         return h
 
     def _apply(self, p):
-        i = self.site - 1
+        _require_site(self.site, p.nsites)
+        shift = Z_SHIFTS[self.site - 1]
         value = self.value
         # in term order, so a pole is reported at the same degree as a
         # term-by-term walk would meet it
-        hs = {d: value(d) for d in dict.fromkeys(m.z[i] for m in p.terms)}
+        hs = {d: value(d) for d in dict.fromkeys(m >> shift & FIELD_MASK
+                                                 for m in p.terms)}
         common = lcm(*(h.denominator for h in hs.values()))
         scale = {d: h.numerator * (common // h.denominator)
                  for d, h in hs.items() if h}
-        terms = {m: scale[m.z[i]] * n for m, n in p.terms.items()
-                 if m.z[i] in scale}
+        terms = {m: scale[d] * n for m, n in p.terms.items()
+                 if (d := m >> shift & FIELD_MASK) in scale}
         return SuperPolynomial(terms, p.nsites, p.den * common)
 
     def parity(self):
@@ -392,43 +379,37 @@ class SwapSites(Operator):
     factors, e.g. th1 th2 -> th2 th1 = -th1 th2.
     """
 
-    __slots__ = ("a", "b", "_tables")
+    __slots__ = ("a", "b", "_table")
 
     def __init__(self, a: int, b: int):
         if a > b:
             a, b = b, a
         self.a = a
         self.b = b
-        self._tables: dict[int, list[tuple[int, int]]] = {}
-
-    def _table(self, nsites: int) -> list[tuple[int, int]]:
-        """(relabeled mask, sign) for every odd mask of `nsites` sites: the
-        relabeled odd factors, in their old order, multiplied into canonical
-        order."""
-        table = self._tables.get(nsites)
-        if table is None:
-            ia, ib = self.a - 1, self.b - 1
-            moved = {ia: ib, ib: ia}
-            table = []
-            for mask in range(1 << (2 * nsites)):
-                sign, new = 1, 0
-                for k in _bits(mask):
-                    site = moved.get(k >> 1, k >> 1)
-                    s, new = _merge_masks(new, 1 << (2 * site + (k & 1)))
-                    sign *= s
-                table.append((new, sign))
-            self._tables[nsites] = table
-        return table
+        # (relabeled mask, sign) for every odd mask: the relabeled odd
+        # factors, in their old order, multiplied into canonical order
+        moved = {a - 1: b - 1, b - 1: a - 1}
+        self._table = []
+        for mask in range(ODD_MASK + 1):
+            sign, new = 1, 0
+            for k in _bits(mask):
+                site = moved.get(k >> 1, k >> 1)
+                s, new = _merge_masks(new, 1 << (2 * site + (k & 1)))
+                sign *= s
+            self._table.append((new, sign))
 
     def _apply(self, p):
-        ia, ib = self.a - 1, self.b - 1
-        table = self._table(p.nsites)
+        _require_site(self.b, p.nsites)
+        sa, sb = Z_SHIFTS[self.a - 1], Z_SHIFTS[self.b - 1]
+        # adding (za - zb) * step moves za to site b and zb to site a
+        step = (1 << sb) - (1 << sa)
+        table = self._table
         terms = {}
         for m, n in p.terms.items():
-            z = list(m.z)
-            z[ia], z[ib] = z[ib], z[ia]
-            mask, sign = table[m.mask]
-            terms[Monomial(tuple(z), mask)] = sign * n
+            odd = m & ODD_MASK
+            mask, sign = table[odd]
+            za, zb = m >> sa & FIELD_MASK, m >> sb & FIELD_MASK
+            terms[m - odd + (za - zb) * step | mask] = sign * n
         return SuperPolynomial(terms, p.nsites, p.den)
 
     def parity(self):
@@ -458,24 +439,30 @@ class OnSites(Operator):
         self.b = b
 
     def _apply(self, p):
-        ia, ib = self.a - 1, self.b - 1
-        sa, sb = 2 * ia, 2 * ib
-        active_bits = (0b11 << sa) | (0b11 << sb)
+        _require_site(self.b, p.nsites)
+        # the z-field shifts of sites a, b and of the two-site positions
+        # 1, 2 that `op` reads them at
+        sa, sb = Z_SHIFTS[self.a - 1], Z_SHIFTS[self.b - 1]
+        s1, s2 = Z_SHIFTS[:2]
+        oa, ob = 2 * (self.a - 1), 2 * (self.b - 1)
+        active_bits = (0b11 << oa) | (0b11 << ob)
+        spectators = ~(FIELD_MASK << sa | FIELD_MASK << sb | ODD_MASK)
         parts = []
         for m, n in p.terms.items():
-            active = m.mask & active_bits
-            spectator = m.mask ^ active
+            active = m & active_bits
+            spectator = m & ODD_MASK ^ active
             sign, _ = _merge_masks(spectator, active)
-            local = Monomial((m.z[ia], m.z[ib]),
-                             (active >> sa) & 0b11 | (active >> sb) << 2)
+            local = ((m >> sa & FIELD_MASK) << s1
+                     | (m >> sb & FIELD_MASK) << s2
+                     | (active >> oa) & 0b11 | (active >> ob) << 2)
             img = self.op._apply(SuperPolynomial({local: 1}, 2))
-            z = list(m.z)
+            base = m & spectators
             terms = {}
             for m2, n2 in img.terms.items():
-                z[ia], z[ib] = m2.z
-                s2, mask = _merge_masks(
-                    spectator, (m2.mask & 0b11) << sa | (m2.mask >> 2) << sb)
-                terms[Monomial(tuple(z), mask)] = s2 * n2
+                s, mask = _merge_masks(
+                    spectator, (m2 & 0b11) << oa | (m2 >> 2 & 0b11) << ob)
+                terms[base | (m2 >> s1 & FIELD_MASK) << sa
+                      | (m2 >> s2 & FIELD_MASK) << sb | mask] = s * n2
             parts.append((sign * n, SuperPolynomial(terms, p.nsites, img.den)))
         return lincomb(parts, p.nsites, p.den)
 
@@ -532,7 +519,7 @@ class TerminatingExp(Operator):
     def _apply(self, p):
         parts = [(1, p)]
         term = p
-        budget = max((sum(m.z) for m in p.terms), default=0) + 5
+        budget = max((sum(exponents(m)) for m in p.terms), default=0) + 5
         k = 0
         while term.terms:
             k += 1
@@ -556,16 +543,23 @@ class Cached(Operator):
     everything built from it.  `build_r` and `build_rhat` return uncached
     operators; the code that sweeps a basis wraps what the sweep reuses.
     An operator applied to a few whole vectors is cheaper uncached: a
-    column filled for every monomial of the vector is used once.
+    column filled for every monomial of the vector is used once.  A key
+    names a monomial on any number of sites, so the first input fixes the
+    site count of the columns.
     """
 
-    __slots__ = ("op", "_images")
+    __slots__ = ("op", "_images", "_nsites")
 
     def __init__(self, op: Operator):
         self.op = op
-        self._images: dict[Monomial, SuperPolynomial] = {}
+        self._images: dict[int, SuperPolynomial] = {}
+        self._nsites = None
 
     def _apply(self, p):
+        self._nsites = self._nsites or p.nsites
+        if p.nsites != self._nsites:
+            raise SiteMismatch(
+                f"columns on {self._nsites} sites, not {p.nsites}")
         parts = []
         for m, n in p.terms.items():
             img = self._images.get(m)
@@ -618,10 +612,10 @@ def equal_on_degree(a: Operator, b: Operator, max_degree: int,
     report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
     with report.timed(OperatorError):
         for m in enumerate_basis(max_degree, nsites):
-            pm = monomial_poly(m)
+            pm = SuperPolynomial({m: 1}, nsites)
             lhs = a.apply(pm)
             rhs = b.apply(pm)
             if lhs != rhs:
-                report.add_failure(m.text(), lhs.text(), rhs.text(),
+                report.add_failure(monomial_text(m), lhs.text(), rhs.text(),
                                    (lhs - rhs).text())
     return report

@@ -21,7 +21,7 @@ from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
                     TerminatingExp, compose, equal_on_degree, op_sum)
 from .report import CheckReport
 from .sl21 import Weight, build_generators, lowering
-from .superpoly import SuperPolynomial, theta, theta_bar
+from .superpoly import Monomial, SuperPolynomial, theta, theta_bar
 
 Q = Fraction
 
@@ -239,7 +239,7 @@ def _normalized(raw: Operator, name: str) -> Operator:
     """raw divided by its action on 1, which must be a nonzero scalar."""
     one = SuperPolynomial.one(2)
     image = raw.apply(one)
-    c = image.coefficient(next(iter(one.terms)))
+    c = image.coefficient(0)
     if image != c * one or c == 0:
         raise NormalizationFailure(
             f"{name} applied to 1 gave {image.text()}, not a nonzero scalar")
@@ -333,27 +333,22 @@ def r3_diagonal_functions(pp: ParamPair, nmax: int):
     z1, _, th1, thb1, _, _ = two_site_vars()
     a, bdiag, c = {}, {}, {}
     for n in range(nmax + 2):
-        zn = z1 ** n
-        mono_zn = next(iter(zn.terms))
-        a[n] = kern.apply(zn).coefficient(mono_zn)
-        img = kern.apply(th1 * zn)
-        mono_tzn = next(iter((th1 * zn).terms))
-        bdiag[n] = img.coefficient(mono_tzn) - a[n]
+        zn = Monomial((n,), 0)
+        a[n] = kern.apply(z1 ** n).coefficient(zn)
+        th_zn = zn | 1 << theta(1)
+        bdiag[n] = kern.apply(th1 * z1 ** n).coefficient(th_zn) - a[n]
     for n in range(1, nmax + 2):
-        probe = (th1 * thb1) * (z1 ** (n - 1))
-        img = kern.apply(probe)
-        mono_zn = next(iter((z1 ** n).terms))
-        c[n] = -img.coefficient(mono_zn)
+        img = kern.apply((th1 * thb1) * (z1 ** (n - 1)))
+        c[n] = -img.coefficient(Monomial((n,), 0))
     return a, bdiag, c
 
 
 def r2_constants(pp: ParamPair) -> dict[str, Fraction]:
     """The five constants of the R2 kernel, read off by probing."""
     kern = kernel(2, pp)
-    one = SuperPolynomial.one(2)
     z1, _, _, thb1, th2, _ = two_site_vars()
     mono = lambda p: next(iter(p.terms))
-    a = kern.apply(one).coefficient(mono(one))
+    a = kern.apply(SuperPolynomial.one(2)).coefficient(0)
     b = kern.apply(thb1).coefficient(mono(thb1)) - a
     c = kern.apply(th2).coefficient(mono(th2)) - a
     probe = thb1 * th2
@@ -496,8 +491,7 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
         rhs = compose(a23, a13, a12)
         one = SuperPolynomial.one(3)
         lhs_one, rhs_one = lhs.apply(one), rhs.apply(one)
-        mono = next(iter(one.terms))
-        c_l, c_r = lhs_one.coefficient(mono), rhs_one.coefficient(mono)
+        c_l, c_r = lhs_one.coefficient(0), rhs_one.coefficient(0)
         if c_r == 0 or lhs_one != (c_l / c_r) * rhs_one:
             report.add_failure("1", lhs_one.text(), rhs_one.text(),
                                (lhs_one - rhs_one).text())

@@ -1,25 +1,46 @@
 """Exact graded polynomial algebra over the rationals.
 
-Even variables z1..zn and odd (Grassmann) variables th1, thb1, .., thn, thbn.
-A polynomial holds int numerators over one positive int denominator, so
-arithmetic and equality run on ints; a `Fraction` is made only where a
-rational comes in (constructors, scaling) or goes out (`coefficient`,
-`text`).  There is no floating point anywhere.
+Even variables z1..zn and odd (Grassmann) variables th1, thb1, .., thn, thbn,
+on n = 1, 2 or 3 sites.  A polynomial holds int numerators over one positive
+int denominator, so arithmetic and equality run on ints; a `Fraction` is
+made only where a rational comes in (constructors, scaling) or goes out
+(`coefficient`, `text`).  There is no floating point anywhere.
 Odd monomial factors are stored canonically in the fixed global order
 (th1, thb1, th2, thb2, th3, thb3); every sign in the algebra derives from
 sorting products into this order.
+
+A monomial is one int, its key, with the fixed layout z1 | z2 | z3 | mask:
+three 8-bit z-degree fields, z1 most significant, above a 6-bit odd mask
+whose bit k means ODD_NAMES[k] is a factor.  The layout does not depend on
+the site count, so a two-site key is the same monomial on three sites, and
+sorting keys sorts monomials by (z1, .., zn, mask).  The top bit of each
+field is a guard: a z-degree is at most Z_MAX = 127, and a sum of keys that
+sets a guard bit raises instead of carrying into the next field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Q = Fraction
 
 #: canonical odd-variable names, indexed by odd-variable id
 ODD_NAMES = ("th1", "thb1", "th2", "thb2", "th3", "thb3")
+MAX_SITES = 3
+#: the key bits of the odd mask
+ODD_MASK = 0x3F
+FIELD_MASK = 0xFF
+Z_MAX = 0x7F
+#: the bit offset of each site's z-degree field, site 1 first
+Z_SHIFTS = (22, 14, 6)
+GUARD = sum((Z_MAX + 1) << shift for shift in Z_SHIFTS)
+
+
+class LayoutError(ValueError):
+    """A monomial or a site count that the packed key layout cannot hold."""
 
 
 def theta(site: int) -> int:
@@ -32,40 +53,33 @@ def theta_bar(site: int) -> int:
     return 2 * (site - 1) + 1
 
 
-class Monomial(NamedTuple):
-    """Basis element z1^a1 .. zn^an times an ordered subset of odd variables.
+def Monomial(z: tuple[int, ...], mask: int) -> int:
+    """The key of z1^z[0] .. zn^z[n-1] times the odd factors in `mask`."""
+    if (len(z) > MAX_SITES or not 0 <= mask <= ODD_MASK
+            or not all(0 <= d <= Z_MAX for d in z)):
+        raise LayoutError(f"no key for z-degrees {z} and mask {mask}: a key "
+                          f"holds {MAX_SITES} z-degrees in 0..{Z_MAX} and a "
+                          f"mask in 0..{ODD_MASK}")
+    return sum(d << shift for shift, d in zip(Z_SHIFTS, z)) | mask
 
-    `z` holds the even degrees per site, `mask` the odd subset as a bitmask
-    (bit k set means ODD_NAMES[k] is a factor).
-    """
 
-    z: tuple[int, ...]
-    mask: int
+def fit(key: int) -> int:
+    """`key`, checked for a z-degree sum that reached its field's guard bit."""
+    if key & GUARD:
+        raise LayoutError(f"a z-degree exceeds {Z_MAX}, the most a key holds")
+    return key
 
-    @property
-    def nsites(self) -> int:
-        return len(self.z)
 
-    @property
-    def z_degree(self) -> int:
-        return sum(self.z)
+def exponents(key: int) -> tuple[int, ...]:
+    """The z-degrees of sites 1, 2 and 3."""
+    return tuple(key >> shift & FIELD_MASK for shift in Z_SHIFTS)
 
-    @property
-    def odd_count(self) -> int:
-        return self.mask.bit_count()
 
-    @property
-    def parity(self) -> int:
-        return self.mask.bit_count() & 1
-
-    def sort_key(self):
-        return (*self.z, self.mask)
-
-    def text(self) -> str:
-        parts = [f"z{i + 1}" + (f"^{d}" if d > 1 else "")
-                 for i, d in enumerate(self.z) if d > 0]
-        parts += [ODD_NAMES[k] for k in range(2 * len(self.z)) if self.mask >> k & 1]
-        return " ".join(parts) if parts else "1"
+def monomial_text(key: int) -> str:
+    parts = [f"z{i + 1}" + (f"^{d}" if d > 1 else "")
+             for i, d in enumerate(exponents(key)) if d > 0]
+    parts += [name for k, name in enumerate(ODD_NAMES) if key >> k & 1]
+    return " ".join(parts) if parts else "1"
 
 
 def _merge_masks(m1: int, m2: int) -> tuple[int, int]:
@@ -88,16 +102,18 @@ def _merge_masks(m1: int, m2: int) -> tuple[int, int]:
 class SuperPolynomial:
     """The polynomial sum(n * m for m, n in terms.items()) / den.
 
-    `terms` maps Monomial -> nonzero int and `den` is a positive int.  The
-    form need not be reduced (see `reduced`), so equal polynomials may differ
-    as forms; equality and hashing compare values.  Instances are immutable
-    values: `terms` is never mutated after construction, so forms may share
-    it, and every operation returns a new polynomial.
+    `terms` maps a monomial key -> nonzero int and `den` is a positive int.
+    The form need not be reduced (see `reduced`), so equal polynomials may
+    differ as forms; equality and hashing compare values.  Instances are
+    immutable values: `terms` is never mutated after construction, so forms
+    may share it, and every operation returns a new polynomial.
     """
 
     __slots__ = ("terms", "nsites", "den")
 
-    def __init__(self, terms: dict[Monomial, int], nsites: int, den: int = 1):
+    def __init__(self, terms: dict[int, int], nsites: int, den: int = 1):
+        if not 0 < nsites <= MAX_SITES:
+            raise LayoutError(f"nsites must be 1..{MAX_SITES}, got {nsites}")
         self.terms = terms
         self.nsites = nsites
         self.den = den
@@ -109,8 +125,8 @@ class SuperPolynomial:
         return SuperPolynomial({}, nsites)
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[Monomial, Fraction]], nsites: int) -> "SuperPolynomial":
-        coeffs: dict[Monomial, Fraction] = {}
+    def from_terms(pairs: Iterable[tuple[int, Fraction]], nsites: int) -> "SuperPolynomial":
+        coeffs: dict[int, Fraction] = {}
         for m, c in pairs:
             coeffs[m] = coeffs.get(m, 0) + Q(c)
         den = lcm(*(c.denominator for c in coeffs.values()))
@@ -122,8 +138,7 @@ class SuperPolynomial:
         c = Q(c)
         if not c:
             return SuperPolynomial.zero(nsites)
-        return SuperPolynomial({Monomial((0,) * nsites, 0): c.numerator},
-                               nsites, c.denominator)
+        return SuperPolynomial({0: c.numerator}, nsites, c.denominator)
 
     @staticmethod
     def one(nsites: int = 2) -> "SuperPolynomial":
@@ -137,7 +152,7 @@ class SuperPolynomial:
 
     @staticmethod
     def odd_var(var: int, nsites: int = 2) -> "SuperPolynomial":
-        return SuperPolynomial({Monomial((0,) * nsites, 1 << var): 1}, nsites)
+        return SuperPolynomial({Monomial((), 1 << var): 1}, nsites)
 
     def reduced(self) -> "SuperPolynomial":
         """The same polynomial with no factor common to `den` and every
@@ -171,21 +186,27 @@ class SuperPolynomial:
         return (-1) * self
 
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        """Graded-commutative product; repeated odd variables vanish."""
+        """Graded-commutative product; repeated odd variables vanish.  The
+        even part of a product key is the sum of the factors' even parts."""
         if self.nsites != other.nsites:
             raise ValueError("site-count mismatch")
-        terms: dict[Monomial, int] = {}
+        right = [(m & ODD_MASK, m & ~ODD_MASK, c)
+                 for m, c in other.terms.items()]
+        terms: dict[int, int] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mask = _merge_masks(m1.mask, m2.mask)
+            mask1 = m1 & ODD_MASK
+            for mask2, even2, c2 in right:
+                sign, mask = _merge_masks(mask1, mask2)
                 if sign == 0:
                     continue
-                m = Monomial(tuple(a + b for a, b in zip(m1.z, m2.z)), mask)
+                m = fit(m1 - mask1 + even2) | mask
                 terms[m] = terms.get(m, 0) + sign * c1 * c2
         return SuperPolynomial({m: n for m, n in terms.items() if n},
                                self.nsites, self.den * other.den)
 
     def __pow__(self, n: int) -> "SuperPolynomial":
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
         out = SuperPolynomial.one(self.nsites)
         for _ in range(n):
             out = out * self
@@ -208,42 +229,40 @@ class SuperPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, m: Monomial) -> Fraction:
+    def coefficient(self, m: int) -> Fraction:
         return Q(self.terms.get(m, 0), self.den)
 
     def parity(self) -> int | None:
         """0/1 for parity-homogeneous polynomials, None when mixed or zero."""
-        ps = {m.parity for m in self.terms}
+        ps = {(m & ODD_MASK).bit_count() & 1 for m in self.terms}
         return ps.pop() if len(ps) == 1 else None
 
     def degree_measure(self) -> set[Fraction]:
         """Values of z-degree + (odd count)/2 across terms."""
-        return {Q(2 * m.z_degree + m.odd_count, 2) for m in self.terms}
+        return {Q(2 * sum(exponents(m)) + (m & ODD_MASK).bit_count(), 2)
+                for m in self.terms}
 
     # -- calculus ----------------------------------------------------------
 
     def deriv_even(self, site: int) -> "SuperPolynomial":
-        i = site - 1
-        terms: dict[Monomial, int] = {}
+        shift = Z_SHIFTS[site - 1]
+        terms: dict[int, int] = {}
         for m, c in self.terms.items():
-            a = m.z[i]
-            if a == 0:
-                continue
-            z = list(m.z)
-            z[i] = a - 1
-            terms[Monomial(tuple(z), m.mask)] = c * a
+            a = m >> shift & FIELD_MASK
+            if a:
+                terms[m - (1 << shift)] = c * a
         return SuperPolynomial(terms, self.nsites, self.den)
 
     def deriv_odd(self, var: int) -> "SuperPolynomial":
         """Left Grassmann derivative: anticommute `var` to the front, delete it."""
         bit = 1 << var
-        terms: dict[Monomial, int] = {}
+        terms: dict[int, int] = {}
         for m, c in self.terms.items():
-            if not m.mask & bit:
+            if not m & bit:
                 continue
-            below = (m.mask & (bit - 1)).bit_count()
+            below = (m & (bit - 1)).bit_count()
             sign = -1 if below & 1 else 1
-            terms[Monomial(m.z, m.mask ^ bit)] = sign * c
+            terms[m ^ bit] = sign * c
         return SuperPolynomial(terms, self.nsites, self.den)
 
     # -- rendering ---------------------------------------------------------
@@ -254,9 +273,9 @@ class SuperPolynomial:
         if not self.terms:
             return "0"
         out = []
-        for m in sorted(self.terms, key=Monomial.sort_key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = Q(self.terms[m], self.den)
-            mono = m.text()
+            mono = monomial_text(m)
             body = str(abs(c)) if mono == "1" else f"{abs(c)} {mono}"
             if not out:
                 out.append(body if c > 0 else f"-{body}")
@@ -270,30 +289,17 @@ class SuperPolynomial:
 
 # -- module-level operations ------------------------------------------------
 
-def iter_z_tuples(max_degree: int, nsites: int):
-    """All degree tuples with total <= max_degree, lexicographic order."""
-    if nsites == 0:
-        yield ()
-        return
-    for d in range(max_degree + 1):
-        for rest in iter_z_tuples(max_degree - d, nsites - 1):
-            yield (d, *rest)
-
-
-def enumerate_basis(max_z_degree: int, nsites: int = 2) -> list[Monomial]:
-    """All monomials with total z-degree <= bound, every odd mask.
-
-    Deterministic order: z-degree tuple lexicographic, then mask ascending.
+def enumerate_basis(max_z_degree: int, nsites: int = 2) -> list[int]:
+    """All monomials with total z-degree <= bound, every odd mask, as keys
+    in ascending order: z-degree tuple lexicographic, then mask ascending.
     For two sites the count is 16*(D+1)(D+2)/2.
     """
-    nmasks = 1 << (2 * nsites)
-    return [Monomial(z, mask)
-            for z in sorted(iter_z_tuples(max_z_degree, nsites))
-            for mask in range(nmasks)]
-
-
-def monomial_poly(m: Monomial) -> SuperPolynomial:
-    return SuperPolynomial({m: 1}, m.nsites)
+    if not 0 < nsites <= MAX_SITES:
+        raise LayoutError(f"nsites must be 1..{MAX_SITES}, got {nsites}")
+    evens = [Monomial(z, 0)
+             for z in product(range(max_z_degree + 1), repeat=nsites)
+             if sum(z) <= max_z_degree]
+    return sorted(e | mask for e in evens for mask in range(1 << (2 * nsites)))
 
 
 def lincomb(parts, nsites: int, den: int = 1) -> SuperPolynomial:
@@ -303,7 +309,7 @@ def lincomb(parts, nsites: int, den: int = 1) -> SuperPolynomial:
     if len(parts) == 1 and parts[0][0] == 1 and den == 1:
         return parts[0][1]
     common = lcm(*(q.den for _, q in parts))
-    terms: dict[Monomial, int] = {}
+    terms: dict[int, int] = {}
     get = terms.get
     for w, q in parts:
         f = w * (common // q.den)

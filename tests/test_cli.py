@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from ybsl21.cli import (RunConfig, build_parser, config_from_args, main,
-                        parse_rational, run, sample_params, sample_weights,
-                        spectrum_table)
+from ybsl21.cli import (MAX_DEGREE, RunConfig, build_parser, config_from_args,
+                        main, parse_rational, run, sample_params,
+                        sample_weights, spectrum_table)
+from ybsl21.opalg import MulZ, OnSites
+from ybsl21.report import CheckReport
 from ybsl21.rops import pair_guard
+from ybsl21.superpoly import Z_MAX, Monomial, SuperPolynomial
 
 
 def test_parse_rational():
@@ -103,6 +106,26 @@ def test_run_internal_error_exits_3(monkeypatch):
     assert "NonTerminatingExp" in buf.getvalue()
 
 
+@pytest.mark.parametrize("fault", [
+    lambda: Monomial((Z_MAX + 1,), 0),
+    lambda: OnSites(MulZ(1), (1, 3)).apply(SuperPolynomial.one(2)),
+], ids=["key-overflow", "too-few-sites"])
+def test_program_fault_exits_3_after_finished_reports(monkeypatch, fault):
+    """A key or site-count fault met mid-run is an internal error, though
+    it is a ValueError: the finished reports are kept and the run exits 3."""
+    from ybsl21 import cli
+
+    def faulting_driver(cfg, done):
+        done.append(CheckReport(check_name="finished", status="pass"))
+        fault()
+
+    monkeypatch.setitem(cli.DRIVERS, "check-recurrences", faulting_driver)
+    buf = io.StringIO()
+    assert run(RunConfig(command="check-recurrences"), stream=buf) == 3
+    records = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert [r["check_name"] for r in records] == ["finished", "internal-error"]
+
+
 def test_json_byte_determinism():
     outs = []
     for _ in range(2):
@@ -192,12 +215,15 @@ def _forbid_computation(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["--command", "check-recurrences", "--max-degree", "-3"],
     ["--command", "check-ybe", "--ybe-degree", "-1"],
+    ["--command", "check-algebra", "--max-degree", str(MAX_DEGREE + 1)],
+    ["--command", "check-ybe", "--ybe-degree", str(MAX_DEGREE + 1)],
     ["--command", "check-recurrences", "--samples", "0"],
     ["--spectrum-table", "--samples", "0"],
     ["--command", "check-recurrences", "--params", "3,2,1,1/2,9/2,-3/2",
      "--weights", "1,1/3,1/2,-2/5,2,1/2"],
-], ids=["negative-degree", "negative-ybe-degree", "zero-samples",
-        "table-zero-samples", "params-and-weights"])
+], ids=["negative-degree", "negative-ybe-degree", "degree-past-key-limit",
+        "ybe-degree-past-key-limit", "zero-samples", "table-zero-samples",
+        "params-and-weights"])
 def test_out_of_range_input_rejected_before_computation(monkeypatch, capsys,
                                                          argv):
     _forbid_computation(monkeypatch)

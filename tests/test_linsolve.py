@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
 from ybsl21.linsolve import solve_in_span
-from ybsl21.superpoly import Monomial, SuperPolynomial
+from ybsl21.superpoly import ODD_MASK, Monomial, SuperPolynomial, exponents
 
 coeffs = st.fractions(min_value=-4, max_value=4)
 monomials = st.builds(
@@ -57,7 +57,7 @@ def _reference_solve(span, target):
     """Fraction Gauss-Jordan with the same pivot rule: columns in order,
     each pivoting on the first row with a nonzero entry; free variables 0."""
     monos = sorted({m for p in span for m in p.terms} | set(target.terms),
-                   key=Monomial.sort_key)
+                   key=lambda m: (*exponents(m), m & ODD_MASK))
     rows = [[p.coefficient(m) for p in span] + [target.coefficient(m)]
             for m in monos]
     ncols = len(span)

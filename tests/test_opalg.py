@@ -13,8 +13,8 @@ from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, EvenDeriv,
                           rising_factorial)
 from ybsl21.rops import ParamPair, build_full_R, build_r
 from ybsl21.sl21 import Weight, build_generators, casimir
-from ybsl21.superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
-                              theta, theta_bar)
+from ybsl21.superpoly import (Z_MAX, SuperPolynomial, enumerate_basis, theta,
+                              theta_bar)
 
 TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
 ONE = SuperPolynomial.one(2)
@@ -206,6 +206,20 @@ def test_on_sites_rejects_odd_op_and_unordered_sites():
         OnSites(LIFTED["hop"], (2, 1))
 
 
+def test_lift_and_swap_reject_too_few_sites():
+    for sites, nsites in (((1, 3), 2), ((2, 3), 2), ((1, 2), 1)):
+        lifted = OnSites(LIFTED["hop"], sites)
+        for p in (SuperPolynomial.one(nsites),
+                  SuperPolynomial.z_var(1, nsites)):
+            with pytest.raises(ValueError):
+                lifted.apply(p)
+    with pytest.raises(ValueError):
+        SwapSites(1, 3).apply(z(1))
+    for site, nsites in ((3, 2), (2, 1)):
+        with pytest.raises(ValueError):
+            DegreeDiagonal(site, 2, 3).apply(SuperPolynomial.one(nsites))
+
+
 def test_mul_odd_is_mul_poly_of_one_odd_variable():
     for var in (TH1, THB1, TH2, THB2):
         assert equal_on_degree(MulOdd(var), MulPoly(sp(var)), 3).passed
@@ -225,6 +239,8 @@ def test_cached_matches_uncached():
     p = z(1) * z(1) + sp(TH2)
     assert cached.apply(p) == op.apply(p)
     assert cached.apply(p) == op.apply(p)  # second hit uses the memo
+    with pytest.raises(ValueError):
+        cached.apply(SuperPolynomial.one(3))
 
 
 def test_pochhammer_pole_raises():
@@ -412,7 +428,7 @@ def test_normal_ordered_word_matches_its_factors(word):
     op = compose(*(prim for prim, _ in word))
     assert isinstance(op, DiffOp)
     for m in enumerate_basis(2, 2):
-        p = stepwise = by_hand = monomial_poly(m)
+        p = stepwise = by_hand = SuperPolynomial({m: 1}, 2)
         for prim, action in reversed(word):
             stepwise = prim.apply(stepwise)
             by_hand = action(by_hand)
@@ -420,7 +436,7 @@ def test_normal_ordered_word_matches_its_factors(word):
 
 
 def test_every_normal_ordered_pair_matches_its_factors():
-    basis = [monomial_poly(m) for m in enumerate_basis(1, 2)]
+    basis = [SuperPolynomial({m: 1}, 2) for m in enumerate_basis(1, 2)]
     for left, left_action in PRIMITIVES:
         for right, right_action in PRIMITIVES:
             op = compose(left, right)
@@ -449,7 +465,7 @@ def test_exact_normal_forms():
 def test_quadratic_casimir_is_one_scalar():
     g = build_generators(1, Weight(Q(2, 3), Q(1, 5)))
     # l^2 - b^2 = 4/9 - 1/25
-    assert normal_form(casimir(g, 2)) == ({((), 0, (), 0): 91}, 225)
+    assert normal_form(casimir(g, 2)) == ({(0, 0): 91}, 225)
 
 
 def test_mixed_parity_sum_raises_only_on_parity():
@@ -466,6 +482,18 @@ def test_diff_op_applies_on_every_site_count_it_reaches():
         assert op.apply(thb) == SuperPolynomial.z_var(1, nsites)
     with pytest.raises(ValueError):
         MulZ(2).apply(SuperPolynomial.one(1))
+
+
+def test_diff_op_never_carries_a_z_degree_into_the_next_field():
+    top = z(2) ** Z_MAX
+    assert MulZ(1).apply(top) == z(1) * top
+    assert compose(EvenDeriv(2), MulZ(2)).apply(top) == (Z_MAX + 1) * top
+    with pytest.raises(ValueError):
+        MulZ(2).apply(top)
+    with pytest.raises(ValueError):
+        MulPoly(top).apply(z(2))
+    with pytest.raises(ValueError):
+        compose(MulPoly(top), MulZ(2))
 
 
 def test_matrix_product_skips_zero_factors():

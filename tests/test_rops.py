@@ -20,8 +20,8 @@ from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          guard_factor, pair_guard, total_generator,
                          weight_shift)
 from ybsl21.sl21 import Weight
-from ybsl21.superpoly import (SuperPolynomial, enumerate_basis, monomial_poly,
-                              theta, theta_bar)
+from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, enumerate_basis,
+                              exponents, theta, theta_bar)
 
 PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
 ONE = SuperPolynomial.one(2)
@@ -178,7 +178,7 @@ def _cached_within(op):
 def test_cached_columns_stay_reduced():
     full = build_full_R(PP)
     for m in enumerate_basis(2, 2):
-        full.apply(monomial_poly(m))
+        full.apply(SuperPolynomial({m: 1}, 2))
     caches = list(_cached_within(full))
     # the dressed product and Rcheck's three factors, plus S_k and S_k^-1
     # shared per process
@@ -233,7 +233,7 @@ def test_exchange_operators_share_conjugator_columns():
                                      Q(1, 5))
     conjugator.cache_clear()     # so the first build fills the columns
     first, second = build_r(1, PP), build_r(1, other)
-    basis = [monomial_poly(m) for m in enumerate_basis(2, 2)]
+    basis = [SuperPolynomial({m: 1}, 2) for m in enumerate_basis(2, 2)]
     for p in basis:
         first.apply(p)
     s, s_inv = conjugator(1)
@@ -279,8 +279,8 @@ def test_degree_measure_preserved():
     ops = [build_r(k, PP, max_degree=4) for k in (1, 2, 3)]
     ops.append(build_rhat(PP, max_degree=4))
     for m in enumerate_basis(4, 2):
-        mu = {Q(2 * m.z_degree + m.odd_count, 2)}
-        pm = monomial_poly(m)
+        mu = {Q(2 * sum(exponents(m)) + (m & ODD_MASK).bit_count(), 2)}
+        pm = SuperPolynomial({m: 1}, 2)
         for op in ops:
             img = op.apply(pm)
             if not img.is_zero():

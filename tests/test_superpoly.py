@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as Q
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybsl21.superpoly import (Monomial, SuperPolynomial, enumerate_basis,
-                              theta, theta_bar)
+from ybsl21.superpoly import (ODD_MASK, Z_MAX, Monomial, SuperPolynomial,
+                              enumerate_basis, exponents, theta, theta_bar)
 
 TH1, THB1 = theta(1), theta_bar(1)
 TH2, THB2 = theta(2), theta_bar(2)
@@ -74,6 +77,69 @@ def test_enumerate_basis_order_deterministic():
     assert basis == enumerate_basis(1)
 
 
+def test_key_layout():
+    # z1 | z2 | z3 | mask, 8-bit z fields above a 6-bit odd mask
+    assert Monomial((1, 2, 3), 5) == 1 << 22 | 2 << 14 | 3 << 6 | 5
+    assert Monomial((1, 2), 5) == Monomial((1, 2, 0), 5)
+    assert exponents(Monomial((Z_MAX, 0, 4), 63)) == (Z_MAX, 0, 4)
+
+
+@pytest.mark.parametrize("nsites", [1, 2, 3])
+def test_key_order_is_tuple_order(nsites):
+    degree = 2
+    masks = range(4 ** nsites)
+    ref = [Monomial(zs, mask)
+           for zs in sorted(t for t in product(range(degree + 1),
+                                               repeat=nsites)
+                            if sum(t) <= degree)
+           for mask in masks]
+    basis = enumerate_basis(degree, nsites)
+    assert basis == ref
+    shuffled = list(basis)
+    random.Random(nsites).shuffle(shuffled)
+    p = SuperPolynomial({m: i % 7 - 3 or 5 for i, m in enumerate(shuffled)},
+                        nsites, 4)
+    assert p.text() == ref_text({m: Q(n, 4) for m, n in p.terms.items()},
+                                nsites)
+
+
+def test_site_count_is_one_to_three():
+    for nsites in (0, 4):
+        with pytest.raises(ValueError):
+            SuperPolynomial.one(nsites)
+        with pytest.raises(ValueError):
+            SuperPolynomial({}, nsites)
+        with pytest.raises(ValueError):
+            enumerate_basis(0, nsites)
+    with pytest.raises(ValueError):
+        Monomial((0, 0, 0, 0), 0)
+    with pytest.raises(ValueError):
+        Monomial((0, 0, 0), 64)
+    assert len(enumerate_basis(0, 3)) == 64
+
+
+def test_z_degree_field_limit():
+    top = z(1) ** Z_MAX
+    assert top.text() == f"1 z1^{Z_MAX}"
+    assert (z(2) * top).text() == f"1 z1^{Z_MAX} z2"
+    assert top.deriv_even(1) == Z_MAX * z(1) ** (Z_MAX - 1)
+    # one more degree never carries into the z2 field
+    with pytest.raises(ValueError):
+        top * z(1)
+    with pytest.raises(ValueError):
+        (z(2) ** Z_MAX) * (z(2) * sp(TH1))
+    with pytest.raises(ValueError):
+        Monomial((0, Z_MAX + 1), 0)
+    with pytest.raises(ValueError):
+        enumerate_basis(Z_MAX + 1, 1)
+
+
+def test_negative_power_raises():
+    assert z(1) ** 0 == SuperPolynomial.one(2)
+    with pytest.raises(ValueError):
+        z(1) ** -1
+
+
 def test_rendering():
     p = Q(1, 2) * ((z(1) * z(1)) * (sp(TH1) * sp(THB2))) - z(2)
     assert p.text() == "1/2 z1^2 th1 thb2 - 1 z2"
@@ -103,7 +169,8 @@ def homogeneous_polys(draw, parity=None):
     n = draw(st.integers(1, 4))
     pairs = []
     for _ in range(n):
-        m = draw(monomials.filter(lambda m: m.parity == par))
+        m = draw(monomials.filter(
+            lambda m: (m & ODD_MASK).bit_count() % 2 == par))
         pairs.append((m, draw(coeffs)))
     return SuperPolynomial.from_terms(pairs, 2)
 
@@ -164,7 +231,7 @@ def test_derivs_commute(site, var, p):
 @st.composite
 def forms(draw):
     """(p, ref): p built directly as numerators over a denominator that need
-    not be reduced, ref the same polynomial as a Monomial -> Fraction map."""
+    not be reduced, ref the same polynomial as a key -> Fraction map."""
     den = draw(st.integers(1, 12))
     nums = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
                                 max_size=4))
@@ -184,25 +251,40 @@ def ref_mul(r1, r2):
     out = {}
     for m1, c1 in r1.items():
         for m2, c2 in r2.items():
-            if m1.mask & m2.mask:
+            mask1, mask2 = m1 & ODD_MASK, m2 & ODD_MASK
+            if mask1 & mask2:
                 continue
             # one sign flip per odd factor of m2 moved left past a later
             # odd factor of m1
             flips = sum(1 for i in range(6) for j in range(i)
-                        if m1.mask >> i & 1 and m2.mask >> j & 1)
-            m = Monomial(tuple(a + b for a, b in zip(m1.z, m2.z)),
-                         m1.mask | m2.mask)
+                        if mask1 >> i & 1 and mask2 >> j & 1)
+            m = Monomial(tuple(a + b for a, b in zip(exponents(m1),
+                                                     exponents(m2))),
+                         mask1 | mask2)
             out[m] = out.get(m, 0) + (-1) ** flips * c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
-def ref_text(ref):
+def ref_key(m):
+    return (*exponents(m), m & ODD_MASK)
+
+
+def ref_monomial_text(m, nsites):
+    names = ("th1", "thb1", "th2", "thb2", "th3", "thb3")
+    parts = [f"z{i + 1}" + (f"^{d}" if d > 1 else "")
+             for i, d in enumerate(exponents(m)) if d]
+    parts += [names[k] for k in range(2 * nsites) if m >> k & 1]
+    return " ".join(parts) or "1"
+
+
+def ref_text(ref, nsites=2):
     if not ref:
         return "0"
     out = []
-    for m in sorted(ref, key=lambda m: (*m.z, m.mask), reverse=True):
+    for m in sorted(ref, key=ref_key, reverse=True):
         c = ref[m]
-        body = str(abs(c)) if m.text() == "1" else f"{abs(c)} {m.text()}"
+        mono = ref_monomial_text(m, nsites)
+        body = str(abs(c)) if mono == "1" else f"{abs(c)} {mono}"
         sign = ("" if c > 0 else "-") if not out else ("+ " if c > 0 else "- ")
         out.append(sign + body)
     return " ".join(out)
