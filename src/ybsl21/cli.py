@@ -21,37 +21,26 @@ from fractions import Fraction
 
 from .lax import SpectralTriple, check_invariance, check_rll, matrices_equal
 from .lax import build_lax, build_lax_factorized, build_lax_tensor
-from .lowest import (NotInSpan, check_composite, check_conjugator_oracles,
+from .lowest import (check_composite, check_conjugator_oracles,
                      check_sector, expected_sector_matrix, sector_action,
                      sector_levels)
-from .opalg import OperatorError, Scalar, equal_on_degree
+from .opalg import Scalar, equal_on_degree
 from .report import CheckReport
-from .rops import (NormalizationFailure, ParamPair, SingularParameters,
-                   build_r, build_rhat, check_defining, check_factorization,
-                   check_lemma_system, check_recurrences, check_ybe,
-                   pair_guard, ybe_pairs)
+from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
+                   check_defining, check_factorization, check_lemma_system,
+                   check_recurrences, check_ybe, pair_guard, ybe_pairs)
 from .sl21 import (SingularWeight, Weight, build_generators, check_casimir,
                    check_finite_subspace, check_relations, fundamental_rep,
                    raised_vector, verma_vector)
-from .superpoly import Z_MAX, LayoutError, SuperPolynomial
+from .superpoly import Z_MAX, SuperPolynomial
 
 Q = Fraction
-
-COMMANDS = ("check-algebra", "check-lax", "check-rll", "check-defining",
-            "check-lemmas", "check-recurrences", "check-factorization",
-            "check-ybe", "spectrum", "all")
 
 
 class GuardExhausted(Exception):
     """Parameter sampling failed to satisfy the regularity guard."""
 
 
-#: faults that end a run with exit 2: the configuration is unusable
-CONFIG_FAULTS = (SingularParameters, SingularWeight, ValueError)
-#: faults that end a run with exit 3, after the reports finished so far;
-#: caught first, as LayoutError and opalg.SiteMismatch are ValueErrors
-INTERNAL_FAULTS = (OperatorError, LayoutError, GuardExhausted,
-                   ArithmeticError, NormalizationFailure, NotInSpan)
 #: images rise at most 4 z-degrees above --max-degree or --ybe-degree, so
 #: twice that margin below Z_MAX keeps every z-degree within its key field
 MAX_DEGREE = Z_MAX - 8
@@ -167,13 +156,10 @@ def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
             try:
                 for kind in ("a", "b", "v", "w"):
                     for k in range(0 if kind in ("a", "v", "w") else 1, 5):
-                        closed = verma_vector(w, kind, k)
-                        raised = raised_vector(g, kind, k)
-                        if closed != raised:
-                            verma.add_failure(
-                                f"{kind}_{k} at (ell,b)=({w.ell},{w.b})",
-                                closed.text(), raised.text(),
-                                (closed - raised).text())
+                        verma.expect(
+                            f"{kind}_{k} at (ell,b)=({w.ell},{w.b})",
+                            verma_vector(w, kind, k),
+                            raised_vector(g, kind, k))
             except SingularWeight as exc:
                 verma.notes.append(f"skipped (ell,b)=({w.ell},{w.b}): {exc}")
     yield verma
@@ -272,6 +258,7 @@ def run_ybe(cfg: RunConfig) -> Iterator[CheckReport]:
         yield check_ybe(ws[0], ws[1], ws[2], u, v, max_degree=cfg.ybe_degree)
 
 
+#: the commands in their listed order; "all" runs every one but check-ybe
 DRIVERS = {
     "check-algebra": run_algebra,
     "check-lax": run_lax,
@@ -280,26 +267,23 @@ DRIVERS = {
     "check-lemmas": run_lemmas,
     "check-recurrences": run_recurrences,
     "check-factorization": run_factorization,
-    "spectrum": run_spectrum,
     "check-ybe": run_ybe,
+    "spectrum": run_spectrum,
 }
-
-SUITE_ORDER = ("check-algebra", "check-lax", "check-rll", "check-defining",
-               "check-lemmas", "check-recurrences", "check-factorization",
-               "spectrum")
 
 
 def run(cfg: RunConfig, stream=None) -> int:
     """Dispatch checks, stream reports, and return the exit code.
 
     Exit codes: 0 all passed, 1 check failures, 2 configuration errors,
-    3 internal errors (non-terminating series, guard exhaustion, arithmetic
-    faults, ...).
+    3 internal errors (a check reports `error`, or a run stops on a fault;
+    see `_collect`).
     """
     stream = stream if stream is not None else sys.stdout
     reports: list[CheckReport] = []
-    commands = list(SUITE_ORDER) if cfg.command == "all" else [cfg.command]
+    commands = [cfg.command]
     if cfg.command == "all":
+        commands = [c for c in DRIVERS if c != "check-ybe"]
         reports.append(CheckReport(
             check_name="check-ybe", status="skip",
             notes=["skipped: run 'check-ybe' explicitly "
@@ -317,22 +301,23 @@ def run(cfg: RunConfig, stream=None) -> int:
 def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
     """Run each step as `step(cfg, done)`, then pass `done` to `emit`.
 
-    The one place a fault becomes an exit code: a configuration fault is
-    reported alone with exit 2; an internal fault is reported after the
-    results finished so far, with exit 3.  Returns None when no step fails.
+    The one place a fault becomes an exit code: `SingularParameters` is a
+    configuration fault, reported alone with exit 2; any other exception is
+    an internal fault, reported after the results finished so far, with
+    exit 3.  Returns None when no step fails.
     """
     try:
         for step in steps:
             step(cfg, done)
-    except INTERNAL_FAULTS as exc:
+    except SingularParameters as exc:
+        _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
+        return 2
+    except Exception as exc:
         emit(done)
         _emit(cfg, [CheckReport(check_name="internal-error", status="error",
                                 notes=[f"{type(exc).__name__}: {exc}"])],
               stream)
         return 3
-    except CONFIG_FAULTS as exc:
-        _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
-        return 2
     emit(done)
     return None
 
@@ -381,11 +366,9 @@ def spectrum_table(cfg: RunConfig) -> list[dict]:
     one = SuperPolynomial.one(2)
     for _, name, op in ops:
         image = op.apply(one)
-        fixed = image == one
         rows.append({
             "operator": name, "sector": "anchor", "n": 0,
-            "computed": "1" if fixed else image.text(),
-            "formula": "1", "match": fixed,
+            "computed": image.text(), "formula": "1", "match": image == one,
             "note": "normalization anchor: every ratio is 1 at n=0",
         })
     for n, sector in sector_levels(3):
@@ -409,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ybsl21",
         description="Exact verification suite for the rational sl(2|1) "
                     "R-operator factorization")
-    p.add_argument("--command", choices=COMMANDS, default="all")
+    p.add_argument("--command", choices=[*DRIVERS, "all"], default="all")
     p.add_argument("--max-degree", type=int, default=3)
     # a string default goes through type=int, so a bad YBSL21_SEED is a
     # usage error (exit 2) unless --seed overrides it
@@ -441,6 +424,8 @@ def config_from_args(args) -> RunConfig:
         raise ValueError("--samples must be >= 1")
     if args.params and args.weights:
         raise ValueError("--params and --weights are mutually exclusive")
+    if args.spectrum_table and args.format != "json":
+        raise ValueError("--spectrum-table writes JSON rows only")
     explicit_params = None
     if args.params:
         vals = [parse_rational(x) for x in args.params.split(",")]

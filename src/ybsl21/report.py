@@ -1,10 +1,18 @@
-"""Machine-readable pass/fail records shared by every checker."""
+"""Machine-readable pass/fail records shared by every checker.
+
+Two rules take a check's outcome to the output.  Each comparison of a
+computed value with its expected one is `CheckReport.expect`.  Each
+exception that ends a run meets `cli._collect`: `SingularParameters` exits 2
+(configuration error), any other exits 3 after the reports finished so far.
+"""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+
+from .superpoly import SuperPolynomial
 
 
 @dataclass
@@ -13,10 +21,6 @@ class Failure:
     lhs: str
     rhs: str
     residual: str
-
-    def to_dict(self) -> dict:
-        return {"input": self.input, "lhs": self.lhs,
-                "rhs": self.rhs, "residual": self.residual}
 
 
 @dataclass
@@ -42,6 +46,23 @@ class CheckReport:
             self.failures.append(Failure(input_text, lhs, rhs, residual))
         self.status = "fail"
 
+    def expect(self, label: str, got, want) -> None:
+        """Record a failure on `label` unless got == want.
+
+        A polynomial renders as `text()` with residual (got - want).text(),
+        a tuple (a matrix) as `str` with residual "-", anything else as
+        `str` with residual str(got - want).
+        """
+        if got == want:
+            return
+        if isinstance(got, SuperPolynomial):
+            self.add_failure(label, got.text(), want.text(),
+                             (got - want).text())
+        elif isinstance(got, tuple):
+            self.add_failure(label, str(got), str(want), "-")
+        else:
+            self.add_failure(label, str(got), str(want), str(got - want))
+
     @contextmanager
     def timed(self, *errors: type[BaseException]):
         """Time the block into `elapsed_ms`.
@@ -61,11 +82,10 @@ class CheckReport:
 
     def merge(self, other: "CheckReport", prefix: str = "") -> None:
         """Fold a sub-check into this report, tagging its failures."""
-        for f in other.failures:
-            tag = f"{prefix}{f.input}" if prefix else f.input
-            if len(self.failures) < 20:
-                self.failures.append(Failure(tag, f.lhs, f.rhs, f.residual))
-        self.notes.extend(f"{prefix}{n}" if prefix else n for n in other.notes)
+        self.failures.extend(replace(f, input=prefix + f.input)
+                             for f in other.failures)
+        del self.failures[20:]
+        self.notes.extend(prefix + n for n in other.notes)
         if other.status == "error":
             self.status = "error"
         elif other.status == "fail" and self.status != "error":
@@ -77,7 +97,7 @@ class CheckReport:
             "params": dict(sorted(self.params.items())),
             "max_degree": self.max_degree,
             "status": self.status,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
             "notes": list(self.notes),
         }
         # wall-clock time is excluded by default so that identical configs

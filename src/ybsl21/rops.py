@@ -364,39 +364,35 @@ def check_recurrences(pp: ParamPair, nmax: int = 4) -> CheckReport:
                          max_degree=nmax)
     u1, u2, u3 = pp.u.as_tuple()
     v1, v2, v3 = pp.v.as_tuple()
-
-    def expect(label, lhs, rhs):
-        if lhs != rhs:
-            report.add_failure(label, str(lhs), str(rhs), str(lhs - rhs))
-
     with report.timed(SingularParameters):
         guard_factor(3, pp, nmax)
         guard_factor(2, pp, nmax)
         a, b, c = r3_diagonal_functions(pp, nmax)
         for n in range(1, nmax + 1):
-            expect(f"a[{n}]-a[{n - 1}]=(u2-u3)c[{n}]",
-                   a[n] - a[n - 1], (u2 - u3) * c[n])
-            expect(f"b[{n}]=(u3-v3)/(u2-u3)*a[{n}]",
-                   b[n], (u3 - v3) / (u2 - u3) * a[n])
+            report.expect(f"a[{n}]-a[{n - 1}]=(u2-u3)c[{n}]",
+                          a[n] - a[n - 1], (u2 - u3) * c[n])
+            report.expect(f"b[{n}]=(u3-v3)/(u2-u3)*a[{n}]",
+                          b[n], (u3 - v3) / (u2 - u3) * a[n])
         for n in range(1, nmax + 1):
-            expect(f"c[{n + 1}](n+u1-u3+1)=(n+u1-v3)c[{n}]",
-                   c[n + 1] * (n + u1 - u3 + 1), (n + u1 - v3) * c[n])
+            report.expect(f"c[{n + 1}](n+u1-u3+1)=(n+u1-v3)c[{n}]",
+                          c[n + 1] * (n + u1 - u3 + 1), (n + u1 - v3) * c[n])
         for n in range(nmax + 1):
-            expect(f"a[{n + 1}](n+u1-u3)+(u2-u3)c[{n + 1}]=(n+u1-v3)a[{n}]",
-                   a[n + 1] * (n + u1 - u3) + (u2 - u3) * c[n + 1],
-                   (n + u1 - v3) * a[n])
+            report.expect(
+                f"a[{n + 1}](n+u1-u3)+(u2-u3)c[{n + 1}]=(n+u1-v3)a[{n}]",
+                a[n + 1] * (n + u1 - u3) + (u2 - u3) * c[n + 1],
+                (n + u1 - v3) * a[n])
         for n in range(1, nmax + 1):
-            expect(f"a[{n}]+b[{n}](n+u1-u3)-(u2-u3)c[{n}]"
-                   f"=a[{n - 1}]+(n+u1-v3)b[{n - 1}]",
-                   a[n] + b[n] * (n + u1 - u3) - (u2 - u3) * c[n],
-                   a[n - 1] + (n + u1 - v3) * b[n - 1])
+            report.expect(f"a[{n}]+b[{n}](n+u1-u3)-(u2-u3)c[{n}]"
+                          f"=a[{n - 1}]+(n+u1-v3)b[{n - 1}]",
+                          a[n] + b[n] * (n + u1 - u3) - (u2 - u3) * c[n],
+                          a[n - 1] + (n + u1 - v3) * b[n - 1])
 
         k2 = r2_constants(pp)
-        expect("R2: a=(u2-u1)(v2-v3)/(v2-u2)*d",
-               k2["a"], (u2 - u1) * (v2 - v3) / (v2 - u2) * k2["d"])
-        expect("R2: b=(v2-v3)*d", k2["b"], (v2 - v3) * k2["d"])
-        expect("R2: c=(u1-u2)*d", k2["c"], (u1 - u2) * k2["d"])
-        expect("R2: e=(u2-v2)*d", k2["e"], (u2 - v2) * k2["d"])
+        report.expect("R2: a=(u2-u1)(v2-v3)/(v2-u2)*d",
+                      k2["a"], (u2 - u1) * (v2 - v3) / (v2 - u2) * k2["d"])
+        report.expect("R2: b=(v2-v3)*d", k2["b"], (v2 - v3) * k2["d"])
+        report.expect("R2: c=(u1-u2)*d", k2["c"], (u1 - u2) * k2["d"])
+        report.expect("R2: e=(u2-v2)*d", k2["e"], (u2 - v2) * k2["d"])
     return report
 
 

@@ -202,9 +202,7 @@ def _check_relations_matrix(rep: FundamentalRep) -> CheckReport:
                 lhs = mat_combo([(1, mat_mul(e[ab], e[cd])),
                                  (-sign, mat_mul(e[cd], e[ab]))])
                 rhs = mat_combo((c, e[x]) for c, x in terms)
-                if lhs != rhs:
-                    report.add_failure(f"[E{ab},E{cd}]", str(lhs), str(rhs),
-                                       "-")
+                report.expect(f"[E{ab},E{cd}]", lhs, rhs)
     return report
 
 
@@ -366,9 +364,5 @@ def check_casimir(g: SiteGenerators, max_degree: int = 3) -> CheckReport:
                 report.merge(sub, prefix=f"[{label},{name}] on ")
         ev = g.weight.ell ** 2 - g.weight.b ** 2
         one = SuperPolynomial.one(g.site)
-        got = c2.apply(one)
-        want = ev * one
-        if got != want:
-            report.add_failure("C2 on 1", got.text(), want.text(),
-                               (got - want).text())
+        report.expect("C2 on 1", c2.apply(one), ev * one)
     return report

@@ -146,12 +146,16 @@ class SuperPolynomial:
 
     @staticmethod
     def z_var(site: int, nsites: int = 2) -> "SuperPolynomial":
+        if not 0 < site <= nsites:
+            raise LayoutError(f"no site {site} among {nsites} sites")
         z = [0] * nsites
         z[site - 1] = 1
         return SuperPolynomial({Monomial(tuple(z), 0): 1}, nsites)
 
     @staticmethod
     def odd_var(var: int, nsites: int = 2) -> "SuperPolynomial":
+        if not 0 <= var < 2 * nsites:
+            raise LayoutError(f"no odd variable {var} on {nsites} sites")
         return SuperPolynomial({Monomial((), 1 << var): 1}, nsites)
 
     def reduced(self) -> "SuperPolynomial":
@@ -166,8 +170,6 @@ class SuperPolynomial:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        if self.nsites != other.nsites:
-            raise ValueError("site-count mismatch")
         return lincomb([(1, self), (1, other)], self.nsites)
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
@@ -304,14 +306,19 @@ def enumerate_basis(max_z_degree: int, nsites: int = 2) -> list[int]:
 
 def lincomb(parts, nsites: int, den: int = 1) -> SuperPolynomial:
     """sum(w * q for w, q in parts) / den for int weights w, over the lcm of
-    the parts' denominators; the result need not be reduced."""
-    parts = [(w, q) for w, q in parts if q.terms]
-    if len(parts) == 1 and parts[0][0] == 1 and den == 1:
+    the parts' denominators; the result need not be reduced.  A part on
+    another site count than `nsites` raises ValueError."""
+    # zero parts drop out, unless on the wrong sites: the loop rejects those
+    parts = [(w, q) for w, q in parts if q.terms or q.nsites != nsites]
+    if (len(parts) == 1 and parts[0][0] == 1 and den == 1
+            and parts[0][1].nsites == nsites):
         return parts[0][1]
     common = lcm(*(q.den for _, q in parts))
     terms: dict[int, int] = {}
     get = terms.get
     for w, q in parts:
+        if q.nsites != nsites:
+            raise ValueError("site-count mismatch")
         f = w * (common // q.den)
         for m, n in q.terms.items():
             terms[m] = get(m, 0) + f * n

@@ -106,13 +106,20 @@ def test_run_internal_error_exits_3(monkeypatch):
     assert "NonTerminatingExp" in buf.getvalue()
 
 
+def _raise(exc):
+    raise exc
+
+
 @pytest.mark.parametrize("fault", [
     lambda: Monomial((Z_MAX + 1,), 0),
     lambda: OnSites(MulZ(1), (1, 3)).apply(SuperPolynomial.one(2)),
-], ids=["key-overflow", "too-few-sites"])
+    lambda: _raise(ValueError("plain")),
+    lambda: _raise(TypeError("plain")),
+], ids=["key-overflow", "too-few-sites", "value-error", "type-error"])
 def test_program_fault_exits_3_after_finished_reports(monkeypatch, fault):
-    """A key or site-count fault met mid-run is an internal error, though
-    it is a ValueError: the finished reports are kept and the run exits 3."""
+    """Any fault met mid-run but SingularParameters is an internal error,
+    a ValueError or a TypeError too: the finished reports are kept and the
+    run exits 3."""
     from ybsl21 import cli
 
     def faulting_driver(cfg, done):
@@ -221,9 +228,10 @@ def _forbid_computation(monkeypatch):
     ["--spectrum-table", "--samples", "0"],
     ["--command", "check-recurrences", "--params", "3,2,1,1/2,9/2,-3/2",
      "--weights", "1,1/3,1/2,-2/5,2,1/2"],
+    ["--spectrum-table", "--format", "text"],
 ], ids=["negative-degree", "negative-ybe-degree", "degree-past-key-limit",
         "ybe-degree-past-key-limit", "zero-samples", "table-zero-samples",
-        "params-and-weights"])
+        "params-and-weights", "table-text-format"])
 def test_out_of_range_input_rejected_before_computation(monkeypatch, capsys,
                                                          argv):
     _forbid_computation(monkeypatch)

@@ -1,9 +1,11 @@
 import json
 import time
+from fractions import Fraction as Q
 
 import pytest
 
 from ybsl21.report import CheckReport
+from ybsl21.superpoly import SuperPolynomial
 
 
 def test_pass_iff_no_failures():
@@ -19,6 +21,28 @@ def test_failure_cap_keeps_status():
         r.add_failure(f"m{i}", "1", "0", "1")
     assert len(r.failures) == 5
     assert r.status == "fail"
+
+
+def test_expect_renders_by_kind_of_value():
+    r = CheckReport(check_name="x")
+    one, z1 = SuperPolynomial.one(2), SuperPolynomial.z_var(1, 2)
+    r.expect("poly", one, one)
+    r.expect("matrix", ((Q(1), Q(0)),), ((Q(1), Q(0)),))
+    r.expect("ratio", Q(1, 2), Q(1, 2))
+    assert r.status == "pass" and not r.failures
+    r.expect("poly", z1, one)
+    r.expect("matrix", ((Q(1), Q(0)),), ((Q(1), Q(2)),))
+    r.expect("ratio", Q(1, 2), Q(1, 3))
+    assert r.status == "fail"
+    assert r.to_dict()["failures"] == [
+        {"input": "poly", "lhs": "1 z1", "rhs": "1", "residual": "1 z1 - 1"},
+        {"input": "matrix", "lhs": "((Fraction(1, 1), Fraction(0, 1)),)",
+         "rhs": "((Fraction(1, 1), Fraction(2, 1)),)", "residual": "-"},
+        {"input": "ratio", "lhs": "1/2", "rhs": "1/3", "residual": "1/6"},
+    ]
+    for i in range(9):
+        r.expect(f"m{i}", Q(i + 1), Q(0))
+    assert len(r.failures) == 5 and r.status == "fail"
 
 
 def test_merge_propagates_worst_status():

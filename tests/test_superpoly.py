@@ -5,8 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybsl21.superpoly import (ODD_MASK, Z_MAX, Monomial, SuperPolynomial,
-                              enumerate_basis, exponents, theta, theta_bar)
+from ybsl21.superpoly import (ODD_MASK, Z_MAX, LayoutError, Monomial,
+                              SuperPolynomial, enumerate_basis, exponents,
+                              lincomb, theta, theta_bar)
 
 TH1, THB1 = theta(1), theta_bar(1)
 TH2, THB2 = theta(2), theta_bar(2)
@@ -116,6 +117,26 @@ def test_site_count_is_one_to_three():
     with pytest.raises(ValueError):
         Monomial((0, 0, 0), 64)
     assert len(enumerate_basis(0, 3)) == 64
+
+
+def test_variables_lie_on_the_given_sites():
+    assert SuperPolynomial.z_var(3, 3).text() == "1 z3"
+    assert SuperPolynomial.odd_var(5, 3).text() == "1 thb3"
+    with pytest.raises(LayoutError):
+        SuperPolynomial.odd_var(4, 2)
+    with pytest.raises(LayoutError):
+        SuperPolynomial.z_var(3, 2)
+    with pytest.raises(LayoutError):
+        SuperPolynomial.z_var(0, 2)
+
+
+def test_lincomb_rejects_another_site_count():
+    for part in (SuperPolynomial.one(3), SuperPolynomial.zero(3)):
+        with pytest.raises(ValueError, match="site-count mismatch"):
+            lincomb([(1, part)], 2)
+        with pytest.raises(ValueError, match="site-count mismatch"):
+            SuperPolynomial.one(2) + part
+    assert lincomb([(1, SuperPolynomial.one(2))], 2).nsites == 2
 
 
 def test_z_degree_field_limit():
