@@ -11,7 +11,7 @@ from ybsl21.superpoly import SuperPolynomial
 
 w = Weight(Q(2, 3), Q(1, 5))
 g = build_generators(1, w)
-one = SuperPolynomial.one(1)
+one = SuperPolynomial.one()
 
 print("lowest-weight vector a0 = 1 at (ell, b) =", (str(w.ell), str(w.b)))
 for name in ("S", "B", "S-", "V-", "W-", "S+"):

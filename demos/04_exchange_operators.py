@@ -13,7 +13,7 @@ from ybsl21.sl21 import Weight
 from ybsl21.superpoly import SuperPolynomial
 
 pp = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
-one = SuperPolynomial.one(2)
+one = SuperPolynomial.one()
 
 print("each exchange operator is normalized to fix the constant 1:")
 for k in (1, 2, 3):

@@ -270,6 +270,8 @@ DRIVERS = {
     "check-ybe": run_ybe,
     "spectrum": run_spectrum,
 }
+#: the commands that draw all their inputs: they take no --params or --weights
+SAMPLED_ONLY = ("check-algebra", "check-lax", "check-rll", "check-ybe")
 
 
 def run(cfg: RunConfig, stream=None) -> int:
@@ -363,7 +365,7 @@ def spectrum_table(cfg: RunConfig) -> list[dict]:
     ops = [(1, "R1", build_r(1, pp)), (2, "R2", build_r(2, pp)),
            (3, "R3", build_r(3, pp)), ("rhat", "Rcheck", build_rhat(pp))]
     rows = []
-    one = SuperPolynomial.one(2)
+    one = SuperPolynomial.one()
     for _, name, op in ops:
         image = op.apply(one)
         rows.append({
@@ -424,6 +426,10 @@ def config_from_args(args) -> RunConfig:
         raise ValueError("--samples must be >= 1")
     if args.params and args.weights:
         raise ValueError("--params and --weights are mutually exclusive")
+    if ((args.params or args.weights) and args.command in SAMPLED_ONLY
+            and not args.spectrum_table):
+        raise ValueError(f"{args.command} samples its own inputs and takes "
+                         f"no --params or --weights")
     if args.spectrum_table and args.format != "json":
         raise ValueError("--spectrum-table writes JSON rows only")
     explicit_params = None

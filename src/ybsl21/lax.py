@@ -171,9 +171,9 @@ def _lax_chiral_explicit(site: int, t: SpectralTriple) -> SuperMatrixOperator:
     dz = EvenDeriv(site)
     th_id, thb_id = theta(site), theta_bar(site)
     dth, dthb = OddDeriv(th_id), OddDeriv(thb_id)
-    th = SuperPolynomial.odd_var(th_id, site)
-    thb = SuperPolynomial.odd_var(thb_id, site)
-    zp = SuperPolynomial.z_var(site, site)
+    th = SuperPolynomial.odd_var(th_id)
+    thb = SuperPolynomial.odd_var(thb_id)
+    zp = SuperPolynomial.z_var(site)
     tt = th * thb
     mth, mthb = MulOdd(th_id), MulOdd(thb_id)
 
@@ -234,9 +234,9 @@ def build_lax_factorized(t: SpectralTriple) -> SuperMatrixOperator:
     """The one-site Lax matrix as a lower-triangular x upper-triangular x
     lower-triangular product."""
     u1, u2, u3 = t.as_tuple()
-    th = SuperPolynomial.odd_var(theta(1), 1)
-    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
-    zp = SuperPolynomial.z_var(1, 1)
+    th = SuperPolynomial.odd_var(theta(1))
+    thb = SuperPolynomial.odd_var(theta_bar(1))
+    zp = SuperPolynomial.z_var(1)
     tt2 = Q(1, 2) * (th * thb)
     one, zero = Scalar(1), Scalar(0)
     d_minus, d_plus = covariant_derivatives(1)

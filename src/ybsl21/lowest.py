@@ -108,7 +108,7 @@ def verify_lowest(v: LowestVector, w1: Weight, w2: Weight) -> CheckReport:
         else:
             s_ev = v.n + w1.ell + w2.ell + half
             b_ev = w1.b + w2.b + (half if v.sign == "+" else -half)
-        zero = SuperPolynomial.zero(2)
+        zero = SuperPolynomial.zero()
         for name, ev in (("S", s_ev), ("B", b_ev)):
             report.expect(f"{name}_tot eigenvalue",
                           (g1[name] + g2[name]).apply(v.poly), ev * v.poly)
@@ -215,7 +215,7 @@ def check_sector(which: int, pp: ParamPair, nmax: int = 3) -> CheckReport:
     with report.timed(SingularParameters, NotInSpan):
         guard_factor(which, pp, nmax)
         op = build_r(which, pp, max_degree=nmax + 1)
-        one = SuperPolynomial.one(2)
+        one = SuperPolynomial.one()
         report.expect("n=0 anchor", op.apply(one), one)
         for n, sector in sector_levels(nmax):
             report.expect(f"{sector} n={n}", sector_action(op, sector, n),
@@ -284,7 +284,7 @@ def check_composite(pp: ParamPair, nmax: int = 3) -> CheckReport:
         # n = 0 anchor: the normalized operator fixes 1 (even basis is
         # degenerate there, so 2x2 comparisons start at n = 1)
         op = build_rhat(pp, max_degree=nmax + 1)
-        one = SuperPolynomial.one(2)
+        one = SuperPolynomial.one()
         report.expect("n=0 anchor", op.apply(one), one)
         even_prev = odd_prev = None
         for n in range(nmax + 1):

@@ -16,8 +16,10 @@ a verdict never comes from comparing normal forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, gcd, lcm, perm
+from operator import or_
 
 from .report import CheckReport
 from .superpoly import (FIELD_MASK, GUARD, ODD_MASK, Z_SHIFTS, Monomial,
@@ -41,15 +43,6 @@ class NonTerminatingExp(OperatorError):
 
 class PochhammerPole(OperatorError):
     """A Pochhammer denominator vanished at the evaluated degree."""
-
-
-class SiteMismatch(OperatorError, ValueError):
-    """A polynomial on fewer or other sites than an operator acts on."""
-
-
-def _require_site(site: int, nsites: int) -> None:
-    if nsites < site:
-        raise SiteMismatch(f"no site {site} among {nsites} sites")
 
 
 def rising_factorial(x: Fraction, n: int) -> Fraction:
@@ -126,7 +119,7 @@ class DiffOp(Operator):
     the same.
     """
 
-    __slots__ = ("terms", "den", "_c", "_plans")
+    __slots__ = ("terms", "den", "_c", "_odd", "_plans")
 
     def __init__(self, terms: dict, den: int = 1):
         terms = {k: n for k, n in terms.items() if n}
@@ -138,19 +131,18 @@ class DiffOp(Operator):
         self.den = den
         # the numerator of a pure scalar, which takes the fast path
         self._c = terms.get((0, 0)) if len(terms) == 1 else None
+        # its odd variables: a plan's tables cover their sites and the input's
+        self._odd = reduce(or_, (x | y for x, y in terms), 0) & ODD_MASK
         self._plans: dict[int, list] = {}
 
-    def _plan(self, nsites: int) -> list:
-        """The terms for inputs of `nsites` sites, grouped by derivative
-        pattern and then by even multiplier: [(derivative signs, remaining
-        masks, dz, [(even multiplier key, [(multiplication signs, merged
-        masks, numerator)])])].  The sign and mask lists are indexed by odd
-        mask, dz lists (field shift, order, order << shift) triples, and
-        each odd multiplier's lists are shared across the groups."""
-        if any((k & ODD_MASK) >> 2 * nsites or any(exponents(k)[nsites:])
-               for key in self.terms for k in key):
-            raise ValueError(f"operator reaches beyond {nsites} sites")
-        size = 1 << (2 * nsites)
+    def _plan(self, sites: int) -> list:
+        """The terms for inputs with odd variables on `sites` sites, grouped
+        by derivative pattern and then by even multiplier: [(derivative signs,
+        remaining masks, dz, [(even multiplier key, [(multiplication signs,
+        merged masks, numerator)])])].  The sign and mask lists are indexed
+        by odd mask, dz lists (field shift, order, order << shift) triples,
+        and each odd multiplier's lists are shared across the groups."""
+        size = 1 << (2 * sites)
         tables: dict[int, tuple] = {}
         groups: dict[int, dict] = {}
         for (x, y), n in self.terms.items():
@@ -168,7 +160,7 @@ class DiffOp(Operator):
                        if (k := y >> shift & FIELD_MASK))
             plan.append(([s for s, _ in d], [m for _, m in d], dz,
                          list(by_alpha.items())))
-        self._plans[nsites] = plan
+        self._plans[sites] = plan
         return plan
 
     def _apply(self, p):
@@ -176,8 +168,10 @@ class DiffOp(Operator):
         if c is not None:
             terms = (p.terms if c == 1
                      else {m: c * n for m, n in p.terms.items()})
-            return SuperPolynomial(terms, p.nsites, p.den * self.den)
-        plan = self._plans.get(p.nsites) or self._plan(p.nsites)
+            return SuperPolynomial(terms, p.den * self.den)
+        odd = reduce(or_, p.terms, self._odd) & ODD_MASK
+        sites = (odd.bit_length() + 1) >> 1
+        plan = self._plans.get(sites) or self._plan(sites)
         out: dict[int, int] = {}
         get = out.get
         for key, n in p.terms.items():
@@ -209,7 +203,7 @@ class DiffOp(Operator):
                         if s:
                             k = zk | amerged[rest]
                             out[k] = get(k, 0) + s * c * f
-        return SuperPolynomial({k: n for k, n in out.items() if n}, p.nsites,
+        return SuperPolynomial({k: n for k, n in out.items() if n},
                                p.den * self.den)
 
     def parity(self):
@@ -354,7 +348,6 @@ class DegreeDiagonal(Operator):
         return h
 
     def _apply(self, p):
-        _require_site(self.site, p.nsites)
         shift = Z_SHIFTS[self.site - 1]
         value = self.value
         # in term order, so a pole is reported at the same degree as a
@@ -366,7 +359,7 @@ class DegreeDiagonal(Operator):
                  for d, h in hs.items() if h}
         terms = {m: scale[d] * n for m, n in p.terms.items()
                  if (d := m >> shift & FIELD_MASK) in scale}
-        return SuperPolynomial(terms, p.nsites, p.den * common)
+        return SuperPolynomial(terms, p.den * common)
 
     def parity(self):
         return 0
@@ -399,7 +392,6 @@ class SwapSites(Operator):
             self._table.append((new, sign))
 
     def _apply(self, p):
-        _require_site(self.b, p.nsites)
         sa, sb = Z_SHIFTS[self.a - 1], Z_SHIFTS[self.b - 1]
         # adding (za - zb) * step moves za to site b and zb to site a
         step = (1 << sb) - (1 << sa)
@@ -410,7 +402,7 @@ class SwapSites(Operator):
             mask, sign = table[odd]
             za, zb = m >> sa & FIELD_MASK, m >> sb & FIELD_MASK
             terms[m - odd + (za - zb) * step | mask] = sign * n
-        return SuperPolynomial(terms, p.nsites, p.den)
+        return SuperPolynomial(terms, p.den)
 
     def parity(self):
         return 0
@@ -439,7 +431,6 @@ class OnSites(Operator):
         self.b = b
 
     def _apply(self, p):
-        _require_site(self.b, p.nsites)
         # the z-field shifts of sites a, b and of the two-site positions
         # 1, 2 that `op` reads them at
         sa, sb = Z_SHIFTS[self.a - 1], Z_SHIFTS[self.b - 1]
@@ -455,7 +446,7 @@ class OnSites(Operator):
             local = ((m >> sa & FIELD_MASK) << s1
                      | (m >> sb & FIELD_MASK) << s2
                      | (active >> oa) & 0b11 | (active >> ob) << 2)
-            img = self.op._apply(SuperPolynomial({local: 1}, 2))
+            img = self.op._apply(SuperPolynomial({local: 1}))
             base = m & spectators
             terms = {}
             for m2, n2 in img.terms.items():
@@ -463,8 +454,8 @@ class OnSites(Operator):
                     spectator, (m2 & 0b11) << oa | (m2 >> 2 & 0b11) << ob)
                 terms[base | (m2 >> s1 & FIELD_MASK) << sa
                       | (m2 >> s2 & FIELD_MASK) << sb | mask] = s * n2
-            parts.append((sign * n, SuperPolynomial(terms, p.nsites, img.den)))
-        return lincomb(parts, p.nsites, p.den)
+            parts.append((sign * n, SuperPolynomial(terms, img.den)))
+        return lincomb(parts, p.den)
 
     def parity(self):
         return 0
@@ -479,7 +470,7 @@ class Sum(Operator):
         self.ops = tuple(ops)
 
     def _apply(self, p):
-        return lincomb([(1, op._apply(p)) for op in self.ops], p.nsites)
+        return lincomb([(1, op._apply(p)) for op in self.ops])
 
     def parity(self):
         ps = {op.parity() for op in self.ops}
@@ -528,9 +519,9 @@ class TerminatingExp(Operator):
                     f"series not terminated after {budget} iterations")
             term = self.op._apply(term)
             # A^k p / k! = A(A^(k-1) p / (k-1)!) / k
-            term = SuperPolynomial(term.terms, term.nsites, term.den * k)
+            term = SuperPolynomial(term.terms, term.den * k)
             parts.append((1, term))
-        return lincomb(parts, p.nsites)
+        return lincomb(parts)
 
     def parity(self):
         return 0
@@ -544,30 +535,25 @@ class Cached(Operator):
     operators; the code that sweeps a basis wraps what the sweep reuses.
     An operator applied to a few whole vectors is cheaper uncached: a
     column filled for every monomial of the vector is used once.  A key
-    names a monomial on any number of sites, so the first input fixes the
-    site count of the columns.
+    names the same monomial on any number of sites, so one cache serves
+    inputs on one, two or three sites alike.
     """
 
-    __slots__ = ("op", "_images", "_nsites")
+    __slots__ = ("op", "_images")
 
     def __init__(self, op: Operator):
         self.op = op
         self._images: dict[int, SuperPolynomial] = {}
-        self._nsites = None
 
     def _apply(self, p):
-        self._nsites = self._nsites or p.nsites
-        if p.nsites != self._nsites:
-            raise SiteMismatch(
-                f"columns on {self._nsites} sites, not {p.nsites}")
         parts = []
         for m, n in p.terms.items():
             img = self._images.get(m)
             if img is None:
-                img = self.op._apply(SuperPolynomial({m: 1}, p.nsites)).reduced()
+                img = self.op._apply(SuperPolynomial({m: 1})).reduced()
                 self._images[m] = img
             parts.append((n, img))
-        return lincomb(parts, p.nsites, p.den)
+        return lincomb(parts, p.den)
 
     def parity(self):
         return self.op.parity()
@@ -612,7 +598,7 @@ def equal_on_degree(a: Operator, b: Operator, max_degree: int,
     report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
     with report.timed(OperatorError):
         for m in enumerate_basis(max_degree, nsites):
-            pm = SuperPolynomial({m: 1}, nsites)
+            pm = SuperPolynomial({m: 1})
             lhs = a.apply(pm)
             rhs = b.apply(pm)
             if lhs != rhs:   # the label is built only for a mismatch

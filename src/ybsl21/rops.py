@@ -119,9 +119,9 @@ def pair_guard(pp: ParamPair, max_degree: int) -> None:
 
 
 def two_site_vars() -> tuple[SuperPolynomial, ...]:
-    """z1, z2, th1, thb1, th2, thb2 as two-site polynomials."""
-    return (SuperPolynomial.z_var(1, 2), SuperPolynomial.z_var(2, 2),
-            *(SuperPolynomial.odd_var(v, 2)
+    """z1, z2, th1, thb1, th2, thb2: the variables of sites 1 and 2."""
+    return (SuperPolynomial.z_var(1), SuperPolynomial.z_var(2),
+            *(SuperPolynomial.odd_var(v)
               for v in (theta(1), theta_bar(1), theta(2), theta_bar(2))))
 
 
@@ -237,7 +237,7 @@ def build_r(k: int, pp: ParamPair, max_degree: int = 4) -> Operator:
 
 def _normalized(raw: Operator, name: str) -> Operator:
     """raw divided by its action on 1, which must be a nonzero scalar."""
-    one = SuperPolynomial.one(2)
+    one = SuperPolynomial.one()
     image = raw.apply(one)
     c = image.coefficient(0)
     if image != c * one or c == 0:
@@ -348,7 +348,7 @@ def r2_constants(pp: ParamPair) -> dict[str, Fraction]:
     kern = kernel(2, pp)
     z1, _, _, thb1, th2, _ = two_site_vars()
     mono = lambda p: next(iter(p.terms))
-    a = kern.apply(SuperPolynomial.one(2)).coefficient(0)
+    a = kern.apply(SuperPolynomial.one()).coefficient(0)
     b = kern.apply(thb1).coefficient(mono(thb1)) - a
     c = kern.apply(th2).coefficient(mono(th2)) - a
     probe = thb1 * th2
@@ -485,7 +485,7 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
                                  ((1, 2), (1, 3), (2, 3))))
         lhs = compose(a12, a13, a23)
         rhs = compose(a23, a13, a12)
-        one = SuperPolynomial.one(3)
+        one = SuperPolynomial.one()
         lhs_one, rhs_one = lhs.apply(one), rhs.apply(one)
         c_l, c_r = lhs_one.coefficient(0), rhs_one.coefficient(0)
         if c_r == 0 or lhs_one != (c_l / c_r) * rhs_one:

@@ -95,8 +95,8 @@ def build_generators(site: int, w: Weight) -> SiteGenerators:
     th, thb = theta(site), theta_bar(site)
     mth, mthb = MulOdd(th), MulOdd(thb)
     dth, dthb = OddDeriv(th), OddDeriv(thb)
-    th_poly = SuperPolynomial.odd_var(th, site)
-    thb_poly = SuperPolynomial.odd_var(thb, site)
+    th_poly = SuperPolynomial.odd_var(th)
+    thb_poly = SuperPolynomial.odd_var(thb)
     th_thb = MulPoly(th_poly * thb_poly)       # theta thetabar
     thb_th = MulPoly(thb_poly * th_poly)       # thetabar theta = -theta thetabar
 
@@ -234,10 +234,10 @@ def verma_vector(w: Weight, kind: str, k: int) -> SuperPolynomial:
     two_ell = 2 * ell
     if two_ell.denominator == 1 and two_ell <= 0:
         raise SingularWeight(f"2*ell = {two_ell} is a nonpositive integer")
-    one = SuperPolynomial.one(1)
-    z = SuperPolynomial.z_var(1, 1)
-    th = SuperPolynomial.odd_var(theta(1), 1)
-    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
+    one = SuperPolynomial.one()
+    z = SuperPolynomial.z_var(1)
+    th = SuperPolynomial.odd_var(theta(1))
+    thb = SuperPolynomial.odd_var(theta_bar(1))
     zk1 = z ** (k - 1) if k >= 1 else one
     if kind == "a":
         if k == 0:
@@ -261,7 +261,7 @@ def verma_vector(w: Weight, kind: str, k: int) -> SuperPolynomial:
 
 def raised_vector(g: SiteGenerators, kind: str, k: int) -> SuperPolynomial:
     """Independent oracle: build a_k, b_k, v_k, w_k by iterated raising."""
-    one = SuperPolynomial.one(g.site)
+    one = SuperPolynomial.one()
     if kind == "a":
         p = one
         for _ in range(k):
@@ -312,9 +312,9 @@ def fundamental_rep(kind: str) -> FundamentalRep:
 def finite_subspace_vectors(n: int, kind: str) -> list[SuperPolynomial]:
     """Spanning vectors of the (2n+1)-dim one-site invariant subspace at
     ell = -n/2."""
-    z = SuperPolynomial.z_var(1, 1)
-    th = SuperPolynomial.odd_var(theta(1), 1)
-    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
+    z = SuperPolynomial.z_var(1)
+    th = SuperPolynomial.odd_var(theta(1))
+    thb = SuperPolynomial.odd_var(theta_bar(1))
     tt = th * thb
     if kind == "chiral":
         even_core = z - Q(1, 2) * tt
@@ -363,6 +363,6 @@ def check_casimir(g: SiteGenerators, max_degree: int = 3) -> CheckReport:
                                       max_degree, nsites=g.site)
                 report.merge(sub, prefix=f"[{label},{name}] on ")
         ev = g.weight.ell ** 2 - g.weight.b ** 2
-        one = SuperPolynomial.one(g.site)
+        one = SuperPolynomial.one()
         report.expect("C2 on 1", c2.apply(one), ev * one)
     return report

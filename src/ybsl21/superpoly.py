@@ -1,21 +1,22 @@
 """Exact graded polynomial algebra over the rationals.
 
-Even variables z1..zn and odd (Grassmann) variables th1, thb1, .., thn, thbn,
-on n = 1, 2 or 3 sites.  A polynomial holds int numerators over one positive
-int denominator, so arithmetic and equality run on ints; a `Fraction` is
-made only where a rational comes in (constructors, scaling) or goes out
-(`coefficient`, `text`).  There is no floating point anywhere.
+Even variables z1, z2, z3 and odd (Grassmann) variables th1, thb1, .., thb3;
+a polynomial carries no site count, only a basis (`enumerate_basis`) does.
+A polynomial holds int numerators over one positive int denominator, so
+arithmetic and equality run on ints; a `Fraction` is made only where a
+rational comes in (constructors, scaling) or goes out (`coefficient`,
+`text`).  There is no floating point anywhere.
 Odd monomial factors are stored canonically in the fixed global order
 (th1, thb1, th2, thb2, th3, thb3); every sign in the algebra derives from
 sorting products into this order.
 
 A monomial is one int, its key, with the fixed layout z1 | z2 | z3 | mask:
 three 8-bit z-degree fields, z1 most significant, above a 6-bit odd mask
-whose bit k means ODD_NAMES[k] is a factor.  The layout does not depend on
-the site count, so a two-site key is the same monomial on three sites, and
-sorting keys sorts monomials by (z1, .., zn, mask).  The top bit of each
-field is a guard: a z-degree is at most Z_MAX = 127, and a sum of keys that
-sets a guard bit raises instead of carrying into the next field.
+whose bit k means ODD_NAMES[k] is a factor.  So a two-site key is the same
+monomial on three sites, and sorting keys sorts monomials by (z1, z2, z3,
+mask).  The top bit of each field is a guard: a z-degree is at most
+Z_MAX = 127, and a sum of keys that sets a guard bit raises instead of
+carrying into the next field.
 """
 
 from __future__ import annotations
@@ -109,54 +110,49 @@ class SuperPolynomial:
     may share it, and every operation returns a new polynomial.
     """
 
-    __slots__ = ("terms", "nsites", "den")
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict[int, int], nsites: int, den: int = 1):
-        if not 0 < nsites <= MAX_SITES:
-            raise LayoutError(f"nsites must be 1..{MAX_SITES}, got {nsites}")
+    def __init__(self, terms: dict[int, int], den: int = 1):
         self.terms = terms
-        self.nsites = nsites
         self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(nsites: int = 2) -> "SuperPolynomial":
-        return SuperPolynomial({}, nsites)
+    def zero() -> "SuperPolynomial":
+        return SuperPolynomial({})
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[int, Fraction]], nsites: int) -> "SuperPolynomial":
+    def from_terms(pairs: Iterable[tuple[int, Fraction]]) -> "SuperPolynomial":
         coeffs: dict[int, Fraction] = {}
         for m, c in pairs:
             coeffs[m] = coeffs.get(m, 0) + Q(c)
         den = lcm(*(c.denominator for c in coeffs.values()))
         return SuperPolynomial({m: c.numerator * (den // c.denominator)
-                                for m, c in coeffs.items() if c}, nsites, den)
+                                for m, c in coeffs.items() if c}, den)
 
     @staticmethod
-    def scalar(c, nsites: int = 2) -> "SuperPolynomial":
+    def scalar(c) -> "SuperPolynomial":
         c = Q(c)
         if not c:
-            return SuperPolynomial.zero(nsites)
-        return SuperPolynomial({0: c.numerator}, nsites, c.denominator)
+            return SuperPolynomial.zero()
+        return SuperPolynomial({0: c.numerator}, c.denominator)
 
     @staticmethod
-    def one(nsites: int = 2) -> "SuperPolynomial":
-        return SuperPolynomial.scalar(1, nsites)
+    def one() -> "SuperPolynomial":
+        return SuperPolynomial.scalar(1)
 
     @staticmethod
-    def z_var(site: int, nsites: int = 2) -> "SuperPolynomial":
-        if not 0 < site <= nsites:
-            raise LayoutError(f"no site {site} among {nsites} sites")
-        z = [0] * nsites
-        z[site - 1] = 1
-        return SuperPolynomial({Monomial(tuple(z), 0): 1}, nsites)
+    def z_var(site: int) -> "SuperPolynomial":
+        if not 0 < site <= MAX_SITES:
+            raise LayoutError(f"no site {site} among {MAX_SITES} sites")
+        return SuperPolynomial({Monomial((0,) * (site - 1) + (1,), 0): 1})
 
     @staticmethod
-    def odd_var(var: int, nsites: int = 2) -> "SuperPolynomial":
-        if not 0 <= var < 2 * nsites:
-            raise LayoutError(f"no odd variable {var} on {nsites} sites")
-        return SuperPolynomial({Monomial((), 1 << var): 1}, nsites)
+    def odd_var(var: int) -> "SuperPolynomial":
+        if not 0 <= var < 2 * MAX_SITES:
+            raise LayoutError(f"no odd variable {var} on {MAX_SITES} sites")
+        return SuperPolynomial({Monomial((), 1 << var): 1})
 
     def reduced(self) -> "SuperPolynomial":
         """The same polynomial with no factor common to `den` and every
@@ -165,12 +161,12 @@ class SuperPolynomial:
         if g == 1:
             return self
         return SuperPolynomial({m: n // g for m, n in self.terms.items()},
-                               self.nsites, self.den // g)
+                               self.den // g)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        return lincomb([(1, self), (1, other)], self.nsites)
+        return lincomb([(1, self), (1, other)])
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         return self + (-1) * other
@@ -178,11 +174,11 @@ class SuperPolynomial:
     def __rmul__(self, c) -> "SuperPolynomial":
         c = Q(c)
         if not c:
-            return SuperPolynomial.zero(self.nsites)
+            return SuperPolynomial.zero()
         k = c.numerator
         terms = (self.terms if k == 1
                  else {m: k * n for m, n in self.terms.items()})
-        return SuperPolynomial(terms, self.nsites, self.den * c.denominator)
+        return SuperPolynomial(terms, self.den * c.denominator)
 
     def __neg__(self) -> "SuperPolynomial":
         return (-1) * self
@@ -190,8 +186,6 @@ class SuperPolynomial:
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         """Graded-commutative product; repeated odd variables vanish.  The
         even part of a product key is the sum of the factors' even parts."""
-        if self.nsites != other.nsites:
-            raise ValueError("site-count mismatch")
         right = [(m & ODD_MASK, m & ~ODD_MASK, c)
                  for m, c in other.terms.items()]
         terms: dict[int, int] = {}
@@ -204,19 +198,18 @@ class SuperPolynomial:
                 m = fit(m1 - mask1 + even2) | mask
                 terms[m] = terms.get(m, 0) + sign * c1 * c2
         return SuperPolynomial({m: n for m, n in terms.items() if n},
-                               self.nsites, self.den * other.den)
+                               self.den * other.den)
 
     def __pow__(self, n: int) -> "SuperPolynomial":
         if n < 0:
             raise ValueError(f"negative power {n} of a polynomial")
-        out = SuperPolynomial.one(self.nsites)
+        out = SuperPolynomial.one()
         for _ in range(n):
             out = out * self
         return out
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, SuperPolynomial)
-                and self.nsites == other.nsites
                 and self.terms.keys() == other.terms.keys()):
             return False
         d1, d2, theirs = self.den, other.den, other.terms
@@ -224,7 +217,7 @@ class SuperPolynomial:
 
     def __hash__(self):
         r = self.reduced()
-        return hash((r.nsites, r.den, frozenset(r.terms.items())))
+        return hash((r.den, frozenset(r.terms.items())))
 
     # -- queries -----------------------------------------------------------
 
@@ -253,7 +246,7 @@ class SuperPolynomial:
             a = m >> shift & FIELD_MASK
             if a:
                 terms[m - (1 << shift)] = c * a
-        return SuperPolynomial(terms, self.nsites, self.den)
+        return SuperPolynomial(terms, self.den)
 
     def deriv_odd(self, var: int) -> "SuperPolynomial":
         """Left Grassmann derivative: anticommute `var` to the front, delete it."""
@@ -265,7 +258,7 @@ class SuperPolynomial:
             below = (m & (bit - 1)).bit_count()
             sign = -1 if below & 1 else 1
             terms[m ^ bit] = sign * c
-        return SuperPolynomial(terms, self.nsites, self.den)
+        return SuperPolynomial(terms, self.den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -304,23 +297,18 @@ def enumerate_basis(max_z_degree: int, nsites: int = 2) -> list[int]:
     return sorted(e | mask for e in evens for mask in range(1 << (2 * nsites)))
 
 
-def lincomb(parts, nsites: int, den: int = 1) -> SuperPolynomial:
+def lincomb(parts, den: int = 1) -> SuperPolynomial:
     """sum(w * q for w, q in parts) / den for int weights w, over the lcm of
-    the parts' denominators; the result need not be reduced.  A part on
-    another site count than `nsites` raises ValueError."""
-    # zero parts drop out, unless on the wrong sites: the loop rejects those
-    parts = [(w, q) for w, q in parts if q.terms or q.nsites != nsites]
-    if (len(parts) == 1 and parts[0][0] == 1 and den == 1
-            and parts[0][1].nsites == nsites):
+    the parts' denominators; the result need not be reduced."""
+    parts = [(w, q) for w, q in parts if q.terms]
+    if len(parts) == 1 and parts[0][0] == 1 and den == 1:
         return parts[0][1]
     common = lcm(*(q.den for _, q in parts))
     terms: dict[int, int] = {}
     get = terms.get
     for w, q in parts:
-        if q.nsites != nsites:
-            raise ValueError("site-count mismatch")
         f = w * (common // q.den)
         for m, n in q.terms.items():
             terms[m] = get(m, 0) + f * n
-    return SuperPolynomial({m: n for m, n in terms.items() if n}, nsites,
+    return SuperPolynomial({m: n for m, n in terms.items() if n},
                            den * common)

@@ -8,10 +8,9 @@ import pytest
 from ybsl21.cli import (MAX_DEGREE, RunConfig, build_parser, config_from_args,
                         main, parse_rational, run, sample_params,
                         sample_weights, spectrum_table)
-from ybsl21.opalg import MulZ, OnSites
 from ybsl21.report import CheckReport
 from ybsl21.rops import pair_guard
-from ybsl21.superpoly import Z_MAX, Monomial, SuperPolynomial
+from ybsl21.superpoly import Z_MAX, Monomial
 
 
 def test_parse_rational():
@@ -112,10 +111,9 @@ def _raise(exc):
 
 @pytest.mark.parametrize("fault", [
     lambda: Monomial((Z_MAX + 1,), 0),
-    lambda: OnSites(MulZ(1), (1, 3)).apply(SuperPolynomial.one(2)),
     lambda: _raise(ValueError("plain")),
     lambda: _raise(TypeError("plain")),
-], ids=["key-overflow", "too-few-sites", "value-error", "type-error"])
+], ids=["key-overflow", "value-error", "type-error"])
 def test_program_fault_exits_3_after_finished_reports(monkeypatch, fault):
     """Any fault met mid-run but SingularParameters is an internal error,
     a ValueError or a TypeError too: the finished reports are kept and the
@@ -239,6 +237,25 @@ def test_out_of_range_input_rejected_before_computation(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("CONFIG ERROR")
+
+
+@pytest.mark.parametrize("option", ["--params=3,2,1,1/2,9/2,-3/2",
+                                    "--weights=1,1/3,1/2,-2/5,2,1/2"],
+                         ids=["params", "weights"])
+@pytest.mark.parametrize("command", ["check-algebra", "check-lax",
+                                     "check-rll", "check-ybe"])
+def test_sampling_command_rejects_explicit_inputs(monkeypatch, capsys,
+                                                  command, option):
+    """These commands draw all their inputs, so explicit ones are a
+    configuration error; `all` passes them on to the commands that take
+    them."""
+    _forbid_computation(monkeypatch)
+    assert main(["--command", command, option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("CONFIG ERROR")
+    args = build_parser().parse_args(["--command", "all", option])
+    assert len(config_from_args(args).explicit_params) == 6
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["run", "table"])

@@ -86,8 +86,8 @@ def test_factorized_equals_explicit(t):
 def test_factorized_even_sector_corner():
     # at th = thb = 0 the (1,1) entry acts as z d + u1 on even polynomials
     lf = build_lax_factorized(T)
-    z = SuperPolynomial.z_var(1, 1)
-    for p in (SuperPolynomial.one(1), z, z * z):
+    z = SuperPolynomial.z_var(1)
+    for p in (SuperPolynomial.one(), z, z * z):
         from ybsl21.opalg import MulZ
         want = (MulZ(1) @ EvenDeriv(1)).apply(p) + T.u1 * p
         assert lf.entry(1, 1).apply(p) == want

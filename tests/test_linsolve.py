@@ -14,28 +14,28 @@ monomials = st.builds(
 @st.composite
 def polys(draw):
     pairs = [(draw(monomials), draw(coeffs)) for _ in range(draw(st.integers(1, 4)))]
-    return SuperPolynomial.from_terms(pairs, 2)
+    return SuperPolynomial.from_terms(pairs)
 
 
 def test_solve_simple():
-    z1 = SuperPolynomial.z_var(1, 2)
-    z2 = SuperPolynomial.z_var(2, 2)
+    z1 = SuperPolynomial.z_var(1)
+    z2 = SuperPolynomial.z_var(2)
     sol = solve_in_span([z1 + z2, z1 - z2], Q(3) * z1 + z2)
     assert sol == [Q(2), Q(1)]
     assert solve_in_span([z1], z2) is None
-    assert solve_in_span([z1, z2], SuperPolynomial.zero(2)) == [0, 0]
+    assert solve_in_span([z1, z2], SuperPolynomial.zero()) == [0, 0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(polys(), min_size=1, max_size=3), st.lists(coeffs, min_size=3,
                                                            max_size=3))
 def test_combinations_are_recovered(span, weights):
-    target = SuperPolynomial.zero(2)
+    target = SuperPolynomial.zero()
     for c, p in zip(weights, span):
         target = target + c * p
     sol = solve_in_span(span, target)
     assert sol is not None
-    rebuilt = SuperPolynomial.zero(2)
+    rebuilt = SuperPolynomial.zero()
     for c, p in zip(sol, span):
         rebuilt = rebuilt + c * p
     assert rebuilt == target
@@ -44,7 +44,7 @@ def test_combinations_are_recovered(span, weights):
 @settings(max_examples=40, deadline=None)
 @given(polys())
 def test_outside_vector_detected(p):
-    z1 = SuperPolynomial.z_var(1, 2)
+    z1 = SuperPolynomial.z_var(1)
     # the fifth power of z1 never appears in the generated polynomials
     alien = z1 ** 5
     sol = solve_in_span([p], alien + p)
@@ -87,7 +87,7 @@ def _reference_solve(span, target):
 
 
 def _combination(weights, polys_):
-    out = SuperPolynomial.zero(2)
+    out = SuperPolynomial.zero()
     for c, p in zip(weights, polys_):
         out = out + c * p
     return out
@@ -103,7 +103,7 @@ dense_monomials = st.builds(
 def dense_polys(draw):
     pairs = [(draw(dense_monomials), draw(coeffs))
              for _ in range(draw(st.integers(1, 6)))]
-    return SuperPolynomial.from_terms(pairs, 2)
+    return SuperPolynomial.from_terms(pairs)
 
 
 @st.composite
@@ -115,7 +115,7 @@ def spans_and_targets(draw):
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(("base", "zero", "dependent")))
         if kind == "zero":
-            span.append(SuperPolynomial.zero(2))
+            span.append(SuperPolynomial.zero())
         elif kind == "base":
             span.append(draw(st.sampled_from(base)))
         else:
@@ -128,7 +128,7 @@ def spans_and_targets(draw):
     weights = draw(st.lists(coeffs, min_size=len(span), max_size=len(span)))
     target = _combination(weights, span)
     if kind == "outside":
-        target = target + SuperPolynomial.z_var(1, 2) ** 5
+        target = target + SuperPolynomial.z_var(1) ** 5
     return span, target
 
 

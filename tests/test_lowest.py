@@ -18,7 +18,7 @@ PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
 
 
 def test_phi0_is_one():
-    assert lowest_vector("even", "+", 0).poly == SuperPolynomial.one(2)
+    assert lowest_vector("even", "+", 0).poly == SuperPolynomial.one()
 
 
 def test_phi1_plus_expansion():

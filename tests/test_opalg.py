@@ -4,29 +4,33 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybsl21.lax import SuperMatrixOperator
+from ybsl21 import opalg
+from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, check_invariance,
+                        check_rll)
 from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
                           NonTerminatingExp, OddDeriv, OnSites, Scalar,
                           SwapSites, TerminatingExp, compose,
                           equal_on_degree, graded_commutator, op_sum,
                           rising_factorial)
-from ybsl21.rops import ParamPair, build_full_R, build_r
-from ybsl21.sl21 import Weight, build_generators, casimir
+from ybsl21.rops import (ParamPair, build_full_R, build_r, check_defining,
+                         check_factorization, check_lemma_system, check_ybe)
+from ybsl21.sl21 import (Weight, build_generators, casimir, check_casimir,
+                         check_relations)
 from ybsl21.superpoly import (Z_MAX, SuperPolynomial, enumerate_basis, theta,
                               theta_bar)
 
 TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
-ONE = SuperPolynomial.one(2)
+ONE = SuperPolynomial.one()
 PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
 
 
 def z(site):
-    return SuperPolynomial.z_var(site, 2)
+    return SuperPolynomial.z_var(site)
 
 
 def sp(var):
-    return SuperPolynomial.odd_var(var, 2)
+    return SuperPolynomial.odd_var(var)
 
 
 def test_rising_factorial():
@@ -127,7 +131,7 @@ def test_swap_sites_three_site_signs():
     from ybsl21.superpoly import theta as th_id, theta_bar as thb_id
 
     def ov(v):
-        return SuperPolynomial.odd_var(v, 3)
+        return SuperPolynomial.odd_var(v)
 
     th1, th2, th3 = ov(th_id(1)), ov(th_id(2)), ov(th_id(3))
     thb2, thb3 = ov(thb_id(2)), ov(thb_id(3))
@@ -151,14 +155,13 @@ def test_swap_sites_sign_is_the_product_sign():
         for a, b in combinations(range(1, nsites + 1), 2):
             moved = {a: b, b: a}
             for mask in range(1 << (2 * nsites)):
-                mono = want = SuperPolynomial.one(nsites)
+                mono = want = SuperPolynomial.one()
                 for site in range(1, nsites + 1):
                     for var in (theta, theta_bar):
                         if mask >> var(site) & 1:
-                            mono = mono * SuperPolynomial.odd_var(
-                                var(site), nsites)
+                            mono = mono * SuperPolynomial.odd_var(var(site))
                             want = want * SuperPolynomial.odd_var(
-                                var(moved.get(site, site)), nsites)
+                                var(moved.get(site, site)))
                 cases += 1
                 if SwapSites(a, b).apply(mono) != want:
                     mismatches.append((nsites, a, b, mask))
@@ -206,18 +209,67 @@ def test_on_sites_rejects_odd_op_and_unordered_sites():
         OnSites(LIFTED["hop"], (2, 1))
 
 
-def test_lift_and_swap_reject_too_few_sites():
-    for sites, nsites in (((1, 3), 2), ((2, 3), 2), ((1, 2), 1)):
-        lifted = OnSites(LIFTED["hop"], sites)
-        for p in (SuperPolynomial.one(nsites),
-                  SuperPolynomial.z_var(1, nsites)):
-            with pytest.raises(ValueError):
-                lifted.apply(p)
-    with pytest.raises(ValueError):
-        SwapSites(1, 3).apply(z(1))
-    for site, nsites in ((3, 2), (2, 1)):
-        with pytest.raises(ValueError):
-            DegreeDiagonal(site, 2, 3).apply(SuperPolynomial.one(nsites))
+def test_lift_swap_and_diagonal_read_a_missing_site_as_degree_zero():
+    z3, th3 = SuperPolynomial.z_var(3), SuperPolynomial.odd_var(theta(3))
+    # the hop on sites (a, 3) is th3 d_th_a + z_a d_z3
+    for a in (1, 2):
+        lifted = OnSites(LIFTED["hop"], (a, 3))
+        assert lifted.apply(z(a)).is_zero()
+        assert lifted.apply(sp(theta(a))) == th3
+        assert lifted.apply(z(a) * z3) == z(a) * z(a)
+    assert SwapSites(1, 3).apply(z(1)) == z3
+    assert SwapSites(2, 3).apply(z(1) * sp(TH1)) == z(1) * sp(TH1)
+    # (2)_0 / (3)_0 = 1 at a site the input lacks, (2)_1 / (3)_1 = 2/3
+    for site, p in ((3, z(1)), (2, ONE)):
+        assert DegreeDiagonal(site, 2, 3).apply(p) == p
+    assert DegreeDiagonal(3, 2, 3).apply(z3) == Q(2, 3) * z3
+
+
+def test_one_cache_serves_every_site_count():
+    op = op_sum(OnSites(LIFTED["hop"], (2, 3)), SwapSites(1, 2),
+                DegreeDiagonal(1, 2, 3))
+    cached = Cached(op)
+    for nsites in (1, 2, 3, 1):
+        for m in enumerate_basis(1, nsites):
+            p = SuperPolynomial({m: 1})
+            assert cached.apply(p) == op.apply(p)
+    assert len(cached._images) == len(enumerate_basis(1, 3))
+
+
+W1, W2, W3 = (Weight(Q(1), Q(1, 3)), Weight(Q(1, 2), Q(-2, 5)),
+              Weight(Q(3, 2), Q(2, 7)))
+
+#: each check at degree 1, and the sites its operators reach: the basis it
+#: must sweep, since no polynomial carries a site count to stop a smaller one
+SWEEPS = {
+    "ybe": (lambda: check_ybe(W1, W2, W3, Q(2), Q(1, 2), 1), 3),
+    "rll": (lambda: check_rll(W1, Q(2), Q(1, 2), 1), 1),
+    "invariance": (lambda: check_invariance(
+        SpectralTriple.from_weight(Q(0), Weight(Q(1), Q(0))), Q(2, 3), 1), 1),
+    "relations-site-1": (lambda: check_relations(build_generators(1, W1), 1),
+                         1),
+    "relations-site-2": (lambda: check_relations(build_generators(2, W1), 1),
+                         2),
+    "casimir-site-1": (lambda: check_casimir(build_generators(1, W2), 1), 1),
+    "casimir-site-2": (lambda: check_casimir(build_generators(2, W2), 1), 2),
+    "defining": (lambda: check_defining(1, PP, 1), 2),
+    "lemmas": (lambda: check_lemma_system(2, PP, 1), 2),
+    "factorization": (lambda: check_factorization(PP, 1), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_each_check_sweeps_the_sites_its_operators_reach(monkeypatch, name):
+    run, want = SWEEPS[name]
+    swept = []
+
+    def recording(max_z_degree, nsites=2):
+        swept.append(nsites)
+        return enumerate_basis(max_z_degree, nsites)
+
+    monkeypatch.setattr(opalg, "enumerate_basis", recording)
+    assert run().status == "pass"
+    assert set(swept) == {want}
 
 
 def test_mul_odd_is_mul_poly_of_one_odd_variable():
@@ -239,8 +291,6 @@ def test_cached_matches_uncached():
     p = z(1) * z(1) + sp(TH2)
     assert cached.apply(p) == op.apply(p)
     assert cached.apply(p) == op.apply(p)  # second hit uses the memo
-    with pytest.raises(ValueError):
-        cached.apply(SuperPolynomial.one(3))
 
 
 def test_pochhammer_pole_raises():
@@ -293,7 +343,7 @@ monomials = st.builds(
 @st.composite
 def polys(draw):
     pairs = [(draw(monomials), draw(coeffs)) for _ in range(draw(st.integers(0, 3)))]
-    return SuperPolynomial.from_terms(pairs, 2)
+    return SuperPolynomial.from_terms(pairs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -341,7 +391,7 @@ def frac_polys(draw, parity=None):
     pairs = [(Monomial(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))),
                        draw(masks)), draw(fracs))
              for _ in range(draw(st.integers(0, 4)))]
-    return SuperPolynomial.from_terms(pairs, 2)
+    return SuperPolynomial.from_terms(pairs)
 
 
 frac_ops = st.sampled_from([
@@ -427,8 +477,9 @@ def normal_form(op):
 def test_normal_ordered_word_matches_its_factors(word):
     op = compose(*(prim for prim, _ in word))
     assert isinstance(op, DiffOp)
-    for m in enumerate_basis(2, 2):
-        p = stepwise = by_hand = SuperPolynomial({m: 1}, 2)
+    # the three-site inputs have odd variables beyond every primitive's sites
+    for m in enumerate_basis(2, 2) + enumerate_basis(1, 3):
+        p = stepwise = by_hand = SuperPolynomial({m: 1})
         for prim, action in reversed(word):
             stepwise = prim.apply(stepwise)
             by_hand = action(by_hand)
@@ -436,7 +487,7 @@ def test_normal_ordered_word_matches_its_factors(word):
 
 
 def test_every_normal_ordered_pair_matches_its_factors():
-    basis = [SuperPolynomial({m: 1}, 2) for m in enumerate_basis(1, 2)]
+    basis = [SuperPolynomial({m: 1}) for m in enumerate_basis(1, 2)]
     for left, left_action in PRIMITIVES:
         for right, right_action in PRIMITIVES:
             op = compose(left, right)
@@ -477,11 +528,8 @@ def test_mixed_parity_sum_raises_only_on_parity():
 
 def test_diff_op_applies_on_every_site_count_it_reaches():
     op = compose(MulZ(1), OddDeriv(THB1))
-    for nsites in (1, 2, 3):
-        thb = SuperPolynomial.odd_var(THB1, nsites)
-        assert op.apply(thb) == SuperPolynomial.z_var(1, nsites)
-    with pytest.raises(ValueError):
-        MulZ(2).apply(SuperPolynomial.one(1))
+    for spectator in (ONE, sp(TH2), SuperPolynomial.odd_var(theta(3))):
+        assert op.apply(sp(THB1) * spectator) == z(1) * spectator
 
 
 def test_diff_op_never_carries_a_z_degree_into_the_next_field():

@@ -25,7 +25,7 @@ def test_failure_cap_keeps_status():
 
 def test_expect_renders_by_kind_of_value():
     r = CheckReport(check_name="x")
-    one, z1 = SuperPolynomial.one(2), SuperPolynomial.z_var(1, 2)
+    one, z1 = SuperPolynomial.one(), SuperPolynomial.z_var(1)
     r.expect("poly", one, one)
     r.expect("matrix", ((Q(1), Q(0)),), ((Q(1), Q(0)),))
     r.expect("ratio", Q(1, 2), Q(1, 2))

@@ -24,7 +24,7 @@ from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, enumerate_basis,
                               exponents, theta, theta_bar)
 
 PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
-ONE = SuperPolynomial.one(2)
+ONE = SuperPolynomial.one()
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -65,8 +65,8 @@ def test_normalization_fixes_constant(k):
 def test_r2_action_on_psi0_plus():
     # thb12 at n = 0: the printed ratio after normalization is
     # (v2-u1)/(u2-u1)
-    thb12 = SuperPolynomial.odd_var(theta_bar(1), 2) - \
-        SuperPolynomial.odd_var(theta_bar(2), 2)
+    thb12 = SuperPolynomial.odd_var(theta_bar(1)) - \
+        SuperPolynomial.odd_var(theta_bar(2))
     r2 = build_r(2, PP)
     want = (PP.v.u2 - PP.u.u1) / (PP.u.u2 - PP.u.u1)
     assert r2.apply(thb12) == want * thb12
@@ -178,7 +178,7 @@ def _cached_within(op):
 def test_cached_columns_stay_reduced():
     full = build_full_R(PP)
     for m in enumerate_basis(2, 2):
-        full.apply(SuperPolynomial({m: 1}, 2))
+        full.apply(SuperPolynomial({m: 1}))
     caches = list(_cached_within(full))
     # the dressed product and Rcheck's three factors, plus S_k and S_k^-1
     # shared per process
@@ -233,7 +233,7 @@ def test_exchange_operators_share_conjugator_columns():
                                      Q(1, 5))
     conjugator.cache_clear()     # so the first build fills the columns
     first, second = build_r(1, PP), build_r(1, other)
-    basis = [SuperPolynomial({m: 1}, 2) for m in enumerate_basis(2, 2)]
+    basis = [SuperPolynomial({m: 1}) for m in enumerate_basis(2, 2)]
     for p in basis:
         first.apply(p)
     s, s_inv = conjugator(1)
@@ -257,8 +257,8 @@ def test_cold_and_warm_conjugators_give_golden_bytes(capsys):
 
 
 def test_full_r_examples():
-    th1th2 = SuperPolynomial.odd_var(theta(1), 2) * \
-        SuperPolynomial.odd_var(theta(2), 2)
+    th1th2 = SuperPolynomial.odd_var(theta(1)) * \
+        SuperPolynomial.odd_var(theta(2))
     swap = SwapSites(1, 2)
     assert swap.apply(th1th2) == -1 * th1th2
     assert equal_on_degree(compose(swap, swap), Scalar(1), 3).passed
@@ -280,7 +280,7 @@ def test_degree_measure_preserved():
     ops.append(build_rhat(PP, max_degree=4))
     for m in enumerate_basis(4, 2):
         mu = {Q(2 * sum(exponents(m)) + (m & ODD_MASK).bit_count(), 2)}
-        pm = SuperPolynomial({m: 1}, 2)
+        pm = SuperPolynomial({m: 1})
         for op in ops:
             img = op.apply(pm)
             if not img.is_zero():

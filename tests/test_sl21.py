@@ -8,16 +8,16 @@ from ybsl21.sl21 import (SingularWeight, Weight, build_generators, casimir,
                          raised_vector, verma_vector)
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
-ONE1 = SuperPolynomial.one(1)
+ONE1 = SuperPolynomial.one()
 
 
 def test_lowest_weight_action():
     w = Weight(Q(2, 3), Q(1, 5))
     g = build_generators(1, w)
     assert g["S"].apply(ONE1) == Q(2, 3) * ONE1
-    th = SuperPolynomial.odd_var(theta(1), 1)
-    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
-    z = SuperPolynomial.z_var(1, 1)
+    th = SuperPolynomial.odd_var(theta(1))
+    thb = SuperPolynomial.odd_var(theta_bar(1))
+    z = SuperPolynomial.z_var(1)
     # S+ . 1 = 2 l z - b th thb
     assert g["S+"].apply(ONE1) == Q(4, 3) * z - Q(1, 5) * (th * thb)
     assert g["V-"].apply(th) == ONE1
@@ -56,8 +56,8 @@ def test_relations_matrix_detect_one_flipped_sign():
 def test_relations_detect_corruption():
     w = Weight(Q(1), Q(1, 2))
     g = build_generators(1, w)
-    th = SuperPolynomial.odd_var(theta(1), 1)
-    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
+    th = SuperPolynomial.odd_var(theta(1))
+    thb = SuperPolynomial.odd_var(theta_bar(1))
     # drop the -b th thb term of S+ (only visible when b != 0)
     from ybsl21.opalg import MulPoly
     g.gens["S+"] = g.gens["S+"] + Q(w.b) * MulPoly(th * thb)
@@ -79,9 +79,9 @@ def test_casimir_rejects_bad_order():
 
 def test_verma_closed_forms():
     w = Weight(Q(1), Q(1, 2))
-    z = SuperPolynomial.z_var(1, 1)
-    th = SuperPolynomial.odd_var(theta(1), 1)
-    thb = SuperPolynomial.odd_var(theta_bar(1), 1)
+    z = SuperPolynomial.z_var(1)
+    th = SuperPolynomial.odd_var(theta(1))
+    thb = SuperPolynomial.odd_var(theta_bar(1))
     assert verma_vector(w, "a", 1) == Q(2) * z - Q(1, 2) * (th * thb)
     # v_k = -(l-b)(2l+1)_k z^k thb
     for k in range(3):

@@ -5,20 +5,20 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybsl21.superpoly import (ODD_MASK, Z_MAX, LayoutError, Monomial,
-                              SuperPolynomial, enumerate_basis, exponents,
-                              lincomb, theta, theta_bar)
+from ybsl21.superpoly import (MAX_SITES, ODD_MASK, Z_MAX, LayoutError,
+                              Monomial, SuperPolynomial, enumerate_basis,
+                              exponents, theta, theta_bar)
 
 TH1, THB1 = theta(1), theta_bar(1)
 TH2, THB2 = theta(2), theta_bar(2)
 
 
 def sp(var):
-    return SuperPolynomial.odd_var(var, 2)
+    return SuperPolynomial.odd_var(var)
 
 
 def z(site):
-    return SuperPolynomial.z_var(site, 2)
+    return SuperPolynomial.z_var(site)
 
 
 def test_linear_combine_cancellation():
@@ -99,17 +99,13 @@ def test_key_order_is_tuple_order(nsites):
     shuffled = list(basis)
     random.Random(nsites).shuffle(shuffled)
     p = SuperPolynomial({m: i % 7 - 3 or 5 for i, m in enumerate(shuffled)},
-                        nsites, 4)
+                        4)
     assert p.text() == ref_text({m: Q(n, 4) for m, n in p.terms.items()},
                                 nsites)
 
 
 def test_site_count_is_one_to_three():
     for nsites in (0, 4):
-        with pytest.raises(ValueError):
-            SuperPolynomial.one(nsites)
-        with pytest.raises(ValueError):
-            SuperPolynomial({}, nsites)
         with pytest.raises(ValueError):
             enumerate_basis(0, nsites)
     with pytest.raises(ValueError):
@@ -120,23 +116,14 @@ def test_site_count_is_one_to_three():
 
 
 def test_variables_lie_on_the_given_sites():
-    assert SuperPolynomial.z_var(3, 3).text() == "1 z3"
-    assert SuperPolynomial.odd_var(5, 3).text() == "1 thb3"
+    assert SuperPolynomial.z_var(MAX_SITES).text() == "1 z3"
+    assert SuperPolynomial.odd_var(2 * MAX_SITES - 1).text() == "1 thb3"
     with pytest.raises(LayoutError):
-        SuperPolynomial.odd_var(4, 2)
+        SuperPolynomial.odd_var(2 * MAX_SITES)
     with pytest.raises(LayoutError):
-        SuperPolynomial.z_var(3, 2)
+        SuperPolynomial.z_var(MAX_SITES + 1)
     with pytest.raises(LayoutError):
-        SuperPolynomial.z_var(0, 2)
-
-
-def test_lincomb_rejects_another_site_count():
-    for part in (SuperPolynomial.one(3), SuperPolynomial.zero(3)):
-        with pytest.raises(ValueError, match="site-count mismatch"):
-            lincomb([(1, part)], 2)
-        with pytest.raises(ValueError, match="site-count mismatch"):
-            SuperPolynomial.one(2) + part
-    assert lincomb([(1, SuperPolynomial.one(2))], 2).nsites == 2
+        SuperPolynomial.z_var(0)
 
 
 def test_z_degree_field_limit():
@@ -156,7 +143,7 @@ def test_z_degree_field_limit():
 
 
 def test_negative_power_raises():
-    assert z(1) ** 0 == SuperPolynomial.one(2)
+    assert z(1) ** 0 == SuperPolynomial.one()
     with pytest.raises(ValueError):
         z(1) ** -1
 
@@ -164,8 +151,8 @@ def test_negative_power_raises():
 def test_rendering():
     p = Q(1, 2) * ((z(1) * z(1)) * (sp(TH1) * sp(THB2))) - z(2)
     assert p.text() == "1/2 z1^2 th1 thb2 - 1 z2"
-    assert SuperPolynomial.zero(2).text() == "0"
-    assert SuperPolynomial.scalar(Q(-3, 4), 2).text() == "-3/4"
+    assert SuperPolynomial.zero().text() == "0"
+    assert SuperPolynomial.scalar(Q(-3, 4)).text() == "-3/4"
 
 
 # -- property tests ---------------------------------------------------------
@@ -181,7 +168,7 @@ monomials = st.builds(
 def polys(draw, max_terms=4):
     n = draw(st.integers(0, max_terms))
     pairs = [(draw(monomials), draw(coeffs)) for _ in range(n)]
-    return SuperPolynomial.from_terms(pairs, 2)
+    return SuperPolynomial.from_terms(pairs)
 
 
 @st.composite
@@ -193,7 +180,7 @@ def homogeneous_polys(draw, parity=None):
         m = draw(monomials.filter(
             lambda m: (m & ODD_MASK).bit_count() % 2 == par))
         pairs.append((m, draw(coeffs)))
-    return SuperPolynomial.from_terms(pairs, 2)
+    return SuperPolynomial.from_terms(pairs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,7 +192,7 @@ def test_mul_associative(p, q, r):
 @settings(max_examples=25, deadline=None)
 @given(polys())
 def test_mul_unital(p):
-    one = SuperPolynomial.one(2)
+    one = SuperPolynomial.one()
     assert one * p == p
     assert p * one == p
 
@@ -256,7 +243,7 @@ def forms(draw):
     den = draw(st.integers(1, 12))
     nums = draw(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
                                 max_size=4))
-    return (SuperPolynomial(nums, 2, den),
+    return (SuperPolynomial(nums, den),
             {m: Q(n, den) for m, n in nums.items()})
 
 
@@ -337,7 +324,7 @@ def test_int_form_matches_fraction_reference(a, b, c, m):
 @given(forms(), st.integers(2, 6))
 def test_unreduced_form_equals_reduced(a, k):
     p, _ = a
-    scaled = SuperPolynomial({m: k * n for m, n in p.terms.items()}, 2,
+    scaled = SuperPolynomial({m: k * n for m, n in p.terms.items()},
                              k * p.den)
     assert scaled == p and p == scaled
     assert hash(scaled) == hash(p)
@@ -346,4 +333,4 @@ def test_unreduced_form_equals_reduced(a, k):
         m = next(iter(p.terms))
         bumped = dict(scaled.terms)
         bumped[m] += 1 if bumped[m] != -1 else 2
-        assert SuperPolynomial(bumped, 2, scaled.den) != p
+        assert SuperPolynomial(bumped, scaled.den) != p
