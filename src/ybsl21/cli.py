@@ -79,11 +79,12 @@ def sample_params(seed: int, samples: int, max_degree: int) -> list[ParamPair]:
     """Deterministic regular parameter pairs; identical for identical seed."""
     rng = random.Random(seed)
     out: list[ParamPair] = []
-    attempts = 0
+    attempts, limit = 0, 1000 * samples
     while len(out) < samples:
         attempts += 1
-        if attempts > 1000 * max(samples, 1):
-            raise GuardExhausted("no regular parameters after 1000 resamples")
+        if attempts > limit:
+            raise GuardExhausted(f"no regular parameters after {limit} "
+                                 f"resamples")
         pp = ParamPair.from_rationals(*(_rand_rational(rng) for _ in range(6)))
         try:
             pair_guard(pp, max_degree)
@@ -142,7 +143,8 @@ def _pairs_for(cfg: RunConfig, max_degree: int) -> list[ParamPair]:
 
 @_driver
 def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
-    for w in sample_weights(cfg.seed, cfg.samples):
+    weights = sample_weights(cfg.seed, cfg.samples)
+    for w in weights:
         g = build_generators(1, w)
         yield check_relations(g, cfg.max_degree)
         yield check_casimir(g, cfg.max_degree)
@@ -151,7 +153,7 @@ def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
     # closed-form module vectors vs iterated raising
     verma = CheckReport(check_name="verma-oracle", max_degree=4)
     with verma.timed():
-        for w in sample_weights(cfg.seed, cfg.samples):
+        for w in weights:
             g = build_generators(1, w)
             try:
                 for kind in ("a", "b", "v", "w"):
@@ -426,10 +428,12 @@ def config_from_args(args) -> RunConfig:
         raise ValueError("--samples must be >= 1")
     if args.params and args.weights:
         raise ValueError("--params and --weights are mutually exclusive")
-    if ((args.params or args.weights) and args.command in SAMPLED_ONLY
-            and not args.spectrum_table):
+    if (args.params or args.weights) and args.command in SAMPLED_ONLY:
         raise ValueError(f"{args.command} samples its own inputs and takes "
                          f"no --params or --weights")
+    if args.spectrum_table and args.command not in ("all", "spectrum"):
+        raise ValueError(f"--spectrum-table is a spectrum run; it takes no "
+                         f"--command {args.command}")
     if args.spectrum_table and args.format != "json":
         raise ValueError("--spectrum-table writes JSON rows only")
     explicit_params = None

@@ -171,7 +171,9 @@ class DiffOp(Operator):
             return SuperPolynomial(terms, p.den * self.den)
         odd = reduce(or_, p.terms, self._odd) & ODD_MASK
         sites = (odd.bit_length() + 1) >> 1
-        plan = self._plans.get(sites) or self._plan(sites)
+        plan = self._plans.get(sites)
+        if plan is None:
+            plan = self._plan(sites)
         out: dict[int, int] = {}
         get = out.get
         for key, n in p.terms.items():

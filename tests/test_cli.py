@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction as Q
@@ -5,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from ybsl21.cli import (MAX_DEGREE, RunConfig, build_parser, config_from_args,
-                        main, parse_rational, run, sample_params,
-                        sample_weights, spectrum_table)
+from ybsl21.cli import (MAX_DEGREE, GuardExhausted, RunConfig, build_parser,
+                        config_from_args, main, parse_rational, run,
+                        sample_params, sample_weights, spectrum_table)
 from ybsl21.report import CheckReport
-from ybsl21.rops import pair_guard
+from ybsl21.rops import SingularParameters, pair_guard
 from ybsl21.superpoly import Z_MAX, Monomial
 
 
@@ -49,6 +50,17 @@ def test_sample_params_guarded():
 
 def test_sample_params_empty():
     assert sample_params(seed=1, samples=0, max_degree=3) == []
+
+
+def test_sample_params_exhaustion_states_its_draw_count(monkeypatch):
+    from ybsl21 import cli
+
+    def reject(pp, max_degree):
+        raise SingularParameters("rejected")
+
+    monkeypatch.setattr(cli, "pair_guard", reject)
+    with pytest.raises(GuardExhausted, match="after 2000 resamples"):
+        sample_params(0, 2, 1)
 
 
 def test_sample_weights_regular():
@@ -227,9 +239,10 @@ def _forbid_computation(monkeypatch):
     ["--command", "check-recurrences", "--params", "3,2,1,1/2,9/2,-3/2",
      "--weights", "1,1/3,1/2,-2/5,2,1/2"],
     ["--spectrum-table", "--format", "text"],
+    ["--command", "check-ybe", "--spectrum-table", "--seed", "1"],
 ], ids=["negative-degree", "negative-ybe-degree", "degree-past-key-limit",
         "ybe-degree-past-key-limit", "zero-samples", "table-zero-samples",
-        "params-and-weights", "table-text-format"])
+        "params-and-weights", "table-text-format", "table-other-command"])
 def test_out_of_range_input_rejected_before_computation(monkeypatch, capsys,
                                                          argv):
     _forbid_computation(monkeypatch)
@@ -261,7 +274,7 @@ def test_sampling_command_rejects_explicit_inputs(monkeypatch, capsys,
 @pytest.mark.parametrize("table", [False, True], ids=["run", "table"])
 def test_unwritable_out_is_config_error(monkeypatch, capsys, tmp_path, table):
     _forbid_computation(monkeypatch)
-    argv = ["--command", "check-recurrences",
+    argv = ["--command", "spectrum" if table else "check-recurrences",
             "--out", str(tmp_path / "missing" / "x.jsonl")]
     assert main(argv + ["--spectrum-table"] * table) == 2
     captured = capsys.readouterr()
@@ -313,14 +326,48 @@ def test_not_in_span_exits_3_with_record(monkeypatch, capsys):
     assert record["notes"][0].startswith("NotInSpan: decompose(odd, n=0): ")
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-#: fast runs whose stdout (golden/<name>.txt) and exit code are pinned
-#: byte for byte; a difference is a change of the CLI's output
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+#: runs whose stdout and exit code are pinned byte for byte, the stdout as
+#: golden/<name>.txt or, where the case gives one, as its sha256; a case
+#: with "seeds" runs once per seed (see `_sweep_output`); a difference is a
+#: change of the CLI's output
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c["name"])
+def _sweep_output(capsys, case) -> bytes:
+    """Every seed's run of a sweep case, in seed order, as the lines
+    'seed S exit C' each followed by that run's stdout; each exit code must
+    be one of the case's "exit" list."""
+    first, last = case["seeds"]
+    out = []
+    for seed in range(first, last + 1):
+        code = main(case["argv"] + ["--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert code in case["exit"], f"seed {seed}: exit {code}"
+        assert "Traceback" not in captured.err, f"seed {seed}: traceback"
+        out.append(f"seed {seed} exit {code}\n{captured.out}")
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=case["name"],
+                 marks=[pytest.mark.extended] * case.get("extended", False))
+    for case in GOLDEN_CASES])
 def test_golden_output(capsys, case):
-    assert main(case["argv"]) == case["exit"]
-    out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / f"{case['name']}.txt").read_bytes()
+    if "seeds" in case:
+        out = _sweep_output(capsys, case)
+    else:
+        assert main(case["argv"]) == case["exit"]
+        out = capsys.readouterr().out.encode()
+    if "sha256" in case:
+        assert hashlib.sha256(out).hexdigest() == case["sha256"]
+    else:
+        assert out == (GOLDEN / f"{case['name']}.txt").read_bytes()
+
+
+def test_package_stays_stdlib_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    assert deps == [], f"runtime dependencies: {deps}"

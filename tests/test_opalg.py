@@ -532,6 +532,19 @@ def test_diff_op_applies_on_every_site_count_it_reaches():
         assert op.apply(sp(THB1) * spectator) == z(1) * spectator
 
 
+def test_term_less_diff_op_builds_its_empty_plan_once(monkeypatch):
+    built = []
+    plan = DiffOp._plan
+    monkeypatch.setattr(DiffOp, "_plan",
+                        lambda self, sites: built.append(sites)
+                        or plan(self, sites))
+    op = Scalar(0)
+    assert normal_form(op) == ({}, 1)
+    for _ in range(3):
+        assert op.apply(z(1) * sp(TH2)) == SuperPolynomial.zero()
+    assert built == [2]
+
+
 def test_diff_op_never_carries_a_z_degree_into_the_next_field():
     top = z(2) ** Z_MAX
     assert MulZ(1).apply(top) == z(1) * top
