@@ -100,10 +100,8 @@ def sample_weights(seed: int, samples: int) -> list[Weight]:
     out: list[Weight] = []
     while len(out) < samples:
         w = Weight(_rand_rational(rng), _rand_rational(rng))
-        two_ell = 2 * w.ell
-        if two_ell.denominator == 1 and two_ell <= 0:
-            continue
-        out.append(w)
+        if not w.is_singular():
+            out.append(w)
     return out
 
 
@@ -244,11 +242,12 @@ def run_spectrum(cfg: RunConfig) -> Iterator[CheckReport]:
 def run_ybe(cfg: RunConfig) -> Iterator[CheckReport]:
     rng = random.Random(cfg.seed ^ 0x1BE)
     count = 0
-    attempts = 0
+    attempts, limit = 0, 2000
     while count < min(cfg.samples, 2):
         attempts += 1
-        if attempts > 2000:
-            raise GuardExhausted("no regular YBE configuration found")
+        if attempts > limit:
+            raise GuardExhausted(f"no regular YBE configuration after "
+                                 f"{limit} draws")
         ws = sample_weights(rng.randint(0, 2 ** 31), 3)
         u, v = _rand_rational(rng), _rand_rational(rng)
         try:

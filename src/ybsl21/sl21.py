@@ -53,6 +53,11 @@ class Weight:
         self.ell = Q(self.ell)
         self.b = Q(self.b)
 
+    def is_singular(self) -> bool:
+        """2*ell is a nonpositive integer: a pole of the module vectors."""
+        two_ell = 2 * self.ell
+        return two_ell.denominator == 1 and two_ell <= 0
+
 
 @dataclass
 class SiteGenerators:
@@ -232,7 +237,7 @@ def verma_vector(w: Weight, kind: str, k: int) -> SuperPolynomial:
     """Closed form of the one-site module basis vectors a_k, b_k, v_k, w_k."""
     ell, b = Q(w.ell), Q(w.b)
     two_ell = 2 * ell
-    if two_ell.denominator == 1 and two_ell <= 0:
+    if w.is_singular():
         raise SingularWeight(f"2*ell = {two_ell} is a nonpositive integer")
     one = SuperPolynomial.one()
     z = SuperPolynomial.z_var(1)

@@ -63,10 +63,20 @@ def test_sample_params_exhaustion_states_its_draw_count(monkeypatch):
         sample_params(0, 2, 1)
 
 
+def test_run_ybe_exhaustion_states_its_draw_count(monkeypatch):
+    from ybsl21 import cli
+
+    def reject(pp, max_degree):
+        raise SingularParameters("rejected")
+
+    monkeypatch.setattr(cli, "pair_guard", reject)
+    with pytest.raises(GuardExhausted, match="after 2000 draws"):
+        cli.run_ybe(RunConfig("check-ybe"))
+
+
 def test_sample_weights_regular():
     for w in sample_weights(seed=5, samples=6):
-        two_ell = 2 * w.ell
-        assert not (two_ell.denominator == 1 and two_ell <= 0)
+        assert not w.is_singular()
 
 
 def test_run_exit_codes_and_stream():
@@ -289,7 +299,10 @@ def test_arithmetic_fault_exits_3_with_record(capsys):
                for line in capsys.readouterr().out.splitlines()]
     assert records[-1]["check_name"] == "internal-error"
     assert records[-1]["status"] == "error"
-    assert records[-1]["notes"] == ["ZeroDivisionError: Fraction(0, 0)"]
+    # CPython's own message: Fraction(0, 0) up to 3.11, Fraction(1, 0) after
+    with pytest.raises(ZeroDivisionError) as division:
+        Q(0) / Q(0)
+    assert records[-1]["notes"] == [f"ZeroDivisionError: {division.value}"]
     # the reports the spectrum driver finished before the fault are kept
     names = [r["check_name"] for r in records]
     assert names.index("conjugator-oracles") < names.index("internal-error")

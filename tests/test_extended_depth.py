@@ -9,15 +9,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from ybsl21.cli import RunConfig, run_ybe
 from ybsl21.lax import check_rll
 from ybsl21.lowest import check_composite, check_conjugator_oracles, \
     check_sector
 from ybsl21.rops import (ParamPair, check_defining, check_factorization,
-                         check_lemma_system, check_recurrences, check_ybe)
+                         check_lemma_system, check_recurrences)
 from ybsl21.sl21 import Weight
-from test_acceptance import _ybe_configs
-
-PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
+from support import PP
 
 pytestmark = pytest.mark.extended
 
@@ -58,5 +57,6 @@ def test_recurrences_to_level_eight():
 
 
 def test_ybe_degree_three():
-    (ws, u, v), = _ybe_configs(1)
-    assert check_ybe(ws[0], ws[1], ws[2], u, v, max_degree=3).passed
+    report, = run_ybe(RunConfig("check-ybe", samples=1, ybe_degree=3,
+                                seed=2024))
+    assert report.passed

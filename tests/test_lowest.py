@@ -13,8 +13,7 @@ from ybsl21.opalg import Cached, Scalar, compose
 from ybsl21.rops import ParamPair, build_r, build_rhat, two_site_vars
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import SuperPolynomial
-
-PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
+from support import PP
 
 
 def test_phi0_is_one():

@@ -13,24 +13,13 @@ from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, EvenDeriv,
                           SwapSites, TerminatingExp, compose,
                           equal_on_degree, graded_commutator, op_sum,
                           rising_factorial)
-from ybsl21.rops import (ParamPair, build_full_R, build_r, check_defining,
+from ybsl21.rops import (build_full_R, build_r, check_defining,
                          check_factorization, check_lemma_system, check_ybe)
 from ybsl21.sl21 import (Weight, build_generators, casimir, check_casimir,
                          check_relations)
 from ybsl21.superpoly import (Z_MAX, SuperPolynomial, enumerate_basis, theta,
                               theta_bar)
-
-TH1, THB1, TH2, THB2 = theta(1), theta_bar(1), theta(2), theta_bar(2)
-ONE = SuperPolynomial.one()
-PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
-
-
-def z(site):
-    return SuperPolynomial.z_var(site)
-
-
-def sp(var):
-    return SuperPolynomial.odd_var(var)
+from support import ONE, PP, TH1, TH2, THB1, THB2, sp, z
 
 
 def test_rising_factorial():

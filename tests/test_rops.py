@@ -21,10 +21,9 @@ from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          weight_shift)
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, enumerate_basis,
-                              exponents, theta, theta_bar)
+                              exponents)
+from support import ONE, PP, TH1, TH2, THB1, THB2, sp
 
-PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
-ONE = SuperPolynomial.one()
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -65,8 +64,7 @@ def test_normalization_fixes_constant(k):
 def test_r2_action_on_psi0_plus():
     # thb12 at n = 0: the printed ratio after normalization is
     # (v2-u1)/(u2-u1)
-    thb12 = SuperPolynomial.odd_var(theta_bar(1)) - \
-        SuperPolynomial.odd_var(theta_bar(2))
+    thb12 = sp(THB1) - sp(THB2)
     r2 = build_r(2, PP)
     want = (PP.v.u2 - PP.u.u1) / (PP.u.u2 - PP.u.u1)
     assert r2.apply(thb12) == want * thb12
@@ -104,9 +102,9 @@ def test_defining_detects_kernel_mutation():
     p_mix = DegreeDiagonal(2, x, y + 1)
     bad_kernel = compose(p_main, op_sum(
         Scalar(f1_bad),
-        compose(MulOdd(theta_bar(2)), OddDeriv(theta_bar(2))))) - \
-        compose(Scalar(Q(1) / x), p_mix, MulZ(2),
-                OddDeriv(theta(2)), OddDeriv(theta_bar(2)))
+        compose(MulOdd(THB2), OddDeriv(THB2)))) - \
+        compose(Scalar(Q(1) / x), p_mix, MulZ(2), OddDeriv(TH2),
+                OddDeriv(THB2))
     s, s_inv = conjugator(1)
     bad_op = compose(s_inv, bad_kernel, s)
     l1 = build_lax(1, pp.u, "chiral")
@@ -257,8 +255,7 @@ def test_cold_and_warm_conjugators_give_golden_bytes(capsys):
 
 
 def test_full_r_examples():
-    th1th2 = SuperPolynomial.odd_var(theta(1)) * \
-        SuperPolynomial.odd_var(theta(2))
+    th1th2 = sp(TH1) * sp(TH2)
     swap = SwapSites(1, 2)
     assert swap.apply(th1th2) == -1 * th1th2
     assert equal_on_degree(compose(swap, swap), Scalar(1), 3).passed

@@ -118,8 +118,13 @@ def test_casimir_scalar_on_all_module_vectors():
 
 
 def test_verma_singular_weight():
-    with pytest.raises(SingularWeight):
-        verma_vector(Weight(Q(0), Q(1)), "a", 1)
+    # 2*ell = 0 and -1 are poles; 2*ell = 1/2 is not
+    for ell in (Q(0), Q(-1, 2)):
+        assert Weight(ell, Q(1)).is_singular()
+        with pytest.raises(SingularWeight):
+            verma_vector(Weight(ell, Q(1)), "a", 1)
+    assert not Weight(Q(1, 4), Q(1)).is_singular()
+    verma_vector(Weight(Q(1, 4), Q(1)), "a", 1)   # must not raise
     with pytest.raises(SingularWeight):
         verma_vector(Weight(Q(-1), Q(0)), "v", 2)
 

@@ -7,18 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ybsl21.superpoly import (MAX_SITES, ODD_MASK, Z_MAX, LayoutError,
                               Monomial, SuperPolynomial, enumerate_basis,
-                              exponents, theta, theta_bar)
-
-TH1, THB1 = theta(1), theta_bar(1)
-TH2, THB2 = theta(2), theta_bar(2)
-
-
-def sp(var):
-    return SuperPolynomial.odd_var(var)
-
-
-def z(site):
-    return SuperPolynomial.z_var(site)
+                              exponents)
+from support import TH1, TH2, THB1, THB2, sp, z
 
 
 def test_linear_combine_cancellation():
