@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
@@ -29,7 +30,7 @@ from .report import CheckReport
 from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
                    check_defining, check_factorization, check_lemma_system,
                    check_recurrences, check_ybe, pair_guard, ybe_pairs)
-from .sl21 import (SingularWeight, Weight, build_generators, check_casimir,
+from .sl21 import (Weight, build_generators, check_casimir,
                    check_finite_subspace, check_relations, fundamental_rep,
                    raised_vector, verma_vector)
 from .superpoly import Z_MAX, SuperPolynomial
@@ -153,15 +154,11 @@ def run_algebra(cfg: RunConfig) -> Iterator[CheckReport]:
     with verma.timed():
         for w in weights:
             g = build_generators(1, w)
-            try:
-                for kind in ("a", "b", "v", "w"):
-                    for k in range(0 if kind in ("a", "v", "w") else 1, 5):
-                        verma.expect(
-                            f"{kind}_{k} at (ell,b)=({w.ell},{w.b})",
-                            verma_vector(w, kind, k),
-                            raised_vector(g, kind, k))
-            except SingularWeight as exc:
-                verma.notes.append(f"skipped (ell,b)=({w.ell},{w.b}): {exc}")
+            for kind in ("a", "b", "v", "w"):
+                for k in range(0 if kind in ("a", "v", "w") else 1, 5):
+                    verma.expect(f"{kind}_{k} at (ell,b)=({w.ell},{w.b})",
+                                 verma_vector(w, kind, k),
+                                 raised_vector(g, kind, k))
     yield verma
     for n in (1, 2):
         for kind in ("chiral", "antichiral"):
@@ -395,6 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ybsl21",
         description="Exact verification suite for the rational sl(2|1) "
                     "R-operator factorization")
+    # an argument that starts with "-" and a digit, or "-." and a digit, is a
+    # value, so "--params -3,2,..." reads a negative rational (argparse's own
+    # rule takes only plain negative numbers)
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--command", choices=[*DRIVERS, "all"], default="all")
     p.add_argument("--max-degree", type=int, default=3)
     # a string default goes through type=int, so a bad YBSL21_SEED is a
@@ -461,36 +462,9 @@ def _emit_rows(rows: list[dict], stream) -> None:
         stream.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _attach_rational_lists(argv: list[str],
-                           parser: argparse.ArgumentParser) -> list[str]:
-    """`--params -3,2,...` as `--params=-3,2,...`: argparse takes a separate
-    value that starts with '-' for an option, not for a negative rational.
-
-    Every spelling the parser resolves to --params or --weights is joined:
-    the option itself and, when abbreviations are allowed, each prefix that
-    no other long option shares.
-    """
-    longs = [s for s in parser._option_string_actions if s.startswith("--")]
-    spellings = set()
-    for name in ("--params", "--weights"):
-        spellings.add(name)
-        if parser.allow_abbrev:
-            spellings.update(name[:n] for n in range(3, len(name))
-                             if [s for s in longs
-                                 if s.startswith(name[:n])] == [name])
-    out, rest = [], iter(argv)
-    for arg in rest:
-        if arg in spellings:
-            value = next(rest, None)
-            arg = arg if value is None else f"{arg}={value}"
-        out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(_attach_rational_lists(argv, parser))
+    args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
         out = (open(cfg.output, "w", encoding="utf-8")

@@ -24,7 +24,7 @@ from .linsolve import solve_in_span
 from .opalg import Operator, rising_factorial
 from .report import CheckReport
 from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
-                   conjugator, conjugator_r2_even, guard_factor, two_site_vars)
+                   conjugator, conjugator_r2_even, two_site_vars)
 from .sl21 import Weight, build_generators
 from .superpoly import SuperPolynomial
 
@@ -144,8 +144,7 @@ def decompose(p: SuperPolynomial, n: int,
 
 def sector_action(op: Operator, sector: str, n: int) -> tuple:
     """The 2x2 matrix of a built operator on the level-n sector basis, column
-    j the image of basis vector j, decomposed exactly; build the operator
-    with max_degree >= n + 1."""
+    j the image of basis vector j, decomposed exactly."""
     plus, minus = sector_basis(sector, n)
     col_plus = decompose(op.apply(plus), n, sector)
     col_minus = decompose(op.apply(minus), n, sector)
@@ -213,8 +212,7 @@ def check_sector(which: int, pp: ParamPair, nmax: int = 3) -> CheckReport:
     report = CheckReport(check_name=f"spectrum-R{which}", params=pp.render(),
                          max_degree=nmax)
     with report.timed(SingularParameters, NotInSpan):
-        guard_factor(which, pp, nmax)
-        op = build_r(which, pp, max_degree=nmax + 1)
+        op = build_r(which, pp, max_degree=nmax)
         one = SuperPolynomial.one()
         report.expect("n=0 anchor", op.apply(one), one)
         for n, sector in sector_levels(nmax):

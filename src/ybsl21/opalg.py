@@ -344,8 +344,8 @@ class DegreeDiagonal(Operator):
         if h is None:
             den = rising_factorial(self.b, n)
             if den == 0:
-                raise PochhammerPole(f"denominator Pochhammer vanishes at "
-                                     f"degree {n}: {(self.b,)}")
+                raise PochhammerPole(f"denominator Pochhammer (b)_n with "
+                                     f"b = {self.b} vanishes at degree {n}")
             h = self._cache[n] = rising_factorial(self.a, n) / den
         return h
 

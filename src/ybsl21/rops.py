@@ -225,7 +225,9 @@ def build_r(k: int, pp: ParamPair, max_degree: int = 4) -> Operator:
     """Conjugated, normalized exchange operator; op(1) = 1 exactly.
 
     When the exchanged pair is already equal there is nothing to exchange
-    and the normalized operator degenerates to the identity.
+    and the normalized operator degenerates to the identity.  `max_degree`
+    sets only the degree `guard_factor` checks; the operator is the same at
+    every degree.
     """
     if pp.exchanged(k) == pp:
         return Scalar(1)
@@ -407,8 +409,9 @@ def _rhat_factors(pp: ParamPair, max_degree: int) -> list[Operator]:
 
 
 def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
-    """Rcheck = R1 R2 R3 with the factorization's argument threading."""
-    return _normalized(compose(*_rhat_factors(pp, max_degree)), "Rcheck")
+    """Rcheck = R1 R2 R3 with the factorization's argument threading; each
+    factor fixes 1, so the product does."""
+    return compose(*_rhat_factors(pp, max_degree))
 
 
 def build_full_R(pp: ParamPair, max_degree: int = 4) -> Operator:
@@ -418,8 +421,7 @@ def build_full_R(pp: ParamPair, max_degree: int = 4) -> Operator:
     applies R2 and R1 to many shared monomials.
     """
     factors = [Cached(r) for r in _rhat_factors(pp, max_degree)]
-    rhat = _normalized(compose(*factors), "Rcheck")
-    return Cached(compose(SwapSites(1, 2), rhat))
+    return Cached(compose(SwapSites(1, 2), *factors))
 
 
 def check_factorization(pp: ParamPair, max_degree: int = 2) -> CheckReport:

@@ -201,6 +201,23 @@ def test_leading_negative_rational_in_either_form(capsys, option, value,
         "CONFIG ERROR" if code else "PASS")
 
 
+def test_negative_seed_parses():
+    args = build_parser().parse_args(["--command", "check-algebra",
+                                      "--seed", "-3"])
+    assert config_from_args(args).seed == -3
+
+
+def test_option_after_params_is_usage_error(monkeypatch, capsys):
+    # "-x" does not start with a digit, so it is an option, not a value
+    _forbid_computation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["--command", "check-recurrences", "--params", "-x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --params: expected one argument" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_table_rows():
     cfg = RunConfig(command="spectrum", seed=1, samples=1)
     rows = spectrum_table(cfg)
@@ -250,9 +267,12 @@ def _forbid_computation(monkeypatch):
      "--weights", "1,1/3,1/2,-2/5,2,1/2"],
     ["--spectrum-table", "--format", "text"],
     ["--command", "check-ybe", "--spectrum-table", "--seed", "1"],
+    ["--command", "check-recurrences", "--params", "-1.5,2,1,1/2,9/2,-3/2"],
+    ["--command", "check-recurrences", "--params", "-.5,2,1,1/2,9/2,-3/2"],
 ], ids=["negative-degree", "negative-ybe-degree", "degree-past-key-limit",
         "ybe-degree-past-key-limit", "zero-samples", "table-zero-samples",
-        "params-and-weights", "table-text-format", "table-other-command"])
+        "params-and-weights", "table-text-format", "table-other-command",
+        "negative-decimal", "negative-leading-point"])
 def test_out_of_range_input_rejected_before_computation(monkeypatch, capsys,
                                                          argv):
     _forbid_computation(monkeypatch)

@@ -291,9 +291,9 @@ def test_pochhammer_pole_raises():
 
 #: the pole message of each nonpositive integer b, at its first pole 1 - b
 POLE_MESSAGES = {
-    0: "denominator Pochhammer vanishes at degree 1: (Fraction(0, 1),)",
-    -1: "denominator Pochhammer vanishes at degree 2: (Fraction(-1, 1),)",
-    -3: "denominator Pochhammer vanishes at degree 4: (Fraction(-3, 1),)",
+    0: "denominator Pochhammer (b)_n with b = 0 vanishes at degree 1",
+    -1: "denominator Pochhammer (b)_n with b = -1 vanishes at degree 2",
+    -3: "denominator Pochhammer (b)_n with b = -3 vanishes at degree 4",
 }
 
 

@@ -5,11 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from ybsl21 import rops
 from ybsl21.cli import main
-from ybsl21.lax import SpectralTriple
-from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, MulOdd, MulZ,
-                          OddDeriv, Scalar, SwapSites, compose,
-                          equal_on_degree, op_sum)
+from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, Scalar, SwapSites,
+                          compose, equal_on_degree, op_sum)
 from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          _rhat_stages,
                          build_full_R,
@@ -21,8 +20,8 @@ from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          weight_shift)
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, enumerate_basis,
-                              exponents)
-from support import ONE, PP, TH1, TH2, THB1, THB2, sp
+                              exponents, monomial_text)
+from support import ONE, PP, TH1, TH2, THB1, THB2, sp, z
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -91,30 +90,57 @@ def test_defining_trivial_exchange():
     assert check_defining(3, pp, max_degree=1).passed
 
 
-def test_defining_detects_kernel_mutation():
-    # rebuild R1 with f1 replaced by f1 + 1; the defining equation must fail
-    from ybsl21.lax import build_lax
-    from ybsl21.lax import diagonal, matrices_equal
-    pp = PP
-    x, y = pp.u.u1 - pp.v.u3, pp.v.u1 - pp.v.u3
-    f1_bad = (pp.v.u1 - pp.v.u2) / (pp.u.u1 - pp.v.u1) + 1
-    p_main = DegreeDiagonal(2, x + 1, y + 1)
-    p_mix = DegreeDiagonal(2, x, y + 1)
-    bad_kernel = compose(p_main, op_sum(
-        Scalar(f1_bad),
-        compose(MulOdd(THB2), OddDeriv(THB2)))) - \
-        compose(Scalar(Q(1) / x), p_mix, MulZ(2), OddDeriv(TH2),
-                OddDeriv(THB2))
-    s, s_inv = conjugator(1)
-    bad_op = compose(s_inv, bad_kernel, s)
-    l1 = build_lax(1, pp.u, "chiral")
-    l2 = build_lax(2, pp.v, "chiral")
-    xu, xv = (pp.v.u1, pp.u.u2, pp.u.u3), (pp.u.u1, pp.v.u2, pp.v.u3)
-    l1x = build_lax(1, SpectralTriple(*xu), "chiral")
-    l2x = build_lax(2, SpectralTriple(*xv), "chiral")
-    lhs = diagonal(bad_op) @ (l1 @ l2)
-    rhs = (l1x @ l2x) @ diagonal(bad_op)
-    assert not matrices_equal(lhs, rhs, 1, nsites=2).passed
+def test_defining_detects_kernel_mutation(monkeypatch):
+    # f1 -> f1 + 1 in R1's kernel: the defining equation must fail
+    real = rops.kernel
+
+    def mutated(k, pp):
+        if k != 1:
+            return real(k, pp)
+        x, y = pp.u.u1 - pp.v.u3, pp.v.u1 - pp.v.u3
+        return op_sum(real(1, pp), DegreeDiagonal(2, x + 1, y + 1))
+
+    assert check_defining(1, PP, max_degree=1).passed
+    monkeypatch.setattr(rops, "kernel", mutated)
+    assert check_defining(1, PP, max_degree=1).status == "fail"
+
+
+def _mirror(p: SuperPolynomial) -> SuperPolynomial:
+    """Sigma: z1 <-> z2, th1 <-> thb2 and thb1 <-> th2, with no signs; the
+    images multiply in the monomial's order, which gives the reordering
+    sign."""
+    odd_images = {TH1: THB2, THB1: TH2, TH2: THB1, THB2: TH1}
+    out = SuperPolynomial.zero()
+    for key in p.terms:
+        d1, d2, _ = exponents(key)
+        image = z(2) ** d1 * z(1) ** d2
+        for var, var_image in odd_images.items():
+            if key >> var & 1:
+                image = image * sp(var_image)
+        out = out + p.coefficient(key) * image
+    return out
+
+
+def _mirrored(pp: ParamPair) -> ParamPair:
+    """pp* = (-v3, -v2, -v1; -u3, -u2, -u1)."""
+    u1, u2, u3 = pp.u.as_tuple()
+    v1, v2, v3 = pp.v.as_tuple()
+    return ParamPair.from_rationals(-v3, -v2, -v1, -u3, -u2, -u1)
+
+
+@pytest.mark.parametrize("op, mirror_op", [
+    (lambda pp: build_r(1, pp), lambda pp: build_r(3, pp)),
+    (lambda pp: build_r(3, pp), lambda pp: build_r(1, pp)),
+    (lambda pp: build_r(2, pp), lambda pp: build_r(2, pp)),
+    (build_rhat, build_rhat),
+], ids=["R1-R3", "R3-R1", "R2-R2", "Rcheck-Rcheck"])
+def test_r1_is_r3_in_a_mirror(op, mirror_op):
+    # Sigma R1(pp) = R3(pp*) Sigma, and so on, on every basis monomial
+    lhs, rhs = op(PP), mirror_op(_mirrored(PP))
+    for key in enumerate_basis(2):
+        p = SuperPolynomial({key: 1})
+        assert _mirror(lhs.apply(p)) == rhs.apply(_mirror(p)), \
+            monomial_text(key)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
