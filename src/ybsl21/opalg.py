@@ -4,9 +4,13 @@ Operators are immutable and have known parity.  The differential part has a
 normal form: `Scalar`, `MulZ`, `MulOdd`, `MulPoly`, `EvenDeriv` and
 `OddDeriv` each return a `DiffOp`, a sum of terms z^a th^A dz^b dth^B with
 multiplications left of derivatives, and `compose` and `op_sum` fold DiffOp
-factors and summands into one by the graded Leibniz rule.  The other
-operators (degree-diagonal kernels, terminating exponentials, site swaps
-and lifts, memoized columns) stay expression-tree nodes over it.
+factors and summands into one by the graded Leibniz rule.  A DiffOp applies
+through one plan per odd mask of its input terms, built on first use: with
+the mask fixed, each term's odd action is one sign and one output mask, so
+the derivative and multiplication signs fold into the numerators and the
+terms that cannot act on that mask are left out.  The other operators
+(degree-diagonal kernels, terminating exponentials, site swaps and lifts,
+memoized columns) stay expression-tree nodes over the normal form.
 Every `_apply` takes and returns a `SuperPolynomial` in its integer form and
 may leave it unreduced; `apply` reduces the result once.  Application is
 exact; equality testing stays extensional on degree-bounded monomial bases:
@@ -16,10 +20,9 @@ a verdict never comes from comparing normal forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 from itertools import product
 from math import comb, gcd, lcm, perm
-from operator import or_
 
 from .report import CheckReport
 from .superpoly import (FIELD_MASK, GUARD, ODD_MASK, Z_SHIFTS, Monomial,
@@ -106,6 +109,18 @@ def _deriv_sign(b_mask: int, mask: int) -> tuple[int, int]:
     return sign, mask
 
 
+@cache
+def _odd_action(a: int, b: int, mask: int) -> tuple[int, int]:
+    """(sign, out) with th^a dth^b th^mask = sign * th^out; sign 0 when the
+    term annihilates th^mask.  Memoized: plan building asks for the same
+    few triples of 6-bit masks over and over."""
+    sign, rest = _deriv_sign(b, mask)
+    if not sign:
+        return 0, 0
+    s, out = _merge_masks(a, rest)
+    return sign * s, out
+
+
 class DiffOp(Operator):
     """A polynomial-coefficient differential operator in normal form,
     sum(n * z^alpha th^A dz^beta dth^B for (x, y), n) / den.
@@ -117,9 +132,14 @@ class DiffOp(Operator):
     common factor, so each operator has one form.  `compose` and `op_sum`
     fold adjacent DiffOps into one; equality checks stay extensional all
     the same.
+
+    An input term with odd mask `mask` is applied through `_plans[mask]`,
+    built when the first such term comes in: it holds only the terms that
+    act on th^mask, each with its derivative and multiplication signs
+    folded into its numerator (see `_plan`).
     """
 
-    __slots__ = ("terms", "den", "_c", "_odd", "_plans")
+    __slots__ = ("terms", "den", "_c", "_plans")
 
     def __init__(self, terms: dict, den: int = 1):
         terms = {k: n for k, n in terms.items() if n}
@@ -131,36 +151,30 @@ class DiffOp(Operator):
         self.den = den
         # the numerator of a pure scalar, which takes the fast path
         self._c = terms.get((0, 0)) if len(terms) == 1 else None
-        # its odd variables: a plan's tables cover their sites and the input's
-        self._odd = reduce(or_, (x | y for x, y in terms), 0) & ODD_MASK
         self._plans: dict[int, list] = {}
 
-    def _plan(self, sites: int) -> list:
-        """The terms for inputs with odd variables on `sites` sites, grouped
-        by derivative pattern and then by even multiplier: [(derivative signs,
-        remaining masks, dz, [(even multiplier key, [(multiplication signs,
-        merged masks, numerator)])])].  The sign and mask lists are indexed
-        by odd mask, dz lists (field shift, order, order << shift) triples,
-        and each odd multiplier's lists are shared across the groups."""
-        size = 1 << (2 * sites)
-        tables: dict[int, tuple] = {}
+    def _plan(self, mask: int) -> list:
+        """The terms that act on th^mask, grouped by even derivative and then
+        by even multiplier: [(dz, [(even multiplier key, [(output odd mask,
+        signed numerator)])])].  dz lists (field shift, order, order << shift)
+        triples.  Terms that meet one output mask are merged, and a merged
+        numerator of 0 is dropped."""
         groups: dict[int, dict] = {}
         for (x, y), n in self.terms.items():
-            a = x & ODD_MASK
-            t = tables.get(a)
-            if t is None:
-                merged = [_merge_masks(a, mask) for mask in range(size)]
-                t = tables[a] = ([s for s, _ in merged],
-                                 [m for _, m in merged])
-            groups.setdefault(y, {}).setdefault(x ^ a, []).append((*t, n))
+            a, b = x & ODD_MASK, y & ODD_MASK
+            sign, out = _odd_action(a, b, mask)
+            if sign:
+                odd = groups.setdefault(y ^ b, {}).setdefault(x ^ a, {})
+                odd[out] = odd.get(out, 0) + sign * n
         plan = []
         for y, by_alpha in groups.items():
-            d = [_deriv_sign(y & ODD_MASK, mask) for mask in range(size)]
-            dz = tuple((shift, k, k << shift) for shift in Z_SHIFTS
-                       if (k := y >> shift & FIELD_MASK))
-            plan.append(([s for s, _ in d], [m for _, m in d], dz,
-                         list(by_alpha.items())))
-        self._plans[sites] = plan
+            entries = [(alpha, live) for alpha, odd in by_alpha.items()
+                       if (live := [(out, n) for out, n in odd.items() if n])]
+            if entries:
+                dz = tuple((shift, k, k << shift) for shift in Z_SHIFTS
+                           if (k := y >> shift & FIELD_MASK))
+                plan.append((dz, entries))
+        self._plans[mask] = plan
         return plan
 
     def _apply(self, p):
@@ -169,22 +183,17 @@ class DiffOp(Operator):
             terms = (p.terms if c == 1
                      else {m: c * n for m, n in p.terms.items()})
             return SuperPolynomial(terms, p.den * self.den)
-        odd = reduce(or_, p.terms, self._odd) & ODD_MASK
-        sites = (odd.bit_length() + 1) >> 1
-        plan = self._plans.get(sites)
-        if plan is None:
-            plan = self._plan(sites)
+        plans = self._plans
         out: dict[int, int] = {}
         get = out.get
         for key, n in p.terms.items():
             mask = key & ODD_MASK
+            plan = plans.get(mask)
+            if plan is None:
+                plan = self._plan(mask)
             z = key ^ mask
-            for dsign, drest, dz, entries in plan:
-                f = dsign[mask]
-                if not f:
-                    continue
-                rest = drest[mask]
-                f *= n
+            for dz, entries in plan:
+                f = n
                 zz = z
                 if dz:
                     for shift, k, step in dz:
@@ -200,13 +209,12 @@ class DiffOp(Operator):
                     zk = zz + alpha
                     if zk & GUARD:
                         fit(zk)
-                    for asign, amerged, c in odd:
-                        s = asign[rest]
-                        if s:
-                            k = zk | amerged[rest]
-                            out[k] = get(k, 0) + s * c * f
-        return SuperPolynomial({k: n for k, n in out.items() if n},
-                               p.den * self.den)
+                    for merged, c in odd:
+                        k = zk | merged
+                        out[k] = get(k, 0) + c * f
+        if 0 in out.values():
+            out = {k: n for k, n in out.items() if n}
+        return SuperPolynomial(out, p.den * self.den)
 
     def parity(self):
         ps = {((x & ODD_MASK).bit_count() + (y & ODD_MASK).bit_count()) & 1
@@ -548,12 +556,17 @@ class Cached(Operator):
         self._images: dict[int, SuperPolynomial] = {}
 
     def _apply(self, p):
+        images = self._images
+        if len(p.terms) == 1 and p.den == 1:
+            (m, n), = p.terms.items()
+            if n == 1 and m in images:
+                return images[m]
         parts = []
         for m, n in p.terms.items():
-            img = self._images.get(m)
+            img = images.get(m)
             if img is None:
                 img = self.op._apply(SuperPolynomial({m: 1})).reduced()
-                self._images[m] = img
+                images[m] = img
             parts.append((n, img))
         return lincomb(parts, p.den)
 

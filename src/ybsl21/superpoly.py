@@ -213,6 +213,8 @@ class SuperPolynomial:
                 and self.terms.keys() == other.terms.keys()):
             return False
         d1, d2, theirs = self.den, other.den, other.terms
+        if d1 == d2:
+            return self.terms == theirs
         return all(n * d2 == theirs[m] * d1 for m, n in self.terms.items())
 
     def __hash__(self):
@@ -299,16 +301,26 @@ def enumerate_basis(max_z_degree: int, nsites: int = 2) -> list[int]:
 
 def lincomb(parts, den: int = 1) -> SuperPolynomial:
     """sum(w * q for w, q in parts) / den for int weights w, over the lcm of
-    the parts' denominators; the result need not be reduced."""
-    parts = [(w, q) for w, q in parts if q.terms]
-    if len(parts) == 1 and parts[0][0] == 1 and den == 1:
-        return parts[0][1]
+    the parts' denominators; the result need not be reduced, and holds no
+    zero numerator."""
+    parts = [(w, q) for w, q in parts if w and q.terms]
+    if not parts:
+        return SuperPolynomial({}, den)
+    if len(parts) == 1:
+        w, q = parts[0]
+        if w == 1 and den == 1:
+            return q
+        terms = q.terms if w == 1 else {m: w * n for m, n in q.terms.items()}
+        return SuperPolynomial(terms, den * q.den)
     common = lcm(*(q.den for _, q in parts))
-    terms: dict[int, int] = {}
+    (w, q), *rest = parts
+    f = w * (common // q.den)
+    terms = {m: f * n for m, n in q.terms.items()}
     get = terms.get
-    for w, q in parts:
+    for w, q in rest:
         f = w * (common // q.den)
         for m, n in q.terms.items():
             terms[m] = get(m, 0) + f * n
-    return SuperPolynomial({m: n for m, n in terms.items() if n},
-                           den * common)
+    if 0 in terms.values():
+        terms = {m: n for m, n in terms.items() if n}
+    return SuperPolynomial(terms, den * common)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybsl21 import opalg
-from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, check_invariance,
-                        check_rll)
+from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, build_lax,
+                        check_invariance, check_rll)
 from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, EvenDeriv,
                           IndefiniteParity, MulOdd, MulPoly, MulZ,
                           NonTerminatingExp, OddDeriv, OnSites, Scalar,
@@ -17,7 +17,8 @@ from ybsl21.rops import (build_full_R, build_r, check_defining,
                          check_factorization, check_lemma_system, check_ybe)
 from ybsl21.sl21 import (Weight, build_generators, casimir, check_casimir,
                          check_relations)
-from ybsl21.superpoly import (Z_MAX, SuperPolynomial, enumerate_basis, theta,
+from ybsl21.superpoly import (FIELD_MASK, ODD_MASK, Z_MAX, Z_SHIFTS, Monomial,
+                              SuperPolynomial, enumerate_basis, theta,
                               theta_bar)
 from support import ONE, PP, TH1, TH2, THB1, THB2, sp, z
 
@@ -225,6 +226,19 @@ def test_one_cache_serves_every_site_count():
     assert len(cached._images) == len(enumerate_basis(1, 3))
 
 
+def test_cached_returns_the_stored_column_of_a_unit_monomial():
+    op = op_sum(Q(1, 3) * compose(MulZ(2), OddDeriv(TH1)), Scalar(Q(1, 2)))
+    cached = Cached(op)
+    m, other = Monomial((1,), 1 << TH1), Monomial((0, 1), 1 << THB2)
+    unit = SuperPolynomial({m: 1})
+    assert cached.apply(unit) == op.apply(unit)
+    assert cached._apply(unit) is cached._images[m]
+    for p in (SuperPolynomial({m: 2}), SuperPolynomial({m: 1}, 3),
+              SuperPolynomial({m: 1, other: 1}), SuperPolynomial({other: 1})):
+        assert cached.apply(p) == op.apply(p)
+    assert set(cached._images) == {m, other}
+
+
 W1, W2, W3 = (Weight(Q(1), Q(1, 3)), Weight(Q(1, 2), Q(-2, 5)),
               Weight(Q(3, 2), Q(2, 7)))
 
@@ -322,7 +336,6 @@ simple_ops = st.sampled_from([
 ])
 
 coeffs = st.fractions(min_value=-3, max_value=3)
-from ybsl21.superpoly import Monomial  # noqa: E402
 
 monomials = st.builds(
     Monomial, st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -521,17 +534,68 @@ def test_diff_op_applies_on_every_site_count_it_reaches():
         assert op.apply(sp(THB1) * spectator) == z(1) * spectator
 
 
-def test_term_less_diff_op_builds_its_empty_plan_once(monkeypatch):
+def lax_pair():
+    return build_lax(1, PP.u), build_lax(2, PP.v)
+
+
+def as_fractions(p):
+    assert 0 not in p.terms.values()
+    return {m: Q(n, p.den) for m, n in p.terms.items()}
+
+
+def record_plans(monkeypatch) -> list:
+    """The (operator, mask) of every DiffOp plan built from now on."""
     built = []
     plan = DiffOp._plan
     monkeypatch.setattr(DiffOp, "_plan",
-                        lambda self, sites: built.append(sites)
-                        or plan(self, sites))
+                        lambda self, mask: built.append((self, mask))
+                        or plan(self, mask))
+    return built
+
+
+def test_term_less_diff_op_builds_its_empty_plan_once(monkeypatch):
+    built = record_plans(monkeypatch)
     op = Scalar(0)
     assert normal_form(op) == ({}, 1)
+    inputs = (z(1) * sp(TH2), sp(TH1), z(2) * sp(TH2) + z(1), ONE)
     for _ in range(3):
-        assert op.apply(z(1) * sp(TH2)) == SuperPolynomial.zero()
-    assert built == [2]
+        for p in inputs:
+            assert op.apply(p) == SuperPolynomial.zero()
+    # once for each mask it meets
+    assert built == [(op, 1 << TH2), (op, 1 << TH1), (op, 0)]
+
+
+def test_lax_entry_builds_one_plan_per_input_mask(monkeypatch):
+    l1, l2 = lax_pair()
+    entry = (l1 @ l2).entry(1, 1)
+    assert isinstance(entry, DiffOp)
+    built = record_plans(monkeypatch)
+    basis = enumerate_basis(2)
+    for _ in range(2):
+        for m in basis:
+            entry.apply(SuperPolynomial({m: 1}))
+    masks = [mask for _, mask in built]
+    assert {op for op, _ in built} == {entry}
+    assert len(masks) == len(set(masks)) <= len({m & ODD_MASK for m in basis})
+
+
+def test_diff_op_on_inputs_that_mix_odd_masks():
+    # a site-3 factor s is a spectator: entry(m s) = entry(m) s, with s
+    # right of every site-1 and site-2 factor in canonical order
+    site3 = FIELD_MASK << Z_SHIFTS[2] | 1 << theta(3) | 1 << theta_bar(3)
+    l1, l2 = lax_pair()
+    for entry in (e for row in (l1 @ l2).entries for e in row):
+        for basis in (enumerate_basis(2), enumerate_basis(1, nsites=3)):
+            mixed = SuperPolynomial({m: j + 1 for j, m in enumerate(basis)})
+            want: dict = {}
+            for j, m in enumerate(basis):
+                image = entry.apply(SuperPolynomial({m & ~site3: 1}))
+                assert 0 not in image.terms.values()
+                image = image * SuperPolynomial({m & site3: 1})
+                for k, c in as_fractions(image).items():
+                    want[k] = want.get(k, 0) + (j + 1) * c
+            assert as_fractions(entry._apply(mixed)) == \
+                {k: c for k, c in want.items() if c}
 
 
 def test_diff_op_never_carries_a_z_degree_into_the_next_field():

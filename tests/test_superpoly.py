@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ybsl21.superpoly import (MAX_SITES, ODD_MASK, Z_MAX, LayoutError,
                               Monomial, SuperPolynomial, enumerate_basis,
-                              exponents)
+                              exponents, lincomb)
 from support import TH1, TH2, THB1, THB2, sp, z
 
 
@@ -25,6 +25,43 @@ def test_linear_combine_merges():
     tt = sp(TH1) * sp(THB1)
     p = Q(1, 2) * tt + Q(1, 2) * tt
     assert p == tt
+
+
+def test_equality_compares_values_whatever_the_denominators():
+    m = Monomial((1,), 1 << TH1)
+    assert SuperPolynomial({m: 2}, 4) == SuperPolynomial({m: 1}, 2)
+    assert SuperPolynomial({m: 2}, 2) != SuperPolynomial({m: 1}, 2)
+    assert SuperPolynomial({m: 3}, 2) == SuperPolynomial({m: 3}, 2)
+    assert SuperPolynomial({m: 1}, 2) != SuperPolynomial({m: 1, 0: 1}, 2)
+
+
+def test_lincomb_matches_a_fraction_reference():
+    x, y = Monomial((1,), 1 << TH1), Monomial((0, 2), 0)
+    p = SuperPolynomial({x: 3, y: -2}, 4)
+    q = SuperPolynomial({x: 1}, 6)
+    cases = (
+        ([], 2),
+        ([(0, p), (2, q)], 1),                  # a zero weight
+        ([(0, p)], 3),
+        ([(3, p)], 1),                          # one part
+        ([(1, p)], 5),
+        ([(-2, p)], 7),
+        ([(-2, p), (3, q)], 2),
+        ([(1, p), (-1, p)], 3),                 # parts that cancel
+        ([(2, p), (-1, SuperPolynomial({x: 6, y: -4}, 4))], 1),
+        ([(2, p), (-9, q)], 1),                 # x cancels, y stays
+        ([(1, q), (0, p), (1, p), (-1, q)], 1),
+    )
+    for parts, den in cases:
+        got = lincomb(parts, den)
+        want: dict = {}
+        for w, r in parts:
+            for m, n in r.terms.items():
+                want[m] = want.get(m, 0) + Q(w * n, r.den * den)
+        assert got.den > 0 and 0 not in got.terms.values()
+        assert ({m: Q(n, got.den) for m, n in got.terms.items()}
+                == {m: c for m, c in want.items() if c})
+    assert lincomb([(1, p), (1, SuperPolynomial.zero())]) is p
 
 
 def test_mul_anticommutes():
