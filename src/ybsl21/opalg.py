@@ -26,8 +26,9 @@ from math import comb, gcd, lcm, perm
 
 from .report import CheckReport
 from .superpoly import (FIELD_MASK, GUARD, ODD_MASK, Z_SHIFTS, Monomial,
-                        SuperPolynomial, _merge_masks, enumerate_basis,
-                        exponents, fit, lincomb, monomial_text)
+                        SuperPolynomial, _merge_masks, charge,
+                        enumerate_basis, exponents, fit, lincomb,
+                        monomial_text)
 
 Q = Fraction
 
@@ -607,15 +608,119 @@ def graded_commutator(a: Operator, b: Operator) -> Operator:
     return compose(a, b) - Q(sign) * compose(b, a)
 
 
-def equal_on_degree(a: Operator, b: Operator, max_degree: int,
-                    nsites: int = 2) -> CheckReport:
-    """Exact extensional comparison on every basis monomial up to a z-degree."""
-    report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
-    with report.timed(OperatorError):
-        for m in enumerate_basis(max_degree, nsites):
+def _sweep(a: Operator, b: Operator, indexed) -> list[tuple]:
+    """Compare a with b on each (index, monomial) pair, in the order given.
+
+    Returns the events in that order: (index, monomial, lhs, rhs) for each
+    mismatch and, if an exception stopped the sweep, (index, exception)
+    last.
+    """
+    events = []
+    for i, m in indexed:
+        try:
             pm = SuperPolynomial({m: 1})
             lhs = a.apply(pm)
             rhs = b.apply(pm)
-            if lhs != rhs:   # the label is built only for a mismatch
-                report.expect(monomial_text(m), lhs, rhs)
+        except Exception as exc:
+            events.append((i, exc))
+            break
+        if lhs != rhs:
+            events.append((i, m, lhs, rhs))
+    return events
+
+
+def _slots(indexed: list, workers: int) -> list[list]:
+    """The basis split into at most `workers` slots of whole charge shards.
+
+    A shard is every monomial of one (S, B) block (`charge`); the largest
+    shard goes first, to the slot with the fewest monomials so far.  Each
+    slot lists its monomials in basis order.
+    """
+    shards: dict[tuple[int, int], list] = {}
+    for i, m in indexed:
+        shards.setdefault(charge(m), []).append((i, m))
+    slots: list[list] = [[] for _ in range(min(workers, len(shards)))]
+    for shard in sorted(shards.values(), key=len, reverse=True):
+        min(slots, key=len).extend(shard)
+    return [sorted(slot) for slot in slots]
+
+
+def _forked_sweep(a: Operator, b: Operator, slots: list[list]) -> list[tuple]:
+    """The events of every slot, merged in basis order: slot 0 is swept in
+    this process, each other slot in an `os.fork` child that sends its
+    pickled events back through a pipe.  A slot whose events do not come
+    back whole (they did not pickle, or the child died) is swept again here.
+    """
+    import os
+    import pickle
+
+    children = []
+    try:
+        for slot in slots[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # the child never returns into the caller, and _exit leaves
+                # the stdio buffers it inherited unflushed
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps(_sweep(a, b, slot))
+                    except Exception:
+                        data = b""
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r, slot))
+        events = _sweep(a, b, slots[0])
+    finally:
+        results = []
+        for pid, r, slot in children:
+            with open(r, "rb") as pipe:
+                results.append((pipe.read(), slot))
+            os.waitpid(pid, 0)
+    for data, slot in results:
+        try:
+            events += pickle.loads(data)
+        except Exception:
+            events += _sweep(a, b, slot)
+    events.sort(key=lambda event: event[0])
+    return events
+
+
+def equal_on_degree(a: Operator, b: Operator, max_degree: int,
+                    nsites: int = 2, workers: int = 1) -> CheckReport:
+    """Exact extensional comparison on every basis monomial up to a z-degree.
+
+    The basis is cut into shards, one per block of the charges (S, B) of
+    `superpoly.charge`, and the shards are dealt to `workers` slots, capped
+    at the number of shards.  Slot 0 is swept in this process and each
+    other slot in an `os.fork` child; with one slot nothing forks.  Every
+    image stays in its own block, so the slots share no work.  The events
+    are then replayed in basis order up to the first exception, which is
+    raised again: the report, or the exception, is that of the one-process
+    sweep, whatever the number of workers.  Columns that children fill in
+    `Cached` operators are not kept here.  The caller checks that `os.fork`
+    exists; one fork costs more than a whole two-site sweep, so only the
+    three-site Yang-Baxter check asks for workers, one per CPU this process
+    may use.
+    """
+    report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
+    with report.timed(OperatorError):
+        indexed = list(enumerate(enumerate_basis(max_degree, nsites)))
+        slots = _slots(indexed, workers) if workers > 1 else [indexed]
+        events = (_sweep(a, b, indexed) if len(slots) == 1
+                  else _forked_sweep(a, b, slots))
+        for event in events:
+            if len(event) == 2:
+                raise event[1]
+            _, m, lhs, rhs = event
+            report.expect(monomial_text(m), lhs, rhs)
     return report

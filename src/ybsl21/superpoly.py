@@ -76,6 +76,23 @@ def exponents(key: int) -> tuple[int, ...]:
     return tuple(key >> shift & FIELD_MASK for shift in Z_SHIFTS)
 
 
+def charge(key: int) -> tuple[int, int]:
+    """The charges (S, B) of a monomial: S = 2 * (total z-degree) + #odd and
+    B = #thb - #th.
+
+    Every operator the package builds maps a monomial into its own (S, B)
+    block, so `equal_on_degree` sweeps the blocks as independent shards.
+    The shards rely on this for speed only: an operator that does not
+    conserve the charges still compares correctly, its shards just fill
+    more columns.
+    """
+    mask = key & ODD_MASK
+    odd = mask.bit_count()
+    # the theta-bar variables are the odd ids 1, 3, 5
+    return (2 * sum(exponents(key)) + odd,
+            2 * (mask & 0b101010).bit_count() - odd)
+
+
 def monomial_text(key: int) -> str:
     parts = [f"z{i + 1}" + (f"^{d}" if d > 1 else "")
              for i, d in enumerate(exponents(key)) if d > 0]

@@ -20,7 +20,7 @@ from ybsl21.sl21 import (Weight, build_generators, casimir, check_casimir,
 from ybsl21.superpoly import (FIELD_MASK, ODD_MASK, Z_MAX, Z_SHIFTS, Monomial,
                               SuperPolynomial, enumerate_basis, theta,
                               theta_bar)
-from support import ONE, PP, TH1, TH2, THB1, THB2, sp, z
+from support import ONE, PP, TH1, TH2, THB1, THB2, YBE, sp, z
 
 
 def test_rising_factorial():
@@ -239,13 +239,12 @@ def test_cached_returns_the_stored_column_of_a_unit_monomial():
     assert set(cached._images) == {m, other}
 
 
-W1, W2, W3 = (Weight(Q(1), Q(1, 3)), Weight(Q(1, 2), Q(-2, 5)),
-              Weight(Q(3, 2), Q(2, 7)))
+W1, W2, W3 = YBE[:3]
 
 #: each check at degree 1, and the sites its operators reach: the basis it
 #: must sweep, since no polynomial carries a site count to stop a smaller one
 SWEEPS = {
-    "ybe": (lambda: check_ybe(W1, W2, W3, Q(2), Q(1, 2), 1), 3),
+    "ybe": (lambda: check_ybe(*YBE, 1), 3),
     "rll": (lambda: check_rll(W1, Q(2), Q(1, 2), 1), 1),
     "invariance": (lambda: check_invariance(
         SpectralTriple.from_weight(Q(0), Weight(Q(1), Q(0))), Q(2, 3), 1), 1),

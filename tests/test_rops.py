@@ -7,8 +7,9 @@ import pytest
 
 from ybsl21 import rops
 from ybsl21.cli import main
-from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, Scalar, SwapSites,
-                          compose, equal_on_degree, op_sum)
+from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, MulZ, OnSites,
+                          Scalar, SwapSites, compose, equal_on_degree,
+                          op_sum)
 from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          _rhat_stages,
                          build_full_R,
@@ -17,11 +18,11 @@ from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
                          check_recurrences, check_ybe, conjugator,
                          conjugator_r2_even,
                          guard_factor, pair_guard, total_generator,
-                         weight_shift)
+                         weight_shift, ybe_pairs)
 from ybsl21.sl21 import Weight
-from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, enumerate_basis,
-                              exponents, monomial_text)
-from support import ONE, PP, TH1, TH2, THB1, THB2, sp, z
+from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, charge,
+                              enumerate_basis, exponents, monomial_text)
+from support import ONE, PP, TH1, TH2, THB1, THB2, YBE, sp, z
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -280,6 +281,32 @@ def test_cold_and_warm_conjugators_give_golden_bytes(capsys):
         assert capsys.readouterr().out.encode() == want
 
 
+def _leaving_their_block(op, basis):
+    """The basis monomials that `op` maps out of their (S, B) block."""
+    return [monomial_text(m) for m in basis
+            if {charge(k) for k in op.apply(SuperPolynomial({m: 1})).terms}
+            - {charge(m)}]
+
+
+def test_operators_conserve_the_charges():
+    # the forked Yang-Baxter sweep shards the basis by these charges
+    basis = enumerate_basis(3, 2)
+    two_site = {f"R{k}": build_r(k, PP) for k in (1, 2, 3)}
+    two_site |= {"Rcheck": build_rhat(PP), "P12 Rcheck": build_full_R(PP)}
+    for k in (1, 2, 3):
+        two_site[f"S{k}"], two_site[f"S{k}^-1"] = conjugator(k)
+    two_site["S2 even"], two_site["S2 even^-1"] = conjugator_r2_even()
+    for name, op in two_site.items():
+        assert _leaving_their_block(op, basis) == [], name
+    lifted = [Cached(OnSites(build_full_R(pp, 2), sites))
+              for pp, sites in zip(ybe_pairs(*YBE),
+                                   ((1, 2), (1, 3), (2, 3)))]
+    for op in lifted:
+        assert _leaving_their_block(op, enumerate_basis(2, 3)) == []
+    # the property is not vacuous: z1 raises S by 2
+    assert _leaving_their_block(MulZ(1), basis)
+
+
 def test_full_r_examples():
     th1th2 = sp(TH1) * sp(TH2)
     swap = SwapSites(1, 2)
@@ -350,13 +377,11 @@ def test_singular_parameters_propagate():
 
 
 def test_ybe_low_degree():
-    r = check_ybe(Weight(Q(1), Q(1, 3)), Weight(Q(1, 2), Q(-2, 5)),
-                  Weight(Q(3, 2), Q(2, 7)), Q(2), Q(1, 2), max_degree=1)
+    r = check_ybe(*YBE, max_degree=1)
     assert r.passed
     assert any("scalar" in n for n in r.notes)
 
 
 def test_ybe_equal_spectral_degenerates():
-    r = check_ybe(Weight(Q(1), Q(1, 3)), Weight(Q(1, 2), Q(-2, 5)),
-                  Weight(Q(3, 2), Q(2, 7)), Q(2), Q(2), max_degree=1)
+    r = check_ybe(*YBE[:3], Q(2), Q(2), max_degree=1)
     assert r.passed

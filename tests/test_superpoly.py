@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybsl21.superpoly import (MAX_SITES, ODD_MASK, Z_MAX, LayoutError,
-                              Monomial, SuperPolynomial, enumerate_basis,
-                              exponents, lincomb)
+                              Monomial, SuperPolynomial, charge,
+                              enumerate_basis, exponents, lincomb, theta,
+                              theta_bar)
 from support import TH1, TH2, THB1, THB2, sp, z
+
+
+def test_charge_counts_z_degrees_twice_and_thetas_against_theta_bars():
+    assert charge(Monomial((), 0)) == (0, 0)
+    assert charge(Monomial((2, 0, 1), 0)) == (6, 0)
+    for site in (1, 2, 3):
+        assert charge(Monomial((), 1 << theta(site))) == (1, -1)
+        assert charge(Monomial((), 1 << theta_bar(site))) == (1, 1)
+    mask = 1 << TH1 | 1 << THB1 | 1 << THB2 | 1 << theta_bar(3)
+    assert charge(Monomial((1, 1), mask)) == (8, 2)
 
 
 def test_linear_combine_cancellation():
