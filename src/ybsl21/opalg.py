@@ -24,7 +24,7 @@ from functools import cache
 from itertools import product
 from math import comb, gcd, lcm, perm
 
-from .report import CheckReport
+from .report import STORED_FAILURES, CheckReport
 from .superpoly import (FIELD_MASK, GUARD, ODD_MASK, Z_SHIFTS, Monomial,
                         SuperPolynomial, _merge_masks, charge,
                         enumerate_basis, exponents, fit, lincomb,
@@ -612,8 +612,8 @@ def _sweep(a: Operator, b: Operator, indexed) -> list[tuple]:
     """Compare a with b on each (index, monomial) pair, in the order given.
 
     Returns the events in that order: (index, monomial, lhs, rhs) for each
-    mismatch and, if an exception stopped the sweep, (index, exception)
-    last.
+    of the first STORED_FAILURES mismatches (a report stores no more) and,
+    if an exception stopped the sweep, (index, exception) last.
     """
     events = []
     for i, m in indexed:
@@ -624,9 +624,35 @@ def _sweep(a: Operator, b: Operator, indexed) -> list[tuple]:
         except Exception as exc:
             events.append((i, exc))
             break
-        if lhs != rhs:
+        if len(events) < STORED_FAILURES and lhs != rhs:
             events.append((i, m, lhs, rhs))
     return events
+
+
+#: the most workers one sweep uses: the forked sweep has been measured with
+#: one child only, on a 2-CPU host, and every child refills the two-site
+#: columns it needs
+MAX_WORKERS = 2
+
+
+def _workers(nsites: int) -> int:
+    """The workers a sweep of the `nsites`-site basis uses.
+
+    One for fewer than three sites, since one fork costs more than a whole
+    two-site sweep; one where there is no `os.fork`, or while other threads
+    run, since a forked child could wait forever on a lock one of them held.
+    Otherwise the CPUs this process may run on, at most MAX_WORKERS.
+    """
+    import os
+    import threading
+    if nsites < 3 or not hasattr(os, "fork") \
+            or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
 
 def _slots(indexed: list, workers: int) -> list[list]:
@@ -648,22 +674,26 @@ def _slots(indexed: list, workers: int) -> list[list]:
 def _forked_sweep(a: Operator, b: Operator, slots: list[list]) -> list[tuple]:
     """The events of every slot, merged in basis order: slot 0 is swept in
     this process, each other slot in an `os.fork` child that sends its
-    pickled events back through a pipe.  A slot whose events do not come
-    back whole (they did not pickle, or the child died) is swept again here.
+    pickled events back through a pipe.  A slot that gets no child (the
+    fork failed) or whose events do not come back whole (they did not
+    pickle, or the child died) is swept here.
     """
     import os
     import pickle
 
-    children = []
+    children, here = [], []
     try:
         for slot in slots[1:]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except BaseException:
+            except BaseException as exc:
                 os.close(r)
                 os.close(w)
-                raise
+                if not isinstance(exc, OSError):
+                    raise
+                here.append(slot)   # no process to spare (EAGAIN, ENOMEM)
+                continue
             if pid == 0:
                 # the child never returns into the caller, and _exit leaves
                 # the stdio buffers it inherited unflushed
@@ -690,31 +720,34 @@ def _forked_sweep(a: Operator, b: Operator, slots: list[list]) -> list[tuple]:
         try:
             events += pickle.loads(data)
         except Exception:
-            events += _sweep(a, b, slot)
+            here.append(slot)
+    for slot in here:
+        events += _sweep(a, b, slot)
     events.sort(key=lambda event: event[0])
     return events
 
 
 def equal_on_degree(a: Operator, b: Operator, max_degree: int,
-                    nsites: int = 2, workers: int = 1) -> CheckReport:
+                    nsites: int = 2) -> CheckReport:
     """Exact extensional comparison on every basis monomial up to a z-degree.
 
-    The basis is cut into shards, one per block of the charges (S, B) of
-    `superpoly.charge`, and the shards are dealt to `workers` slots, capped
-    at the number of shards.  Slot 0 is swept in this process and each
-    other slot in an `os.fork` child; with one slot nothing forks.  Every
-    image stays in its own block, so the slots share no work.  The events
-    are then replayed in basis order up to the first exception, which is
-    raised again: the report, or the exception, is that of the one-process
-    sweep, whatever the number of workers.  Columns that children fill in
-    `Cached` operators are not kept here.  The caller checks that `os.fork`
-    exists; one fork costs more than a whole two-site sweep, so only the
-    three-site Yang-Baxter check asks for workers, one per CPU this process
-    may use.
+    A basis of three or more sites is swept by as many workers as there
+    are CPUs this process may use, at most MAX_WORKERS (`_workers`); a
+    two-site sweep, one CPU, a platform without `os.fork` or a process with
+    other threads sweeps in-process.  The basis is cut into shards, one per
+    block of the charges (S, B) of `superpoly.charge`, and the shards are
+    dealt to the workers, capped at the number of shards.  Slot 0 is swept
+    in this process and each other slot in an `os.fork` child.  Every image
+    stays in its own block, so the slots share no work.  The events are
+    then replayed in basis order up to the first exception, which is raised
+    again: the report, or the exception, is that of the one-process sweep,
+    whatever the number of workers.  Columns that children fill in `Cached`
+    operators are not kept here.
     """
     report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
     with report.timed(OperatorError):
         indexed = list(enumerate(enumerate_basis(max_degree, nsites)))
+        workers = _workers(nsites)
         slots = _slots(indexed, workers) if workers > 1 else [indexed]
         events = (_sweep(a, b, indexed) if len(slots) == 1
                   else _forked_sweep(a, b, slots))

@@ -14,6 +14,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .superpoly import SuperPolynomial
 
+#: the failures a report stores; later ones only set its status
+STORED_FAILURES = 5
+
 
 @dataclass
 class Failure:
@@ -41,8 +44,8 @@ class CheckReport:
 
     def add_failure(self, input_text: str, lhs: str, rhs: str,
                     residual: str) -> None:
-        """Record a failure; only the first 5 are stored."""
-        if len(self.failures) < 5:
+        """Record a failure; only the first STORED_FAILURES are stored."""
+        if len(self.failures) < STORED_FAILURES:
             self.failures.append(Failure(input_text, lhs, rhs, residual))
         self.status = "fail"
 

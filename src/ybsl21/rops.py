@@ -463,19 +463,6 @@ def ybe_pairs(w1: Weight, w2: Weight, w3: Weight,
             ParamPair.from_weights(w2, w3, 0, v))
 
 
-def _sweep_workers() -> int:
-    """The CPUs this process may run on; 1 where there is no `os.fork`, or
-    where other threads run, since a forked child could wait forever on a
-    lock one of them held."""
-    import os
-    import threading
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
               max_degree: int = 1) -> CheckReport:
     """Three-site Yang-Baxter relation for the permutation-dressed operators.
@@ -485,8 +472,8 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
     scalar fixed by comparing both sides on the constant polynomial.  Each
     A_ab is built on two sites and lifted onto sites a, b, so its columns
     are filled on two sites and each three-site column is filled once.
-    The three-site sweep runs on one forked worker per CPU this process may
-    use (see `equal_on_degree`); the report does not depend on their number.
+    The three-site sweep may run on forked workers (see `equal_on_degree`);
+    the report does not depend on their number.
     """
     u, v = Q(u), Q(v)
     report = CheckReport(
@@ -512,6 +499,6 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
         scalar = c_l / c_r
         report.notes.append(f"global scalar lhs/rhs on 1: {scalar}")
         sub = equal_on_degree(lhs, compose(Scalar(scalar), rhs), max_degree,
-                              nsites=3, workers=_sweep_workers())
+                              nsites=3)
         report.merge(sub, prefix="ybe on ")
     return report

@@ -1,10 +1,12 @@
 """The forked basis sweep gives the one-process report, and leaves no child.
 
-Every case runs `equal_on_degree` (or `check_ybe`) with two workers, whatever
-the host's CPU count, and with one, and compares the reports, or the type
-and message of what they raised.  After each call no child may be left.
+A three-site sweep forks one child when the process may run on two CPUs or
+more.  Every case patches `os.sched_getaffinity` to report one CPU, then
+two, whatever the host has, and compares the reports, or the type and
+message of what they raised.  After each call no child may be left.
 """
 
+import errno
 import os
 import threading
 from fractions import Fraction as Q
@@ -19,7 +21,7 @@ from ybsl21.superpoly import (SuperPolynomial, charge, enumerate_basis,
                               exponents, monomial_text)
 from support import PP, YBE
 
-BASIS = enumerate_basis(2)
+BASIS = enumerate_basis(2, 3)
 #: the two slots a two-worker sweep of BASIS splits into
 SLOTS = opalg._slots(list(enumerate(BASIS)), 2)
 
@@ -38,6 +40,15 @@ def forks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of CPUs this process may run on."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+    return use
+
+
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -54,12 +65,18 @@ def outcome(run):
     return out
 
 
-def both(a, b, forks):
-    """The serial and the two-worker outcome of comparing a with b on BASIS;
+def sweep(a, b):
+    return equal_on_degree(a, b, 2, nsites=3)
+
+
+def both(a, b, forks, cpus):
+    """The one-CPU and the two-CPU outcome of comparing a with b on BASIS;
     the second forks once."""
-    serial = outcome(lambda: equal_on_degree(a, b, 2, workers=1))
+    cpus(1)
+    serial = outcome(lambda: sweep(a, b))
     assert forks == []
-    forked = outcome(lambda: equal_on_degree(a, b, 2, workers=2))
+    cpus(2)
+    forked = outcome(lambda: sweep(a, b))
     assert forks == [1]
     return serial, forked
 
@@ -70,40 +87,51 @@ def mismatches(a, b):
             != b.apply(SuperPolynomial({m: 1}))]
 
 
-def test_passing_ybe_sweep(monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
+def test_passing_ybe_sweep(forks, cpus):
+    cpus(1)
     serial = outcome(lambda: check_ybe(*YBE, max_degree=1))
     assert forks == []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    cpus(2)
     forked = outcome(lambda: check_ybe(*YBE, max_degree=1))
     assert forks == [1]
     assert serial["status"] == "pass"
     assert forked == serial
 
 
-def test_stored_failures_are_the_first_in_basis_order(forks):
+def perturbed_r1():
     a = build_r(1, PP)
-    b = compose(DegreeDiagonal(2, 2, 1), a)
+    return a, compose(DegreeDiagonal(2, 2, 1), a)
+
+
+def test_stored_failures_are_the_first_in_basis_order(forks, cpus):
+    a, b = perturbed_r1()
     bad = mismatches(a, b)
     assert len(bad) > 5
     # the first five mismatches come from both slots
     assert {s for s, slot in enumerate(SLOTS) for _, m in slot
             if m in bad[:5]} == {0, 1}
-    serial, forked = both(a, b, forks)
+    serial, forked = both(a, b, forks, cpus)
     assert [f["input"] for f in serial["failures"]] == \
         [monomial_text(m) for m in bad[:5]]
     assert forked == serial
 
 
-def test_operator_error_after_mismatches_in_an_earlier_shard(forks):
+def test_a_slot_sends_back_no_more_mismatches_than_a_report_stores():
+    a, b = perturbed_r1()
+    bad = set(mismatches(a, b))
+    for slot in SLOTS:
+        in_slot = [i for i, m in slot if m in bad]
+        assert len(in_slot) > 5
+        assert [e[0] for e in opalg._sweep(a, b, slot)] == in_slot[:5]
+
+
+def test_operator_error_after_mismatches_in_an_earlier_shard(forks, cpus):
     # (2)_n / (-1)_n is -2 at z2-degree 1 and has its pole at z2-degree 2
     b = DegreeDiagonal(2, 2, -1)
     first_bad = next(m for m in BASIS if exponents(m)[1] == 1)
     pole = next(m for m in BASIS if exponents(m)[1] == 2)
     assert first_bad < pole and charge(first_bad) != charge(pole)
-    serial, forked = both(Scalar(1), b, forks)
+    serial, forked = both(Scalar(1), b, forks, cpus)
     assert serial["status"] == "error"
     assert serial["failures"][0]["input"] == monomial_text(first_bad)
     assert len(serial["failures"]) == 5
@@ -153,15 +181,22 @@ def not_unpicklable():
     raise NeedsTwo("one", "two")
 
 
+def latest_block(slot):
+    """The block of `slot` whose first monomial comes last in basis order."""
+    first = {}
+    for i, m in slot:
+        first.setdefault(charge(m), i)
+    return max(first, key=first.get)
+
+
 @pytest.mark.parametrize("slot", [0, 1], ids=["in-process", "in-child"])
 @pytest.mark.parametrize("fault", [zero_division, operator_error,
                                    unpicklable, not_unpicklable])
-def test_exception_stops_the_sweep_where_the_serial_one_stops(forks, fault,
-                                                              slot):
-    # the block of the slot's last monomial, after mismatches on z2-degree 1
-    block = charge(SLOTS[slot][-1][1])
-    a = Raising(block, fault)
-    serial, forked = both(a, DegreeDiagonal(2, 2, 1), forks)
+def test_exception_stops_the_sweep_where_the_serial_one_stops(forks, cpus,
+                                                              fault, slot):
+    # the fault comes after mismatches on z3-degree 1, in both slots
+    a = Raising(latest_block(SLOTS[slot]), fault)
+    serial, forked = both(a, DegreeDiagonal(3, 2, 1), forks, cpus)
     if fault is zero_division:
         assert serial[0] is ZeroDivisionError
     else:
@@ -170,17 +205,44 @@ def test_exception_stops_the_sweep_where_the_serial_one_stops(forks, fault,
     assert forked == serial
 
 
-def test_one_worker_other_threads_or_no_fork_never_fork(monkeypatch):
+@pytest.mark.parametrize("status", ["pass", "fail"])
+def test_a_failed_fork_sweeps_its_slot_in_process(monkeypatch, cpus, status):
+    calls = []
+
+    def failing():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    a, b = perturbed_r1()
+    if status == "pass":
+        b = a
+    cpus(1)
+    serial = outcome(lambda: sweep(a, b))
+    monkeypatch.setattr(os, "fork", failing)
+    cpus(2)
+    assert outcome(lambda: sweep(a, b)) == serial
+    assert calls == [1]
+    assert serial["status"] == status
+
+
+def test_many_cpus_fork_one_child(forks, cpus):
+    cpus(64)
+    assert sweep(Scalar(1), Scalar(1)).passed
+    assert forks == [1]
+    assert_no_child()
+
+
+def test_two_sites_one_cpu_other_threads_or_no_fork_never_fork(monkeypatch,
+                                                                cpus):
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert equal_on_degree(Scalar(1), Scalar(1), 2, workers=1).passed
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
+    cpus(4)
+    assert equal_on_degree(Scalar(1), Scalar(1), 2).passed
+    cpus(1)
     assert check_ybe(*YBE, max_degree=1).passed
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
+    cpus(4)
     release = threading.Event()
     other = threading.Thread(target=release.wait, daemon=True)
     other.start()
