@@ -25,7 +25,7 @@ from .lax import build_lax, build_lax_factorized, build_lax_tensor
 from .lowest import (check_composite, check_conjugator_oracles,
                      check_sector, expected_sector_matrix, sector_action,
                      sector_levels)
-from .opalg import Scalar, equal_on_degree
+from .opalg import Scalar, equal_on_degree, run_tasks
 from .report import CheckReport
 from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
                    check_defining, check_factorization, check_lemma_system,
@@ -299,16 +299,30 @@ def run(cfg: RunConfig, stream=None) -> int:
 
 
 def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
-    """Run each step as `step(cfg, done)`, then pass `done` to `emit`.
+    """Run each step as `step(cfg, results)`, add its results to `done` in
+    step order, then pass `done` to `emit`.
 
-    The one place a fault becomes an exit code: `SingularParameters` is a
-    configuration fault, reported alone with exit 2; any other exception is
-    an internal fault, reported after the results finished so far, with
-    exit 3.  Returns None when no step fails.
+    The steps are independent, so `run_tasks` shares them among its
+    workers; each returns what it finished and what stopped it, and these
+    are replayed here up to the first exception, as if the steps had run
+    one after another.  The one place a fault becomes an exit code:
+    `SingularParameters` is a configuration fault, reported alone with
+    exit 2; any other exception is an internal fault, reported after the
+    results finished so far, with exit 3.  Returns None when no step fails.
     """
+    def task(step) -> tuple[list, Exception | None]:
+        finished: list = []
+        try:
+            step(cfg, finished)
+        except Exception as exc:
+            return finished, exc
+        return finished, None
+
     try:
-        for step in steps:
-            step(cfg, done)
+        for finished, exc in run_tasks(task, steps):
+            done.extend(finished)
+            if exc is not None:
+                raise exc
     except SingularParameters as exc:
         _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
         return 2

@@ -19,8 +19,9 @@ a verdict never comes from comparing normal forms.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import comb, gcd, lcm, perm
 
@@ -629,24 +630,21 @@ def _sweep(a: Operator, b: Operator, indexed) -> list[tuple]:
     return events
 
 
-#: the most workers one sweep uses: the forked sweep has been measured with
-#: one child only, on a 2-CPU host, and every child refills the two-site
-#: columns it needs
+#: the most workers `run_tasks` uses: forking has been measured with one
+#: child only, on a 2-CPU host, and every child refills the columns it needs
 MAX_WORKERS = 2
 
 
-def _workers(nsites: int) -> int:
-    """The workers a sweep of the `nsites`-site basis uses.
+def _workers() -> int:
+    """The workers `run_tasks` may use.
 
-    One for fewer than three sites, since one fork costs more than a whole
-    two-site sweep; one where there is no `os.fork`, or while other threads
-    run, since a forked child could wait forever on a lock one of them held.
-    Otherwise the CPUs this process may run on, at most MAX_WORKERS.
+    One where there is no `os.fork`, or while other threads run, since a
+    forked child could wait forever on a lock one of them held.  Otherwise
+    the CPUs this process may run on, at most MAX_WORKERS.
     """
     import os
     import threading
-    if nsites < 3 or not hasattr(os, "fork") \
-            or threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -671,19 +669,39 @@ def _slots(indexed: list, workers: int) -> list[list]:
     return [sorted(slot) for slot in slots]
 
 
-def _forked_sweep(a: Operator, b: Operator, slots: list[list]) -> list[tuple]:
-    """The events of every slot, merged in basis order: slot 0 is swept in
-    this process, each other slot in an `os.fork` child that sends its
-    pickled events back through a pipe.  A slot that gets no child (the
-    fork failed) or whose events do not come back whole (they did not
-    pickle, or the child died) is swept here.
+def run_tasks(task: Callable, tasks: list) -> Iterable:
+    """task(t) for each of `tasks`, in order, from up to `_workers()` workers.
+
+    Worker j starts with task j: worker 0 is this process, each other an
+    `os.fork` child.  The tasks past the first `workers` wait in a pipe as
+    one index byte each (so there are at most 256 tasks), and whichever
+    worker is free reads the next.  A child sends `{index: result}` back
+    pickled through its own pipe.  A task whose result does not come back
+    (the fork failed, the results did not pickle or unpickle, or the child
+    died) is run again here.  A task should return its faults, not raise
+    them, so that its child's other results still come back.  One task, or
+    one worker, runs here as the caller iterates, so a caller that stops
+    early runs no more tasks.
     """
     import os
     import pickle
 
-    children, here = [], []
+    workers = min(len(tasks), _workers()) if len(tasks) > 1 else 1
+    if workers < 2:
+        return map(task, tasks)
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(workers, len(tasks))))
+    os.close(fill)
+
+    def work(first: int) -> dict:
+        done = {first: task(tasks[first])}
+        while index := os.read(queue, 1):
+            done[index[0]] = task(tasks[index[0]])
+        return done
+
+    children, sent = [], []
     try:
-        for slot in slots[1:]:
+        for j in range(1, workers):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -692,15 +710,14 @@ def _forked_sweep(a: Operator, b: Operator, slots: list[list]) -> list[tuple]:
                 os.close(w)
                 if not isinstance(exc, OSError):
                     raise
-                here.append(slot)   # no process to spare (EAGAIN, ENOMEM)
-                continue
+                continue    # no process to spare (EAGAIN, ENOMEM)
             if pid == 0:
                 # the child never returns into the caller, and _exit leaves
                 # the stdio buffers it inherited unflushed
                 try:
                     os.close(r)
                     try:
-                        data = pickle.dumps(_sweep(a, b, slot))
+                        data = pickle.dumps(work(j))
                     except Exception:
                         data = b""
                     with open(w, "wb") as pipe:
@@ -708,23 +725,21 @@ def _forked_sweep(a: Operator, b: Operator, slots: list[list]) -> list[tuple]:
                 finally:
                     os._exit(0)
             os.close(w)
-            children.append((pid, r, slot))
-        events = _sweep(a, b, slots[0])
+            children.append((pid, r))
+        results = work(0)
     finally:
-        results = []
-        for pid, r, slot in children:
+        os.close(queue)
+        for pid, r in children:
             with open(r, "rb") as pipe:
-                results.append((pipe.read(), slot))
+                sent.append(pipe.read())
             os.waitpid(pid, 0)
-    for data, slot in results:
+    for data in sent:
         try:
-            events += pickle.loads(data)
+            results.update(pickle.loads(data))
         except Exception:
-            here.append(slot)
-    for slot in here:
-        events += _sweep(a, b, slot)
-    events.sort(key=lambda event: event[0])
-    return events
+            pass
+    return [results[i] if i in results else task(t)
+            for i, t in enumerate(tasks)]
 
 
 def equal_on_degree(a: Operator, b: Operator, max_degree: int,
@@ -736,21 +751,23 @@ def equal_on_degree(a: Operator, b: Operator, max_degree: int,
     two-site sweep, one CPU, a platform without `os.fork` or a process with
     other threads sweeps in-process.  The basis is cut into shards, one per
     block of the charges (S, B) of `superpoly.charge`, and the shards are
-    dealt to the workers, capped at the number of shards.  Slot 0 is swept
-    in this process and each other slot in an `os.fork` child.  Every image
-    stays in its own block, so the slots share no work.  The events are
-    then replayed in basis order up to the first exception, which is raised
-    again: the report, or the exception, is that of the one-process sweep,
-    whatever the number of workers.  Columns that children fill in `Cached`
-    operators are not kept here.
+    dealt to the workers, capped at the number of shards.  The slots are
+    the tasks of `run_tasks`: slot 0 is swept in this process and each
+    other slot in an `os.fork` child.  Every image stays in its own block,
+    so the slots share no work.  The events are then replayed in basis
+    order up to the first exception, which is raised again: the report, or
+    the exception, is that of the one-process sweep, whatever the number of
+    workers.  Columns that children fill in `Cached` operators are not kept
+    here.
     """
     report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
     with report.timed(OperatorError):
         indexed = list(enumerate(enumerate_basis(max_degree, nsites)))
-        workers = _workers(nsites)
-        slots = _slots(indexed, workers) if workers > 1 else [indexed]
-        events = (_sweep(a, b, indexed) if len(slots) == 1
-                  else _forked_sweep(a, b, slots))
+        # one fork costs more than a whole sweep of fewer than three sites
+        slots = _slots(indexed, _workers()) if nsites >= 3 else [indexed]
+        events = [event for part in run_tasks(partial(_sweep, a, b), slots)
+                  for event in part]
+        events.sort(key=lambda event: event[0])
         for event in events:
             if len(event) == 2:
                 raise event[1]

@@ -1,22 +1,27 @@
-"""The forked basis sweep gives the one-process report, and leaves no child.
+"""A forked basis sweep gives the one-process report, a forked run of `all`
+the one-process bytes, and neither leaves a child.
 
-A three-site sweep forks one child when the process may run on two CPUs or
-more.  Every case patches `os.sched_getaffinity` to report one CPU, then
-two, whatever the host has, and compares the reports, or the type and
-message of what they raised.  After each call no child may be left.
+A three-site sweep, or a run of several commands, forks one child when the
+process may run on two CPUs or more.  Every case patches
+`os.sched_getaffinity` to report one CPU, then two, whatever the host has,
+and compares the reports, or the type and message of what they raised, or
+the printed bytes and the exit code.  After each call no child may be left.
 """
 
+import contextlib
 import errno
+import io
 import os
 import threading
 from fractions import Fraction as Q
 
 import pytest
 
-from ybsl21 import opalg
+from ybsl21 import cli, opalg
 from ybsl21.opalg import (DegreeDiagonal, Operator, OperatorError,
                           PochhammerPole, Scalar, compose, equal_on_degree)
-from ybsl21.rops import build_r, check_ybe
+from ybsl21.report import CheckReport
+from ybsl21.rops import SingularParameters, build_r, check_ybe
 from ybsl21.superpoly import (SuperPolynomial, charge, enumerate_basis,
                               exponents, monomial_text)
 from support import PP, YBE
@@ -255,3 +260,110 @@ def test_two_sites_one_cpu_other_threads_or_no_fork_never_fork(monkeypatch,
     monkeypatch.delattr(os, "fork")
     assert check_ybe(*YBE, max_degree=1).passed
     assert_no_child()
+
+
+# ---------------------------------------------------------------------------
+# the commands of `all`, shared between this process and one child
+# ---------------------------------------------------------------------------
+
+ALL = ["--command", "all", "--max-degree", "1", "--samples", "1"]
+
+
+def cli_run(argv):
+    """The bytes `ybsl21 argv` prints and its exit code; no child process
+    outlives the call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert_no_child()
+    return out.getvalue(), code
+
+
+def both_runs(argv, forks, cpus):
+    """The one-CPU and the two-CPU run of `ybsl21 argv`; the second forks
+    once."""
+    cpus(1)
+    serial = cli_run(argv)
+    assert forks == []
+    cpus(2)
+    forked = cli_run(argv)
+    assert forks == [1]
+    return serial, forked
+
+
+def test_all_forks_once_and_prints_the_serial_bytes(forks, cpus):
+    serial, forked = both_runs(ALL, forks, cpus)
+    assert serial[1] == 0
+    assert forked == serial
+
+
+def singular():
+    raise SingularParameters("a guard fault")
+
+
+@pytest.mark.parametrize("fault,code", [(zero_division, 3), (singular, 2),
+                                        (not_unpicklable, 3)])
+def test_a_fault_in_the_childs_command_is_replayed_in_order(
+        monkeypatch, tmp_path, forks, cpus, fault, code):
+    # check-lax is command 1, the child's first task
+    assert list(cli.DRIVERS).index("check-lax") == 1
+    pids = tmp_path / "pids"
+
+    def faulting(cfg, done):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        done.append(CheckReport(check_name="finished", status="pass"))
+        fault()
+
+    monkeypatch.setitem(cli.DRIVERS, "check-lax", faulting)
+    serial, forked = both_runs(ALL, forks, cpus)
+    assert serial[1] == code
+    assert forked == serial
+    ran = pids.read_text().split()
+    assert ran[0] == str(os.getpid()) and ran[1] != ran[0]
+    # a fault that does not unpickle sends the child's commands back here
+    assert ran[2:] == ([ran[0]] if fault is not_unpicklable else [])
+
+
+def test_one_worker_runs_no_task_after_the_caller_stops(cpus):
+    cpus(1)
+    ran = []
+    for _ in opalg.run_tasks(ran.append, [1, 2, 3]):
+        break
+    assert ran == [1]
+
+
+def test_a_failed_fork_runs_every_command_in_process(monkeypatch, cpus):
+    calls = []
+
+    def failing():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    cpus(1)
+    serial = cli_run(ALL)
+    monkeypatch.setattr(os, "fork", failing)
+    cpus(2)
+    assert cli_run(ALL) == serial
+    assert calls == [1]
+
+
+def test_one_command_the_table_or_other_threads_never_fork(monkeypatch,
+                                                           cpus):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(2)
+    assert cli_run(["--command", "check-recurrences", "--samples", "1"])[1] \
+        == 0
+    assert cli_run(["--spectrum-table", "--seed", "1"])[1] == 0
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, daemon=True)
+    other.start()
+    try:
+        assert cli_run(ALL)[1] == 0
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
