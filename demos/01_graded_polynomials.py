@@ -7,6 +7,7 @@ th2, thb2 over the rationals; every coefficient is an exact Fraction.
 from fractions import Fraction as Q
 
 from ybsl21 import SuperPolynomial
+from ybsl21.opalg import EvenDeriv, OddDeriv
 from ybsl21.superpoly import enumerate_basis, monomial_text, theta, theta_bar
 
 z1 = SuperPolynomial.z_var(1)
@@ -21,8 +22,8 @@ print("nilpotency:         th1*th1  =", (th1 * th1).text())
 
 p = (z1 + th1 * thb1) * (z1 - Q(1, 2) * (th1 * th2))
 print("\na product:", p.text())
-print("d/dz1:    ", p.deriv_even(1).text())
-print("d/dth1:   ", p.deriv_odd(theta(1)).text(), "   (left derivative)")
+print("d/dz1:    ", EvenDeriv(1).apply(p).text())
+print("d/dth1:   ", OddDeriv(theta(1)).apply(p).text(), "   (left derivative)")
 
 basis = enumerate_basis(1)
 print(f"\nbasis up to z-degree 1: {len(basis)} monomials "

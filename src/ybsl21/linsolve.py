@@ -1,4 +1,5 @@
-"""Small exact linear solves over the rationals.
+"""Small exact linear solves over the rationals, for
+`sl21.check_finite_subspace` and the dependent level of `lowest.decompose`.
 
 Each column is scaled to integers and eliminated fraction-free (Bareiss,
 Math. Comp. 22, 1968): every division in the forward pass is exact, so the

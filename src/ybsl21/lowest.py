@@ -26,7 +26,7 @@ from .report import CheckReport
 from .rops import (ParamPair, SingularParameters, build_r, build_rhat,
                    conjugator, conjugator_r2_even, two_site_vars)
 from .sl21 import Weight, build_generators
-from .superpoly import SuperPolynomial
+from .superpoly import SuperPolynomial, lincomb
 
 Q = Fraction
 
@@ -34,7 +34,11 @@ Q = Fraction
 class NotInSpan(Exception):
     def __init__(self, poly: SuperPolynomial, label: str):
         self.poly = poly
+        self.label = label
         super().__init__(f"{label}: {poly.text()} is outside the sector span")
+
+    def __reduce__(self):
+        return type(self), (self.poly, self.label)
 
 
 @dataclass
@@ -83,6 +87,18 @@ def sector_basis(sector: str, n: int):
     """(plus, minus) lowest vectors at level n; shared, never mutated."""
     return (lowest_vector(sector, "+", n).poly,
             lowest_vector(sector, "-", n).poly)
+
+
+@cache
+def sector_pivots(sector: str, n: int):
+    """(a, b, det): the first monomials a < b on which the numerators of
+    the level-n (plus, minus) have a nonzero 2x2 minor det, or None at even
+    n = 0, where Phi0+ = Phi0- = 1."""
+    P, M = (v.terms for v in sector_basis(sector, n))
+    monos = sorted(P.keys() | M.keys())
+    return next(((a, b, det) for i, a in enumerate(monos) for b in monos[i + 1:]
+                 if (det := P.get(a, 0) * M.get(b, 0)
+                     - P.get(b, 0) * M.get(a, 0))), None)
 
 
 def verify_lowest(v: LowestVector, w1: Weight, w2: Weight) -> CheckReport:
@@ -134,9 +150,23 @@ def verify_lowest(v: LowestVector, w1: Weight, w2: Weight) -> CheckReport:
 
 def decompose(p: SuperPolynomial, n: int,
               sector: str) -> tuple[Fraction, Fraction]:
-    """Exact coefficients (c+, c-) of p in the sector basis at level n."""
+    """Exact coefficients (c+, c-) of p in the sector basis at level n, read
+    off p on the `sector_pivots` monomials and checked in integers to give p
+    back; at the dependent level `solve_in_span` answers (c, 0)."""
     plus, minus = sector_basis(sector, n)
-    coeffs = solve_in_span([plus, minus], p)
+    pivots = sector_pivots(sector, n)
+    if pivots is None:
+        coeffs = solve_in_span([plus, minus], p)
+    else:
+        # with numerators P, M, N over dens dP, dM, dN: c+ = x dP / (dN det),
+        # c- = y dM / (dN det), and p is in the span iff x P + y M = det N
+        a, b, det = pivots
+        P, M, N = plus.terms, minus.terms, p.terms
+        x = M.get(b, 0) * N.get(a, 0) - M.get(a, 0) * N.get(b, 0)
+        y = P.get(a, 0) * N.get(b, 0) - P.get(b, 0) * N.get(a, 0)
+        ints = zip((x, y, -det), map(SuperPolynomial, (P, M, N)))
+        coeffs = None if lincomb(ints).terms else (
+            Q(x * plus.den, p.den * det), Q(y * minus.den, p.den * det))
     if coeffs is None:
         raise NotInSpan(p, f"decompose({sector}, n={n})")
     return coeffs[0], coeffs[1]

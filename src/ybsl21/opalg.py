@@ -339,24 +339,31 @@ def OddDeriv(var: int) -> DiffOp:
 
 class DegreeDiagonal(Operator):
     """Scale each term by (a)_n / (b)_n, where n is the term's z-degree at
-    `site`; the first pole is at n = 1 - b when b is a nonpositive integer."""
+    `site`; the first pole is at n = 1 - b when b is a nonpositive integer.
+    (a)_k and (b)_k are kept for k <= the highest degree asked for so far,
+    each new degree one product on from the last."""
 
-    __slots__ = ("site", "a", "b", "_cache")
+    __slots__ = ("site", "a", "b", "_cache", "_poch")
 
     def __init__(self, site: int, a, b):
         self.site = site
         self.a = Q(a)
         self.b = Q(b)
         self._cache: dict[int, Fraction] = {}
+        self._poch = [(Q(1), Q(1))]
 
     def value(self, n: int) -> Fraction:
         h = self._cache.get(n)
         if h is None:
-            den = rising_factorial(self.b, n)
+            poch = self._poch
+            for k in range(len(poch) - 1, n):
+                num, den = poch[k]
+                poch.append((num * (self.a + k), den * (self.b + k)))
+            num, den = poch[n]
             if den == 0:
                 raise PochhammerPole(f"denominator Pochhammer (b)_n with "
                                      f"b = {self.b} vanishes at degree {n}")
-            h = self._cache[n] = rising_factorial(self.a, n) / den
+            h = self._cache[n] = num / den
         return h
 
     def _apply(self, p):

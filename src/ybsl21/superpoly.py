@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterable
 
 Q = Fraction
 
@@ -140,15 +139,6 @@ class SuperPolynomial:
         return SuperPolynomial({})
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[int, Fraction]]) -> "SuperPolynomial":
-        coeffs: dict[int, Fraction] = {}
-        for m, c in pairs:
-            coeffs[m] = coeffs.get(m, 0) + Q(c)
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        return SuperPolynomial({m: c.numerator * (den // c.denominator)
-                                for m, c in coeffs.items() if c}, den)
-
-    @staticmethod
     def scalar(c) -> "SuperPolynomial":
         c = Q(c)
         if not c:
@@ -250,34 +240,6 @@ class SuperPolynomial:
         """0/1 for parity-homogeneous polynomials, None when mixed or zero."""
         ps = {(m & ODD_MASK).bit_count() & 1 for m in self.terms}
         return ps.pop() if len(ps) == 1 else None
-
-    def degree_measure(self) -> set[Fraction]:
-        """Values of z-degree + (odd count)/2 across terms."""
-        return {Q(2 * sum(exponents(m)) + (m & ODD_MASK).bit_count(), 2)
-                for m in self.terms}
-
-    # -- calculus ----------------------------------------------------------
-
-    def deriv_even(self, site: int) -> "SuperPolynomial":
-        shift = Z_SHIFTS[site - 1]
-        terms: dict[int, int] = {}
-        for m, c in self.terms.items():
-            a = m >> shift & FIELD_MASK
-            if a:
-                terms[m - (1 << shift)] = c * a
-        return SuperPolynomial(terms, self.den)
-
-    def deriv_odd(self, var: int) -> "SuperPolynomial":
-        """Left Grassmann derivative: anticommute `var` to the front, delete it."""
-        bit = 1 << var
-        terms: dict[int, int] = {}
-        for m, c in self.terms.items():
-            if not m & bit:
-                continue
-            below = (m & (bit - 1)).bit_count()
-            sign = -1 if below & 1 else 1
-            terms[m ^ bit] = sign * c
-        return SuperPolynomial(terms, self.den)
 
     # -- rendering ---------------------------------------------------------
 

@@ -1,10 +1,17 @@
-"""Values that several test modules share."""
+"""Values and polynomial helpers that several test modules share.
+
+The helpers are plain functions on `SuperPolynomial`s that only tests
+call: a constructor from (monomial, rational) pairs, the degree measure,
+and the even and odd derivatives that serve as oracles for `DiffOp`.
+"""
 
 from fractions import Fraction as Q
+from math import lcm
 
 from ybsl21.rops import ParamPair
 from ybsl21.sl21 import Weight
-from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
+from ybsl21.superpoly import (FIELD_MASK, ODD_MASK, Z_SHIFTS, SuperPolynomial,
+                              exponents, theta, theta_bar)
 
 #: a regular parameter pair, for tests that need one fixed pair
 PP = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(9, 2), Q(-3, 2))
@@ -21,3 +28,44 @@ def z(site):
 
 def sp(var):
     return SuperPolynomial.odd_var(var)
+
+
+def from_terms(pairs):
+    """The polynomial sum(c * m for m, c in pairs), rationals c summed per
+    monomial key m."""
+    coeffs = {}
+    for m, c in pairs:
+        coeffs[m] = coeffs.get(m, 0) + Q(c)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return SuperPolynomial({m: c.numerator * (den // c.denominator)
+                            for m, c in coeffs.items() if c}, den)
+
+
+def degree_measure(p):
+    """Values of z-degree + (odd count)/2 across p's terms."""
+    return {Q(2 * sum(exponents(m)) + (m & ODD_MASK).bit_count(), 2)
+            for m in p.terms}
+
+
+def deriv_even(p, site):
+    """d/dz_site of p."""
+    shift = Z_SHIFTS[site - 1]
+    terms = {}
+    for m, c in p.terms.items():
+        a = m >> shift & FIELD_MASK
+        if a:
+            terms[m - (1 << shift)] = c * a
+    return SuperPolynomial(terms, p.den)
+
+
+def deriv_odd(p, var):
+    """Left Grassmann derivative: anticommute `var` to the front, delete it."""
+    bit = 1 << var
+    terms = {}
+    for m, c in p.terms.items():
+        if not m & bit:
+            continue
+        below = (m & (bit - 1)).bit_count()
+        sign = -1 if below & 1 else 1
+        terms[m ^ bit] = sign * c
+    return SuperPolynomial(terms, p.den)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ybsl21.linsolve import solve_in_span
 from ybsl21.superpoly import ODD_MASK, Monomial, SuperPolynomial, exponents
+from support import from_terms
 
 coeffs = st.fractions(min_value=-4, max_value=4)
 monomials = st.builds(
@@ -14,7 +15,7 @@ monomials = st.builds(
 @st.composite
 def polys(draw):
     pairs = [(draw(monomials), draw(coeffs)) for _ in range(draw(st.integers(1, 4)))]
-    return SuperPolynomial.from_terms(pairs)
+    return from_terms(pairs)
 
 
 def test_solve_simple():
@@ -103,7 +104,7 @@ dense_monomials = st.builds(
 def dense_polys(draw):
     pairs = [(draw(dense_monomials), draw(coeffs))
              for _ in range(draw(st.integers(1, 6)))]
-    return SuperPolynomial.from_terms(pairs)
+    return from_terms(pairs)
 
 
 @st.composite

@@ -1,14 +1,16 @@
+import pickle
 import sys
 from fractions import Fraction as Q
 
 import pytest
 
 from ybsl21 import cli, lowest, rops
+from ybsl21.linsolve import solve_in_span
 from ybsl21.lowest import (NotInSpan, check_composite,
                            check_conjugator_oracles, check_sector, decompose,
                            interval, lowest_vector, mixing_constant,
                            sector_action, sector_basis, sector_levels,
-                           verify_lowest)
+                           sector_pivots, verify_lowest)
 from ybsl21.opalg import Cached, Scalar, compose
 from ybsl21.rops import ParamPair, build_r, build_rhat, two_site_vars
 from ybsl21.sl21 import Weight
@@ -80,6 +82,76 @@ def test_decompose_examples():
     bare = z1 - z2
     with pytest.raises(NotInSpan):
         decompose(bare, 1, "even")
+
+
+
+LEVELS = [(sector, n) for n in range(7) for sector in ("even", "odd")]
+#: (c+, c-) pairs: integers, zeros, and rationals that give the target a
+#: denominator other than 1
+PAIRS = [(Q(1), Q(2)), (Q(-3), Q(0)), (Q(0), Q(5)), (Q(0), Q(0)),
+         (Q(3, 7), Q(-5, 4)), (Q(1, 2), Q(1, 2)), (Q(-2, 9), Q(4))]
+
+
+@pytest.mark.parametrize("sector,n", LEVELS)
+def test_decompose_reads_off_the_solve_in_span_pair(sector, n):
+    plus, minus = sector_basis(sector, n)
+    assert (sector_pivots(sector, n) is None) == ((sector, n) == ("even", 0))
+    for cp, cm in PAIRS:
+        p = cp * plus + cm * minus
+        want = tuple(solve_in_span([plus, minus], p))
+        assert decompose(p, n, sector) == want
+        if (sector, n) != ("even", 0):
+            assert want == (cp, cm)
+    # scaling every numerator and the denominator alike leaves the value
+    p = Q(3, 7) * plus - Q(5, 4) * minus
+    wide = SuperPolynomial({m: 6 * c for m, c in p.terms.items()}, 6 * p.den)
+    assert decompose(wide, n, sector) == decompose(p, n, sector)
+
+
+@pytest.mark.parametrize("sector,n", [lv for lv in LEVELS
+                                      if lv != ("even", 0)])
+def test_a_stray_term_off_the_pivots_is_not_in_span(sector, n):
+    # p agrees with a span member on both pivot monomials, so the read-off
+    # alone would accept it; the membership check must not
+    plus, minus = sector_basis(sector, n)
+    a, b, _ = sector_pivots(sector, n)
+    member = Q(2, 3) * plus + Q(-1, 5) * minus
+    support = sorted(member.terms.keys() - {a, b})
+    outside = max(plus.terms.keys() | minus.terms.keys()) + 1
+    for m in ([support[0]] if support else []) + [outside]:
+        p = member + Q(1, 7) * SuperPolynomial({m: 1})
+        assert p.coefficient(a) == member.coefficient(a)
+        assert p.coefficient(b) == member.coefficient(b)
+        with pytest.raises(NotInSpan, match=rf"decompose\({sector}, n={n}\)"):
+            decompose(p, n, sector)
+
+
+@pytest.mark.parametrize("sector,n", LEVELS)
+def test_a_multiple_of_plus_decomposes_to_it_alone(sector, n):
+    plus, _ = sector_basis(sector, n)
+    assert decompose(Q(-7, 3) * plus, n, sector) == (Q(-7, 3), Q(0))
+
+
+def test_the_degenerate_even_level_keeps_the_solve_in_span_answer():
+    # Phi0+ = Phi0- = 1: the first column pivots, so c- = 0
+    one = SuperPolynomial.one()
+    assert sector_basis("even", 0) == (one, one)
+    assert decompose(Q(5, 3) * one, 0, "even") == (Q(5, 3), Q(0))
+    assert decompose(Q(5, 3) * one, 0, "even") == \
+        tuple(solve_in_span([one, one], Q(5, 3) * one))
+    assert decompose(SuperPolynomial.zero(), 0, "even") == (0, 0)
+    with pytest.raises(NotInSpan):
+        decompose(SuperPolynomial.z_var(1), 0, "even")
+
+
+def test_not_in_span_pickles_and_unpickles():
+    poly = Q(1, 2) * SuperPolynomial.z_var(1) - SuperPolynomial.one()
+    exc = NotInSpan(poly, "decompose(odd, n=2)")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is NotInSpan
+    assert str(back) == str(exc) == \
+        "decompose(odd, n=2): 1/2 z1 - 1 is outside the sector span"
+    assert back.poly == poly and back.label == "decompose(odd, n=2)"
 
 
 @pytest.mark.parametrize("which", [1, 2, 3])

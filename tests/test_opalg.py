@@ -20,7 +20,8 @@ from ybsl21.sl21 import (Weight, build_generators, casimir, check_casimir,
 from ybsl21.superpoly import (FIELD_MASK, ODD_MASK, Z_MAX, Z_SHIFTS, Monomial,
                               SuperPolynomial, enumerate_basis, theta,
                               theta_bar)
-from support import ONE, PP, TH1, TH2, THB1, THB2, YBE, sp, z
+from support import (ONE, PP, TH1, TH2, THB1, THB2, YBE, deriv_even, deriv_odd,
+                     from_terms, sp, z)
 
 
 def test_rising_factorial():
@@ -326,6 +327,37 @@ def test_degree_diagonal_values_and_first_pole(a, b):
         assert str(exc.value) == POLE_MESSAGES[b]
 
 
+
+@pytest.mark.parametrize("b", [Q(7, 3), Q(-3)])
+def test_degree_diagonal_values_asked_out_of_order(b):
+    # the Pochhammer tables grow to the highest degree asked for; asking
+    # high first gives the in-order values and reports a pole at the degree
+    # asked for, even past the first pole
+    from ybsl21.opalg import PochhammerPole
+
+    def outcomes(op, degrees):
+        out = {}
+        for n in degrees:
+            try:
+                out[n] = op.value(n)
+            except PochhammerPole as exc:
+                out[n] = str(exc)
+        return out
+
+    in_order = outcomes(DegreeDiagonal(1, Q(1, 2), b), range(7))
+    high_first = DegreeDiagonal(1, Q(1, 2), b)
+    assert outcomes(high_first, [6, 5, 2, 0, 4, 3, 1]) == in_order
+    assert outcomes(high_first, range(7)) == in_order
+    if b == -3:
+        assert in_order[5] == ("denominator Pochhammer (b)_n with b = -3 "
+                               "vanishes at degree 5")
+        assert in_order[4] == POLE_MESSAGES[-3]
+        assert in_order[3] == rising_factorial(Q(1, 2), 3) / rising_factorial(b, 3)
+    else:
+        assert all(in_order[n] == rising_factorial(Q(1, 2), n)
+                   / rising_factorial(b, n) for n in range(7))
+
+
 # -- properties -------------------------------------------------------------
 
 simple_ops = st.sampled_from([
@@ -344,7 +376,7 @@ monomials = st.builds(
 @st.composite
 def polys(draw):
     pairs = [(draw(monomials), draw(coeffs)) for _ in range(draw(st.integers(0, 3)))]
-    return SuperPolynomial.from_terms(pairs)
+    return from_terms(pairs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,7 +424,7 @@ def frac_polys(draw, parity=None):
     pairs = [(Monomial(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))),
                        draw(masks)), draw(fracs))
              for _ in range(draw(st.integers(0, 4)))]
-    return SuperPolynomial.from_terms(pairs)
+    return from_terms(pairs)
 
 
 frac_ops = st.sampled_from([
@@ -415,9 +447,9 @@ def test_mul_poly_matches_product(q, p):
 @given(frac_polys())
 def test_derivatives_match_polynomial_calculus(p):
     for site in (1, 2):
-        assert EvenDeriv(site).apply(p) == p.deriv_even(site)
+        assert EvenDeriv(site).apply(p) == deriv_even(p, site)
     for var in (TH1, THB1, TH2, THB2):
-        assert OddDeriv(var).apply(p) == p.deriv_odd(var)
+        assert OddDeriv(var).apply(p) == deriv_odd(p, var)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,9 +491,9 @@ def test_cached_cold_and_warm_agree(a, b, p):
 #: SuperPolynomial arithmetic
 PRIMITIVES = (
     [(MulZ(s), lambda p, s=s: z(s) * p) for s in (1, 2)]
-    + [(EvenDeriv(s), lambda p, s=s: p.deriv_even(s)) for s in (1, 2)]
+    + [(EvenDeriv(s), lambda p, s=s: deriv_even(p, s)) for s in (1, 2)]
     + [(MulOdd(v), lambda p, v=v: sp(v) * p) for v in (TH1, THB1, TH2, THB2)]
-    + [(OddDeriv(v), lambda p, v=v: p.deriv_odd(v))
+    + [(OddDeriv(v), lambda p, v=v: deriv_odd(p, v))
        for v in (TH1, THB1, TH2, THB2)]
     + [(Scalar(Q(-2, 3)), lambda p: Q(-2, 3) * p),
        (MulPoly(z(1) * z(1) * sp(THB2) - Q(1, 2) * sp(TH1)),

@@ -18,6 +18,7 @@ from fractions import Fraction as Q
 import pytest
 
 from ybsl21 import cli, opalg
+from ybsl21.lowest import NotInSpan
 from ybsl21.opalg import (DegreeDiagonal, Operator, OperatorError,
                           PochhammerPole, Scalar, compose, equal_on_degree)
 from ybsl21.report import CheckReport
@@ -323,6 +324,30 @@ def test_a_fault_in_the_childs_command_is_replayed_in_order(
     assert ran[0] == str(os.getpid()) and ran[1] != ran[0]
     # a fault that does not unpickle sends the child's commands back here
     assert ran[2:] == ([ran[0]] if fault is not_unpicklable else [])
+
+
+
+def test_a_not_in_span_result_comes_back_from_the_child(tmp_path, forks,
+                                                        cpus):
+    # NotInSpan unpickles, so the child's result is kept and its task is
+    # not run again here
+    pids = tmp_path / "pids"
+
+    def task(t):
+        with open(pids, "a") as f:
+            f.write(f"{t} {os.getpid()}\n")
+        return t, NotInSpan(Q(t, 2) * SuperPolynomial.one(), f"task {t}")
+
+    cpus(2)
+    results = list(opalg.run_tasks(task, [1, 2]))
+    assert_no_child()
+    assert forks == [1]
+    assert [(t, type(e), str(e), e.poly, e.label) for t, e in results] == [
+        (t, NotInSpan, f"task {t}: {Q(t, 2)} is outside the sector span",
+         Q(t, 2) * SuperPolynomial.one(), f"task {t}") for t in (1, 2)]
+    ran = dict(line.split() for line in pids.read_text().splitlines())
+    assert len(pids.read_text().splitlines()) == 2
+    assert ran["1"] == str(os.getpid()) and ran["2"] != ran["1"]
 
 
 def test_one_worker_runs_no_task_after_the_caller_stops(cpus):
