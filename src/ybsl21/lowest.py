@@ -96,9 +96,9 @@ def sector_pivots(sector: str, n: int):
     n = 0, where Phi0+ = Phi0- = 1."""
     P, M = (v.terms for v in sector_basis(sector, n))
     monos = sorted(P.keys() | M.keys())
-    return next(((a, b, det) for i, a in enumerate(monos) for b in monos[i + 1:]
-                 if (det := P.get(a, 0) * M.get(b, 0)
-                     - P.get(b, 0) * M.get(a, 0))), None)
+    minors = ((a, b, P.get(a, 0) * M.get(b, 0) - P.get(b, 0) * M.get(a, 0))
+              for i, a in enumerate(monos) for b in monos[i + 1:])
+    return next((m for m in minors if m[2]), None)
 
 
 def verify_lowest(v: LowestVector, w1: Weight, w2: Weight) -> CheckReport:

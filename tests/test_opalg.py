@@ -352,7 +352,8 @@ def test_degree_diagonal_values_asked_out_of_order(b):
         assert in_order[5] == ("denominator Pochhammer (b)_n with b = -3 "
                                "vanishes at degree 5")
         assert in_order[4] == POLE_MESSAGES[-3]
-        assert in_order[3] == rising_factorial(Q(1, 2), 3) / rising_factorial(b, 3)
+        assert in_order[3] == (rising_factorial(Q(1, 2), 3)
+                               / rising_factorial(b, 3))
     else:
         assert all(in_order[n] == rising_factorial(Q(1, 2), n)
                    / rising_factorial(b, n) for n in range(7))
