@@ -10,12 +10,13 @@ cost of one sign).  Matrices of any size combine only through `@`;
 `diagonal` puts one quantum operator on every auxiliary index, and
 `on_leg` embeds a 3x3 matrix in one of several auxiliary legs, where an
 odd entry additionally anticommutes past every odd leg index standing
-between its own leg and the quantum space.
+between its own leg and the quantum space.  `intertwines` is the one check
+of a relation A X = Y A, on operators or on matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -146,6 +147,24 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
                 sub = equal_on_degree(x, y, max_degree, nsites=nsites)
                 report.merge(sub, prefix=f"entry({i},{k}) on ")
     return report
+
+
+def intertwines(a, x, y, max_degree: int, nsites: int = 2,
+                name: str = "intertwining",
+                params: dict[str, str] | None = None) -> CheckReport:
+    """Whether a x = y a on every basis monomial up to `max_degree`.
+
+    x and y are both operators, compared by `equal_on_degree`, or both
+    matrices, compared entry by entry by `matrices_equal`; against matrices
+    an operator `a` acts on every auxiliary index (`diagonal`).
+    """
+    if not isinstance(x, SuperMatrixOperator):
+        return replace(equal_on_degree(compose(a, x), compose(y, a),
+                                       max_degree, nsites=nsites),
+                       check_name=name, params=params or {})
+    if not isinstance(a, SuperMatrixOperator):
+        a = diagonal(a)
+    return matrices_equal(a @ x, y @ a, max_degree, nsites, name, params)
 
 
 def build_lax(site: int, t: SpectralTriple,
@@ -282,30 +301,27 @@ def check_rll(w: Weight, u, v, max_degree: int = 3,
 
     l1, l2 = lax(u, 0), lax(v, 1)
     r = rational_matrix(fundamental_rmatrix(u - v))
-    return matrices_equal(
-        r @ l1 @ l2, l2 @ l1 @ r, max_degree, nsites=1, name=f"rll-{kind}",
+    return intertwines(
+        r, l1 @ l2, l2 @ l1, max_degree, nsites=1, name=f"rll-{kind}",
         params={"ell": str(w.ell), "b": str(w.b), "u": str(u), "v": str(v)})
 
 
 def check_invariance(t: SpectralTriple, lam,
                      max_degree: int = 3) -> CheckReport:
     """Even-sector invariance of the one-site Lax matrix: M L M^-1 = S^-1 L S
-    with S = exp(lam S-).
+    with S = exp(lam S-), checked as S M L = L S M.
 
     The odd parameters of the printed identity are set to zero; lam is an
     arbitrary rational.  M = exp(lam s-) is the auxiliary-space exponential
     of the lowering matrix, so conjugating the auxiliary leg by M undoes
-    conjugating the quantum leg by S (the total action commutes with L).
+    conjugating the quantum leg by S (the total action S M commutes with L).
     """
     lam = Q(lam)
     lax = build_lax(1, t, "chiral")
-    m_inv = rational_matrix([[1, 0, 0], [0, 1, 0], [-lam, 0, 1]])
     m_mat = rational_matrix([[1, 0, 0], [0, 1, 0], [lam, 0, 1]])
-    s_minus = -1 * EvenDeriv(1)
-    s_op = TerminatingExp(Scalar(lam) @ s_minus)
-    s_inv = TerminatingExp(Scalar(-lam) @ s_minus)
-    return matrices_equal(
-        m_mat @ lax @ m_inv, diagonal(s_inv) @ lax @ diagonal(s_op),
-        max_degree, nsites=1, name="lax-invariance",
+    s_op = TerminatingExp(Scalar(lam) @ (-1 * EvenDeriv(1)))
+    return intertwines(
+        diagonal(s_op) @ m_mat, lax, lax, max_degree, nsites=1,
+        name="lax-invariance",
         params={"lam": str(lam), "u1": str(t.u1), "u2": str(t.u2),
                 "u3": str(t.u3)})

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .lax import (SpectralTriple, SuperMatrixOperator, build_lax, diagonal,
-                  matrices_equal)
+from .lax import SpectralTriple, SuperMatrixOperator, build_lax, intertwines
 from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
                     OddDeriv, OnSites, Operator, Scalar, SwapSites,
                     TerminatingExp, compose, equal_on_degree, op_sum)
@@ -253,22 +252,15 @@ def _lax_pair(pp: ParamPair) -> tuple[SuperMatrixOperator, SuperMatrixOperator]:
     return build_lax(1, pp.u, "chiral"), build_lax(2, pp.v, "chiral")
 
 
-def _intertwines(op: Operator, pp: ParamPair, out: ParamPair,
-                 max_degree: int) -> CheckReport:
-    """op L1(pp.u) L2(pp.v) = L1(out.u) L2(out.v) op, entry by entry."""
-    l1, l2 = _lax_pair(pp)
-    l1x, l2x = _lax_pair(out)
-    return matrices_equal(diagonal(op) @ (l1 @ l2),
-                          (l1x @ l2x) @ diagonal(op), max_degree)
-
-
 def check_defining(k: int, pp: ParamPair, max_degree: int = 2) -> CheckReport:
     """R_k L1(u) L2(v) = L1(u') L2(v') R_k with the k-th pair exchanged."""
     report = CheckReport(check_name=f"defining-R{k}", params=pp.render(),
                          max_degree=max_degree)
     with report.timed(SingularParameters):
         r = Cached(build_r(k, pp, max_degree=max_degree))
-        report.merge(_intertwines(r, pp, pp.exchanged(k), max_degree))
+        l1, l2 = _lax_pair(pp)
+        l1x, l2x = _lax_pair(pp.exchanged(k))
+        report.merge(intertwines(r, l1 @ l2, l1x @ l2x, max_degree))
     return report
 
 
@@ -282,41 +274,30 @@ def check_lemma_system(k: int, pp: ParamPair,
         r = Cached(build_r(k, pp, max_degree=max_degree))
         l1, l2 = _lax_pair(pp)
         l1x, l2x = _lax_pair(pp.exchanged(k))
-        lhs = diagonal(r) @ (l1 + l2)
-        rhs = (l1x + l2x) @ diagonal(r)
-        sub = matrices_equal(lhs, rhs, max_degree)
-        report.merge(sub, prefix="sum-eq ")
-
         z1, z2, th1, thb1, th2, thb2 = two_site_vars()
         if k == 1:
-            comm = [("z1", MulPoly(z1)), ("th1", MulPoly(th1)),
-                    ("thb1", MulPoly(thb1))]
-        elif k == 3:
-            comm = [("z2", MulPoly(z2)), ("th2", MulPoly(th2)),
-                    ("thb2", MulPoly(thb2))]
-        else:
-            comm = [("z1-th1*thb1/2", MulPoly(z1 - Q(1, 2) * (th1 * thb1))),
-                    ("th1", MulPoly(th1)),
-                    ("z2+th2*thb2/2", MulPoly(z2 + Q(1, 2) * (th2 * thb2))),
-                    ("thb2", MulPoly(thb2))]
-        for label, m in comm:
-            sub = equal_on_degree(compose(r, m), compose(m, r), max_degree)
-            report.merge(sub, prefix=f"[R{k},{label}] on ")
-
-        if k == 1:
             low = lowering(2)
-            extra = low["V-"] + compose(MulPoly(thb1), low["S-"])
-            label = "V2- + thb1 S2-"
+            comm = [("z1", z1), ("th1", th1), ("thb1", thb1)]
+            extra = [("V2- + thb1 S2-",
+                      low["V-"] + compose(MulPoly(thb1), low["S-"]))]
         elif k == 3:
             low = lowering(1)
-            extra = low["W-"] + compose(MulPoly(th2), low["S-"])
-            label = "W1- + th2 S1-"
+            comm = [("z2", z2), ("th2", th2), ("thb2", thb2)]
+            extra = [("W1- + th2 S1-",
+                      low["W-"] + compose(MulPoly(th2), low["S-"]))]
         else:
-            extra = None
-        if extra is not None:
-            sub = equal_on_degree(compose(r, extra), compose(extra, r),
-                                  max_degree)
-            report.merge(sub, prefix=f"[{label}] on ")
+            comm = [("z1-th1*thb1/2", z1 - Q(1, 2) * (th1 * thb1)),
+                    ("th1", th1),
+                    ("z2+th2*thb2/2", z2 + Q(1, 2) * (th2 * thb2)),
+                    ("thb2", thb2)]
+            extra = []
+        rows = [("sum-eq ", l1 + l2, l1x + l2x)]
+        for label, p in comm:
+            m = MulPoly(p)
+            rows.append((f"[R{k},{label}] on ", m, m))
+        rows += [(f"[{label}] on ", op, op) for label, op in extra]
+        for prefix, x, y in rows:
+            report.merge(intertwines(r, x, y, max_degree), prefix=prefix)
     return report
 
 
@@ -430,8 +411,9 @@ def check_factorization(pp: ParamPair, max_degree: int = 2) -> CheckReport:
                          max_degree=max_degree)
     with report.timed(SingularParameters):
         rhat = Cached(build_rhat(pp, max_degree=max_degree))
-        report.merge(_intertwines(rhat, pp, ParamPair(pp.v, pp.u),
-                                  max_degree))
+        l1, l2 = _lax_pair(pp)
+        l1x, l2x = _lax_pair(ParamPair(pp.v, pp.u))
+        report.merge(intertwines(rhat, l1 @ l2, l1x @ l2x, max_degree))
     return report
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -404,3 +405,25 @@ def test_package_stays_stdlib_only():
     with open(ROOT / "pyproject.toml", "rb") as f:
         deps = tomllib.load(f)["project"]["dependencies"]
     assert deps == [], f"runtime dependencies: {deps}"
+
+
+def test_package_imports_only_names_it_uses():
+    # a name is used if the module reads it or lists it in __all__
+    unused = []
+    for path in sorted((ROOT / "src" / "ybsl21").glob("*.py")):
+        imported, used = {}, set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Assign) and "__all__" in {
+                    getattr(target, "id", None) for target in node.targets}:
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} imports {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -7,10 +7,10 @@ from ybsl21 import lax
 from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, build_lax,
                         build_lax_factorized, build_lax_tensor,
                         check_invariance, check_rll, covariant_derivatives,
-                        fundamental_rmatrix, matrices_equal, on_leg,
-                        rational_matrix)
-from ybsl21.opalg import (EvenDeriv, MulOdd, OddDeriv, Scalar, compose,
-                          equal_on_degree, op_sum)
+                        fundamental_rmatrix, intertwines, matrices_equal,
+                        on_leg, rational_matrix)
+from ybsl21.opalg import (EvenDeriv, MulOdd, MulZ, OddDeriv, Scalar,
+                          TerminatingExp, compose, equal_on_degree, op_sum)
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
@@ -151,7 +151,7 @@ def test_on_one_leg_is_the_matrix():
 def _rll_report(l_u, l_v, u, v, embed=on_leg):
     l1, l2 = embed(l_u, 0, 2), embed(l_v, 1, 2)
     r = rational_matrix(fundamental_rmatrix(u - v))
-    return matrices_equal(r @ l1 @ l2, l2 @ l1 @ r, 2, nsites=1)
+    return intertwines(r, l1 @ l2, l2 @ l1, 2, nsites=1)
 
 
 @pytest.mark.parametrize("kind", ["chiral", "antichiral"])
@@ -195,3 +195,71 @@ def test_rll_detects_corruption():
 def test_invariance_even_sector(lam):
     t = SpectralTriple.from_weight(Q(0), Weight(Q(1), Q(0)))
     assert check_invariance(t, lam, max_degree=3).passed
+
+
+def _corrupted(t, i, k):
+    # entry (i,k) of L(t) doubled, or 1 where it is zero
+    entries = [list(row) for row in build_lax(1, t, "chiral").entries]
+    entry = entries[i - 1][k - 1]
+    entries[i - 1][k - 1] = (Scalar(1) if lax._is_zero(entry)
+                             else Q(2) * entry)
+    return SuperMatrixOperator(entries)
+
+
+@pytest.mark.parametrize("i,k", [(i, k) for i in (1, 2, 3) for k in (1, 2, 3)])
+def test_invariance_detects_corruption(monkeypatch, i, k):
+    # only entry (2,2) commutes with S M, so doubling it keeps the identity
+    t = SpectralTriple.from_weight(Q(0), Weight(Q(1), Q(0)))
+    monkeypatch.setattr(lax, "build_lax",
+                        lambda site, tt, kind: _corrupted(tt, i, k))
+    report = check_invariance(t, Q(2, 3), max_degree=3)
+    assert report.passed == ((i, k) == (2, 2))
+    assert report.check_name == "lax-invariance"
+
+
+def _shift(lam):
+    # exp(lam d/dz): p(z) -> p(z + lam)
+    return TerminatingExp(Scalar(Q(lam)) @ EvenDeriv(1))
+
+
+def test_intertwines_operators():
+    # the shift moves z to z + 3: exp(3 d) z = (z + 3) exp(3 d)
+    s, z = _shift(3), MulZ(1)
+    good = intertwines(s, z, z + Scalar(3), 3, nsites=1, name="shift",
+                       params={"lam": "3"})
+    assert good.passed
+    assert (good.check_name, good.params) == ("shift", {"lam": "3"})
+    bad = intertwines(s, z, z, 3, nsites=1)
+    assert not bad.passed
+    assert bad.check_name == "intertwining"
+    assert bad.failures[0].input == "1"
+
+
+def _diagonal_matrix(entries):
+    zero = Scalar(0)
+    return SuperMatrixOperator([[entries[i] if i == k else zero
+                                 for k in range(3)] for i in range(3)])
+
+
+def test_intertwines_operator_on_every_auxiliary_index():
+    s, z = _shift(Q(1, 2)), MulZ(1)
+    zs = z + Scalar(Q(1, 2))
+    x = _diagonal_matrix([z, Scalar(2), compose(z, z)])
+    y = _diagonal_matrix([zs, Scalar(2), compose(zs, zs)])
+    assert intertwines(s, x, y, 3, nsites=1).passed
+    report = intertwines(s, x, x, 3, nsites=1)
+    assert not report.passed
+    assert report.failures[0].input.startswith("entry(1,1) on ")
+    # the third diagonal entry alone is wrong: a reaches index 3 too
+    y_bad = _diagonal_matrix([zs, Scalar(2), compose(z, z)])
+    first = intertwines(s, x, y_bad, 3, nsites=1).failures[0]
+    assert first.input.startswith("entry(3,3) on ")
+
+
+def test_intertwines_matrices():
+    # the graded swap P moves an even matrix from leg 0 to leg 1
+    a = rational_matrix([[1, 0, 5], [0, 2, 0], [7, 0, 3]])
+    p = rational_matrix(fundamental_rmatrix(0))
+    on0, on1 = on_leg(a, 0, 2), on_leg(a, 1, 2)
+    assert intertwines(p, on0, on1, 1, nsites=1).passed
+    assert not intertwines(p, on0, on0, 1, nsites=1).passed

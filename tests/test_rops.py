@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as Q
 from math import gcd
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ybsl21 import rops
+from ybsl21 import lax, rops
 from ybsl21.cli import main
 from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, MulZ, OnSites,
                           Scalar, SwapSites, compose, equal_on_degree,
@@ -105,6 +106,38 @@ def test_defining_detects_kernel_mutation(monkeypatch):
     assert check_defining(1, PP, max_degree=1).passed
     monkeypatch.setattr(rops, "kernel", mutated)
     assert check_defining(1, PP, max_degree=1).status == "fail"
+
+
+#: sha256 of the eight failing reports of `test_failing_intertwining_reports`
+FAILING_REPORTS_SHA256 = (
+    "85f9e3a74086990f549e19b73a421651c4ec682009123e13aa5b0e883b53cafc")
+
+
+def test_failing_intertwining_reports(monkeypatch):
+    # every exchange operator gets a spurious degree-diagonal factor, then
+    # entry (1,2) of every Lax matrix changes sign: the bytes of each
+    # failing report, failures and their residuals included, are pinned
+    build_r, build_lax = rops.build_r, lax.build_lax
+
+    def skewed_r(k, pp, max_degree=4):
+        return compose(DegreeDiagonal(2 if k == 1 else 1, Q(5, 2), Q(3, 2)),
+                       build_r(k, pp, max_degree))
+
+    def negated_lax(site, t, kind="chiral"):
+        entries = [list(row) for row in build_lax(site, t, kind).entries]
+        entries[0][1] = -1 * entries[0][1]
+        return lax.SuperMatrixOperator(entries)
+
+    monkeypatch.setattr(rops, "build_r", skewed_r)
+    reports = []
+    for k in (1, 2, 3):
+        reports += [check_defining(k, PP, 2), check_lemma_system(k, PP, 2)]
+    reports.append(check_factorization(PP, 2))
+    monkeypatch.setattr(lax, "build_lax", negated_lax)
+    reports.append(lax.check_rll(Weight(Q(1), Q(1, 3)), Q(2), Q(1, 2), 2))
+    assert [r.status for r in reports] == ["fail"] * 8
+    text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAILING_REPORTS_SHA256
 
 
 def _mirror(p: SuperPolynomial) -> SuperPolynomial:
