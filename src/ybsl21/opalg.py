@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
-from math import comb, gcd, lcm, perm
+from math import comb, gcd, lcm, perm, prod
 
 from .report import STORED_FAILURES, CheckReport
 from .superpoly import (FIELD_MASK, GUARD, ODD_MASK, Z_SHIFTS, Monomial,
@@ -51,11 +51,10 @@ class PochhammerPole(OperatorError):
 
 
 def rising_factorial(x: Fraction, n: int) -> Fraction:
-    """(x)_n = x (x+1) .. (x+n-1), with (x)_0 = 1."""
-    out = Q(1)
-    for j in range(n):
-        out *= x + j
-    return out
+    """(x)_n = x (x+1) .. (x+n-1), with (x)_0 = 1: for x = p/q the integer
+    product (p)(p+q) .. (p+(n-1)q) over q^n, so one Fraction per value."""
+    p, q = x.numerator, x.denominator
+    return Q(prod(p + j * q for j in range(n)), q ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +339,24 @@ def OddDeriv(var: int) -> DiffOp:
 class DegreeDiagonal(Operator):
     """Scale each term by (a)_n / (b)_n, where n is the term's z-degree at
     `site`; the first pole is at n = 1 - b when b is a nonpositive integer.
-    (a)_k and (b)_k are kept for k <= the highest degree asked for so far,
-    each new degree one product on from the last."""
+    Each degree's value is read off `rising_factorial` once and kept."""
 
-    __slots__ = ("site", "a", "b", "_cache", "_poch")
+    __slots__ = ("site", "a", "b", "_cache")
 
     def __init__(self, site: int, a, b):
         self.site = site
         self.a = Q(a)
         self.b = Q(b)
         self._cache: dict[int, Fraction] = {}
-        self._poch = [(Q(1), Q(1))]
 
     def value(self, n: int) -> Fraction:
         h = self._cache.get(n)
         if h is None:
-            poch = self._poch
-            for k in range(len(poch) - 1, n):
-                num, den = poch[k]
-                poch.append((num * (self.a + k), den * (self.b + k)))
-            num, den = poch[n]
+            den = rising_factorial(self.b, n)
             if den == 0:
                 raise PochhammerPole(f"denominator Pochhammer (b)_n with "
                                      f"b = {self.b} vanishes at degree {n}")
-            h = self._cache[n] = num / den
+            h = self._cache[n] = rising_factorial(self.a, n) / den
         return h
 
     def _apply(self, p):

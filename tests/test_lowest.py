@@ -224,6 +224,25 @@ def test_composite_gamma_step():
     assert cur_e[0][0] / prev_e[0][0] == (3 + x) / (3 + s)
 
 
+def _matmul(m, k):
+    return tuple(tuple(sum(m[i][t] * k[t][j] for t in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_printed_composite_is_the_product_of_printed_factors(seed):
+    # Rcheck = R1 R2 R3 with the factorization's argument threading, so the
+    # printed composite matrix is M1 M2 M3 (column j the image of basis
+    # vector j) on every level the spectra compare
+    for pp in cli.sample_params(seed, 3, 4):
+        stages = rops._rhat_stages(pp)
+        for n, sector in sector_levels(39):
+            m1, m2, m3 = (lowest.expected_sector_matrix(k, stage, sector, n)
+                          for k, stage in stages)
+            assert (lowest.expected_composite_matrix(pp, sector, n)
+                    == _matmul(_matmul(m1, m2), m3)), (pp.render(), sector, n)
+
+
 def test_span_preservation():
     rhat = build_rhat(PP)
     sector_action(rhat, "even", 3)   # raises NotInSpan if span breaks
