@@ -44,7 +44,8 @@ def pochhammer_product(x, n):
 def test_rising_factorial_is_the_product(x):
     for n in range(9):
         assert rising_factorial(x, n) == pochhammer_product(x, n)
-        # a nonpositive integer x is a factor from n = 1 - x on
+        # at a nonpositive integer x the factor x + j is 0 at j = -x, so
+        # (x)_n vanishes exactly from n = 1 - x on
         if x.denominator == 1 and x <= 0:
             assert (rising_factorial(x, n) == 0) == (n > -x)
 
