@@ -84,9 +84,18 @@ def lowest_vector(sector: str, sign: str, n: int) -> LowestVector:
 
 @cache
 def sector_basis(sector: str, n: int):
-    """(plus, minus) lowest vectors at level n; shared, never mutated."""
-    return (lowest_vector(sector, "+", n).poly,
-            lowest_vector(sector, "-", n).poly)
+    """(plus, minus) lowest vectors at level n; shared, never mutated.
+
+    S1, S2 and S3 remember their images of both vectors, so every operator
+    whose rightmost factor is a conjugator (R_k, Rcheck, S_k itself) skips
+    that first pass on each later application to them.
+    """
+    basis = (lowest_vector(sector, "+", n).poly,
+             lowest_vector(sector, "-", n).poly)
+    for k in (1, 2, 3):
+        for v in basis:
+            conjugator(k)[0].remember(v)
+    return basis
 
 
 @cache

@@ -540,7 +540,8 @@ class TerminatingExp(Operator):
 
 
 class Cached(Operator):
-    """Memoizes the image of each basis monomial (operators are linear).
+    """Memoizes the image of each basis monomial (operators are linear),
+    and of each whole vector handed to `remember`.
 
     Each image is stored reduced, which bounds the integer growth of
     everything built from it.  `build_r` and `build_rhat` return uncached
@@ -548,14 +549,24 @@ class Cached(Operator):
     An operator applied to a few whole vectors is cheaper uncached: a
     column filled for every monomial of the vector is used once.  A key
     names the same monomial on any number of sites, so one cache serves
-    inputs on one, two or three sites alike.
+    inputs on one, two or three sites alike.  A remembered vector is known
+    by its identity, not its value: the cache holds the vector, so its id
+    is not reused, and an equal but distinct polynomial takes the columns.
     """
 
-    __slots__ = ("op", "_images")
+    __slots__ = ("op", "_images", "_vectors")
 
     def __init__(self, op: Operator):
         self.op = op
         self._images: dict[int, SuperPolynomial] = {}
+        self._vectors: dict[int, tuple[SuperPolynomial, SuperPolynomial]] = {}
+
+    def remember(self, p: SuperPolynomial) -> None:
+        """Keep the image of the vector `p` itself: applying this operator
+        to that same object later reads it back instead of combining one
+        column per monomial."""
+        if id(p) not in self._vectors:
+            self._vectors[id(p)] = (p, self._apply(p).reduced())
 
     def _apply(self, p):
         images = self._images
@@ -563,6 +574,9 @@ class Cached(Operator):
             (m, n), = p.terms.items()
             if n == 1 and m in images:
                 return images[m]
+        vector = self._vectors.get(id(p))
+        if vector is not None:
+            return vector[1]
         parts = []
         for m, n in p.terms.items():
             img = images.get(m)

@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import cache
 
 from .lax import SpectralTriple, SuperMatrixOperator, build_lax, intertwines
-from .opalg import (Cached, DegreeDiagonal, EvenDeriv, MulOdd, MulPoly, MulZ,
-                    OddDeriv, OnSites, Operator, Scalar, SwapSites,
-                    TerminatingExp, compose, equal_on_degree, op_sum)
+from .opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv, MulOdd,
+                    MulPoly, MulZ, OddDeriv, OnSites, Operator, Scalar,
+                    SwapSites, TerminatingExp, compose, equal_on_degree,
+                    op_sum)
 from .report import CheckReport
 from .sl21 import Weight, build_generators, lowering
 from .superpoly import Monomial, SuperPolynomial, theta, theta_bar
@@ -168,6 +169,14 @@ def conjugator_r2_even() -> tuple[Cached, Cached]:
     return _exp_pair(_conjugator_gens(2)[2:])
 
 
+@cache
+def conjugator_link(j: int, k: int) -> Cached:
+    """S_j S_k^-1, the two conjugators that stand next to each other where
+    R_j precedes R_k in a product; built once, like `conjugator`, with its
+    columns computed from theirs (S S^-1 = 1 is never assumed)."""
+    return Cached(compose(conjugator(j)[0], conjugator(k)[1]))
+
+
 def _exp_pair(gens: list[Operator]) -> tuple[Cached, Cached]:
     """prod exp(g) over gens and its inverse, each with its own columns."""
     s = compose(*(TerminatingExp(g) for g in gens))
@@ -221,30 +230,34 @@ def kernel(k: int, pp: ParamPair) -> Operator:
 
 
 def build_r(k: int, pp: ParamPair, max_degree: int = 4) -> Operator:
-    """Conjugated, normalized exchange operator; op(1) = 1 exactly.
+    """Conjugated, normalized exchange operator S_k^-1 (K_k / c) S_k, where
+    c is the action of S_k^-1 K_k S_k on 1; op(1) = 1 exactly.
 
-    When the exchanged pair is already equal there is nothing to exchange
-    and the normalized operator degenerates to the identity.  `max_degree`
-    sets only the degree `guard_factor` checks; the operator is the same at
-    every degree.
+    The scale stands inside the conjugation, so the outer factors are the
+    shared conjugators themselves and a product of exchange operators can
+    fuse them (`build_rhat`).  When the exchanged pair is already equal
+    there is nothing to exchange and the normalized operator degenerates to
+    the identity.  `max_degree` sets only the degree `guard_factor` checks;
+    the operator is the same at every degree.
     """
     if pp.exchanged(k) == pp:
         return Scalar(1)
     guard_factor(k, pp, max_degree)
     s, s_inv = conjugator(k)
-    raw = compose(s_inv, kernel(k, pp), s)
-    return _normalized(raw, f"R{k}")
+    kern = kernel(k, pp)
+    c = _normalization(compose(s_inv, kern, s), f"R{k}")
+    return compose(s_inv, kern if c == 1 else compose(Scalar(1 / c), kern), s)
 
 
-def _normalized(raw: Operator, name: str) -> Operator:
-    """raw divided by its action on 1, which must be a nonzero scalar."""
+def _normalization(raw: Operator, name: str) -> Fraction:
+    """The action of raw on 1, which must be a nonzero scalar."""
     one = SuperPolynomial.one()
     image = raw.apply(one)
     c = image.coefficient(0)
     if image != c * one or c == 0:
         raise NormalizationFailure(
             f"{name} applied to 1 gave {image.text()}, not a nonzero scalar")
-    return raw if c == 1 else compose(Scalar(1 / c), raw)
+    return c
 
 
 def _lax_pair(pp: ParamPair) -> tuple[SuperMatrixOperator, SuperMatrixOperator]:
@@ -391,8 +404,23 @@ def _rhat_factors(pp: ParamPair, max_degree: int) -> list[Operator]:
 
 def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
     """Rcheck = R1 R2 R3 with the factorization's argument threading; each
-    factor fixes 1, so the product does."""
-    return compose(*_rhat_factors(pp, max_degree))
+    factor fixes 1, so the product does.
+
+    Every S_j that stands next to an S_k^-1 in the product is fused with it
+    into the shared `conjugator_link(j, k)`, so each whole vector takes one
+    pass through their columns instead of two.
+    """
+    links = {(id(conjugator(j)[0]), id(conjugator(k)[1])): (j, k)
+             for j in (1, 2, 3) for k in (1, 2, 3)}
+    product = compose(*_rhat_factors(pp, max_degree))
+    chain: list[Operator] = []
+    for op in product.ops if isinstance(product, Compose) else (product,):
+        pair = links.get((id(chain[-1]), id(op))) if chain else None
+        if pair:
+            chain[-1] = conjugator_link(*pair)
+        else:
+            chain.append(op)
+    return compose(*chain)
 
 
 def build_full_R(pp: ParamPair, max_degree: int = 4) -> Operator:

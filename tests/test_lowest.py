@@ -298,5 +298,17 @@ def test_each_operator_built_once(monkeypatch, check, builds):
     assert len(calls) == builds
 
 
+def test_sector_vectors_are_remembered_by_the_conjugators():
+    sector_basis.cache_clear()   # whatever conjugators this process holds
+    for sector, n in (("even", 2), ("odd", 0), ("odd", 3)):
+        basis = sector_basis(sector, n)
+        for k in (1, 2, 3):
+            s = rops.conjugator(k)[0]
+            for v in basis:
+                kept, image = s._vectors[id(v)]
+                assert kept is v
+                assert image == Cached(s.op).apply(v)
+
+
 def test_conjugator_oracles():
     assert check_conjugator_oracles(nmax=3).passed

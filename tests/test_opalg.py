@@ -260,6 +260,22 @@ def test_cached_returns_the_stored_column_of_a_unit_monomial():
     assert set(cached._images) == {m, other}
 
 
+def test_cached_remembers_a_whole_vector_by_identity():
+    op = op_sum(Q(1, 3) * compose(MulZ(2), OddDeriv(TH1)), Scalar(Q(1, 2)),
+                TerminatingExp(compose(MulOdd(THB1), OddDeriv(TH2))))
+    p = z(1) * sp(TH1) + Q(2, 5) * z(2) * sp(TH2) + ONE
+    cached = Cached(op)
+    cached.remember(p)
+    remembered = cached._vectors[id(p)][1]
+    assert cached._apply(p) is remembered
+    assert cached.apply(p) == Cached(op).apply(p) == op.apply(p)
+    # an equal but distinct polynomial takes the columns, to the same value
+    twin = SuperPolynomial(dict(p.terms), p.den)
+    assert twin == p and twin is not p
+    assert cached._apply(twin) is not remembered
+    assert cached.apply(twin) == remembered
+
+
 W1, W2, W3 = YBE[:3]
 
 #: each check at degree 1, and the sites its operators reach: the basis it

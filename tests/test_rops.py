@@ -6,18 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from ybsl21 import lax, rops
+from ybsl21 import cli, lax, rops
 from ybsl21.cli import main
-from ybsl21.opalg import (Cached, DegreeDiagonal, DiffOp, MulZ, OnSites,
-                          Scalar, SwapSites, compose, equal_on_degree,
-                          op_sum)
+from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, MulZ,
+                          OnSites, Scalar, SwapSites, compose,
+                          equal_on_degree, op_sum)
 from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
-                         _rhat_stages,
+                         _rhat_factors, _rhat_stages,
                          build_full_R,
                          build_r, build_rhat, check_defining,
                          check_factorization, check_lemma_system,
                          check_recurrences, check_ybe, conjugator,
-                         conjugator_r2_even,
+                         conjugator_link, conjugator_r2_even,
                          guard_factor, pair_guard, total_generator,
                          weight_shift, ybe_pairs)
 from ybsl21.sl21 import Weight
@@ -256,9 +256,11 @@ def test_exchange_operators_hold_only_the_shared_conjugator_caches():
     for k in (1, 2, 3):
         assert {id(c) for c in _cached_within(build_r(k, PP))} == \
             {id(c) for c in conjugator(k)}
+    # Rcheck reaches the six conjugators through the two links built on them
     shared = {id(c) for k in (1, 2, 3) for c in conjugator(k)}
+    shared |= {id(conjugator_link(1, 2)), id(conjugator_link(2, 3))}
     caches = list(_cached_within(build_rhat(PP)))
-    assert len(caches) == 6 and {id(c) for c in caches} == shared
+    assert len(caches) == 8 and {id(c) for c in caches} == shared
 
 
 @pytest.mark.parametrize("check", [
@@ -269,6 +271,8 @@ def test_exchange_operators_hold_only_the_shared_conjugator_caches():
 def test_basis_sweeps_cache_one_operator(check, monkeypatch):
     for k in (1, 2, 3):
         conjugator(k)            # the shared caches are not the sweep's
+    conjugator_link(1, 2)
+    conjugator_link(2, 3)
     created = []
     init = Cached.__init__
 
@@ -285,12 +289,45 @@ def test_conjugators_built_once():
     for k in (1, 2, 3):
         assert conjugator(k) is conjugator(k)
     assert conjugator_r2_even() is conjugator_r2_even()
+    assert conjugator_link(1, 2) is conjugator_link(1, 2)
+
+
+#: u2 = v2, so R2 is the identity and the product has no S2 to fuse
+TRIVIAL_R2 = ParamPair.from_rationals(Q(3), Q(2), Q(1), Q(1, 2), Q(2),
+                                      Q(-3, 2))
+
+
+def _chain(op):
+    return op.ops if isinstance(op, Compose) else (op,)
+
+
+@pytest.mark.parametrize("pp", [
+    *(pp for seed in range(3) for pp in cli.sample_params(seed, 3, 4)),
+    TRIVIAL_R2])
+def test_fused_rhat_is_the_product_of_its_factors(pp):
+    unfused = compose(*_rhat_factors(pp, 4))
+    fused = build_rhat(pp)
+    for m in enumerate_basis(3):
+        p = SuperPolynomial({m: 1})
+        assert fused.apply(p) == unfused.apply(p), monomial_text(m)
+
+
+def test_rhat_chain_holds_the_links_and_no_adjacent_conjugators():
+    chain = _chain(build_rhat(PP))
+    assert conjugator_link(1, 2) in chain and conjugator_link(2, 3) in chain
+    for left, right in zip(chain, chain[1:]):
+        assert not any(left is conjugator(j)[0] and right is conjugator(k)[1]
+                       for j in (1, 2, 3) for k in (1, 2, 3))
+    # the outer conjugators stay: S1^-1 acts last, S3 first
+    assert chain[0] is conjugator(1)[1] and chain[-1] is conjugator(3)[0]
+    assert len(chain) == len(_chain(compose(*_rhat_factors(PP, 4)))) - 2
 
 
 def test_exchange_operators_share_conjugator_columns():
     other = ParamPair.from_rationals(Q(5, 2), Q(1), Q(-1, 3), Q(7, 3), Q(4),
                                      Q(1, 5))
     conjugator.cache_clear()     # so the first build fills the columns
+    conjugator_link.cache_clear()
     first, second = build_r(1, PP), build_r(1, other)
     basis = [SuperPolynomial({m: 1}) for m in enumerate_basis(2, 2)]
     for p in basis:
@@ -309,6 +346,7 @@ def test_cold_and_warm_conjugators_give_golden_bytes(capsys):
                 if c["name"] == name)
     want = (GOLDEN / f"{name}.txt").read_bytes()
     conjugator.cache_clear()
+    conjugator_link.cache_clear()
     conjugator_r2_even.cache_clear()
     for _ in range(2):           # cold, then warm
         assert main(case["argv"]) == case["exit"]

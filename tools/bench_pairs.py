@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of `bench/run.py`, summarized as JSON.
 
     python3 tools/bench_pairs.py --parent <rev> --change <rev> \\
-        --workload spectrum-n5 --seed 61 --pairs 10 --seconds 35 \\
+        --workload spectrum-n5 --seed 1 --seed 61 --pairs 10 --seconds 35 \\
         --out BENCH_<n>.json
 
 Each revision is unpacked from `git archive` into its own directory, so both
@@ -12,8 +12,10 @@ side's median and quartiles (`statistics.quantiles(n=4,
 method='inclusive')`), the pairs the change won, ties, the median change in
 percent and whether the gap between the medians exceeds the distance
 between the parent's quartiles.  Each workload also lists, per side, every
-distinct report sha256 and (failed, attempted) count the runs printed.
-Standard library only.
+distinct report sha256 and (failed, attempted) count the runs printed, and
+`same_reports`: whether both sides printed the same set of digests.  Every
+`--workload` runs at every `--seed`; the results are keyed by workload and
+then by seed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ def compare(trees: dict, workload: str, seed: int, pairs: int, seconds: int,
                   + " ".join(f"{k}={v:.6g}" for k, v in r["values"].items()),
                   file=sys.stderr)
     names = list(runs["parent"][0]["values"])
+    digests = {side: sorted({r["sha256"] for r in runs[side]})
+               for side in SIDES}
     return {
         "metrics": {name: summarize(
             [r["values"][name] for r in runs["parent"]],
@@ -120,22 +124,29 @@ def compare(trees: dict, workload: str, seed: int, pairs: int, seconds: int,
         "failed_attempted": {side: sorted({tuple(r["counts"])
                                            for r in runs[side]})
                              for side in SIDES},
-        "report_sha256": {side: sorted({r["sha256"] for r in runs[side]})
-                          for side in SIDES},
+        "report_sha256": digests,
+        "same_reports": digests["parent"] == digests["change"],
     }
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision")
     p.add_argument("--change", default="HEAD", help="git revision")
     p.add_argument("--workload", action="append", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, action="append", required=True,
+                   help="repeat to run every workload at each seed")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=int, default=35)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--what", default="", help="the change, in one line")
     args = p.parse_args(argv)
+    args.seed = list(dict.fromkeys(args.seed))
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     revs = {side: subprocess.run(["git", "rev-parse", getattr(args, side)],
                                  capture_output=True, text=True,
                                  check=True).stdout.strip()
@@ -144,19 +155,20 @@ def main(argv=None) -> int:
         trees = {side: unpack(revs[side], Path(tmp) / side) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        results = {w: compare(trees, w, args.seed, args.pairs, args.seconds,
-                              better) for w in args.workload}
+        results = {w: {str(seed): compare(trees, w, seed, args.pairs,
+                                          args.seconds, better)
+                       for seed in args.seed} for w in args.workload}
     out = {
         "what": args.what, "parent": revs["parent"], "change": revs["change"],
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "command": ("python3 bench/run.py --workload <name> --seed "
-                    f"{args.seed} --seconds {args.seconds}"),
-        "method": (f"{args.pairs} pairs per workload, the parent first in "
-                   "even-numbered pairs and the change first in odd ones; "
-                   "each side runs from its own git-archive copy of its "
-                   "revision. Values are listed in pair order; quartiles are "
-                   "statistics.quantiles(n=4, method='inclusive')."),
-        "seed": args.seed, "results": results,
+        "command": ("python3 bench/run.py --workload <name> --seed <seed> "
+                    f"--seconds {args.seconds}"),
+        "method": (f"{args.pairs} pairs per workload and seed, the parent "
+                   "first in even-numbered pairs and the change first in odd "
+                   "ones; each side runs from its own git-archive copy of "
+                   "its revision. Values are listed in pair order; quartiles "
+                   "are statistics.quantiles(n=4, method='inclusive')."),
+        "seeds": args.seed, "results": results,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
