@@ -581,13 +581,44 @@ class Cached(Operator):
         for m, n in p.terms.items():
             img = images.get(m)
             if img is None:
-                img = self.op._apply(SuperPolynomial({m: 1})).reduced()
-                images[m] = img
+                img = self._fill(m)
             parts.append((n, img))
         return lincomb(parts, p.den)
 
+    def _fill(self, m: int) -> SuperPolynomial:
+        """Compute and keep the column of the monomial m."""
+        img = self.op._apply(SuperPolynomial({m: 1})).reduced()
+        self._images[m] = img
+        return img
+
     def parity(self):
         return self.op.parity()
+
+
+class BlockCached(Cached):
+    """A `Cached` that keeps the columns of one (S, B) block
+    (`superpoly.charge`) at a time.
+
+    An operator that conserves the charges, applied to the monomials of
+    one block, reads only columns of that block; so while a basis is swept
+    one charge shard after another (`equal_on_degree`), the first column
+    filled in another block means the last shard is done, and its columns
+    are dropped there.  An operator that does not conserve the charges is
+    still applied exactly; it only fills some columns more than once.
+    """
+
+    __slots__ = ("_block",)
+
+    def __init__(self, op: Operator):
+        super().__init__(op)
+        self._block = None
+
+    def _fill(self, m):
+        block = charge(m)
+        if block != self._block:
+            self._images.clear()
+            self._block = block
+        return super()._fill(m)
 
 
 def op_sum(*ops: Operator) -> Operator:
@@ -645,8 +676,15 @@ def _sweep(a: Operator, b: Operator, indexed) -> list[tuple]:
 
 
 #: the most workers `run_tasks` uses: forking has been measured with one
-#: child only, on a 2-CPU host, and every child refills the columns it needs
+#: child only, on a 2-CPU host, and each worker fills every shared column
+#: its tasks read (the two-site columns of a Yang-Baxter sweep), so each
+#: further worker fills them once more
 MAX_WORKERS = 2
+
+#: the most task indices `run_tasks` queues, two bytes each: 4096 bytes,
+#: one page, which a pipe holds on Linux and macOS, so the whole queue is
+#: written before any fork without blocking
+QUEUE_TASKS = 2048
 
 
 def _workers() -> int:
@@ -667,35 +705,32 @@ def _workers() -> int:
     return min(cpus, MAX_WORKERS)
 
 
-def _slots(indexed: list, workers: int) -> list[list]:
-    """The basis split into at most `workers` slots of whole charge shards.
+def _shards(indexed: list) -> list[list]:
+    """The (index, monomial) pairs cut into one shard per (S, B) block
+    (`charge`), the highest charge first, each shard in the order given.
 
-    A shard is every monomial of one (S, B) block (`charge`); the largest
-    shard goes first, to the slot with the fewest monomials so far.  Each
-    slot lists its monomials in basis order.
+    The cost of a monomial grows steeply with S, so the costly shards
+    start first and the cheap ones fill in at the end.
     """
     shards: dict[tuple[int, int], list] = {}
     for i, m in indexed:
         shards.setdefault(charge(m), []).append((i, m))
-    slots: list[list] = [[] for _ in range(min(workers, len(shards)))]
-    for shard in sorted(shards.values(), key=len, reverse=True):
-        min(slots, key=len).extend(shard)
-    return [sorted(slot) for slot in slots]
+    return [shards[c] for c in sorted(shards, reverse=True)]
 
 
 def run_tasks(task: Callable, tasks: list) -> Iterable:
     """task(t) for each of `tasks`, in order, from up to `_workers()` workers.
 
     Worker j starts with task j: worker 0 is this process, each other an
-    `os.fork` child.  The tasks past the first `workers` wait in a pipe as
-    one index byte each (so there are at most 256 tasks), and whichever
-    worker is free reads the next.  A child sends `{index: result}` back
-    pickled through its own pipe.  A task whose result does not come back
-    (the fork failed, the results did not pickle or unpickle, or the child
-    died) is run again here.  A task should return its faults, not raise
-    them, so that its child's other results still come back.  One task, or
-    one worker, runs here as the caller iterates, so a caller that stops
-    early runs no more tasks.
+    `os.fork` child.  The next QUEUE_TASKS tasks wait in a pipe as two
+    index bytes each, and whichever worker is free reads the next; any
+    tasks past those run here once the workers are done.  A child sends
+    `{index: result}` back pickled through its own pipe.  A task whose
+    result does not come back (the fork failed, the results did not pickle
+    or unpickle, or the child died) is run again here.  A task should
+    return its faults, not raise them, so that its child's other results
+    still come back.  One task, or one worker, runs here as the caller
+    iterates, so a caller that stops early runs no more tasks.
     """
     import os
     import pickle
@@ -704,13 +739,16 @@ def run_tasks(task: Callable, tasks: list) -> Iterable:
     if workers < 2:
         return map(task, tasks)
     queue, fill = os.pipe()
-    os.write(fill, bytes(range(workers, len(tasks))))
+    os.write(fill, b"".join(
+        i.to_bytes(2, "big")
+        for i in range(workers, min(len(tasks), workers + QUEUE_TASKS))))
     os.close(fill)
 
     def work(first: int) -> dict:
         done = {first: task(tasks[first])}
-        while index := os.read(queue, 1):
-            done[index[0]] = task(tasks[index[0]])
+        while index := os.read(queue, 2):
+            i = int.from_bytes(index, "big")
+            done[i] = task(tasks[i])
         return done
 
     children, sent = [], []
@@ -760,26 +798,26 @@ def equal_on_degree(a: Operator, b: Operator, max_degree: int,
                     nsites: int = 2) -> CheckReport:
     """Exact extensional comparison on every basis monomial up to a z-degree.
 
-    A basis of three or more sites is swept by as many workers as there
-    are CPUs this process may use, at most MAX_WORKERS (`_workers`); a
-    two-site sweep, one CPU, a platform without `os.fork` or a process with
-    other threads sweeps in-process.  The basis is cut into shards, one per
-    block of the charges (S, B) of `superpoly.charge`, and the shards are
-    dealt to the workers, capped at the number of shards.  The slots are
-    the tasks of `run_tasks`: slot 0 is swept in this process and each
-    other slot in an `os.fork` child.  Every image stays in its own block,
-    so the slots share no work.  The events are then replayed in basis
-    order up to the first exception, which is raised again: the report, or
-    the exception, is that of the one-process sweep, whatever the number of
-    workers.  Columns that children fill in `Cached` operators are not kept
-    here.
+    A basis of three or more sites is cut into shards, one per block of
+    the charges (S, B) of `superpoly.charge`, and each shard is one task
+    of `run_tasks`, the highest charge first: the tasks are swept by as
+    many workers as there are CPUs this process may use, at most
+    MAX_WORKERS (`_workers`), task 0 in this process and task 1 in an
+    `os.fork` child, and whichever worker is free takes the next.  A
+    two-site sweep is one task, swept in-process.  Every image stays in its
+    own block, so the shards share no three-site work, and a `BlockCached`
+    operator holds one shard's columns at a time.  The events are then
+    replayed in basis order up to the first exception, which is raised
+    again: the report, or the exception, is that of the one-process sweep
+    in basis order, whatever the number of workers.  Columns that children
+    fill in `Cached` operators are not kept here.
     """
     report = CheckReport(check_name="equal_on_degree", max_degree=max_degree)
     with report.timed(OperatorError):
         indexed = list(enumerate(enumerate_basis(max_degree, nsites)))
         # one fork costs more than a whole sweep of fewer than three sites
-        slots = _slots(indexed, _workers()) if nsites >= 3 else [indexed]
-        events = [event for part in run_tasks(partial(_sweep, a, b), slots)
+        tasks = _shards(indexed) if nsites >= 3 else [indexed]
+        events = [event for part in run_tasks(partial(_sweep, a, b), tasks)
                   for event in part]
         events.sort(key=lambda event: event[0])
         for event in events:

@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import cache
 
 from .lax import SpectralTriple, SuperMatrixOperator, build_lax, intertwines
-from .opalg import (Cached, Compose, DegreeDiagonal, EvenDeriv, MulOdd,
-                    MulPoly, MulZ, OddDeriv, OnSites, Operator, Scalar,
-                    SwapSites, TerminatingExp, compose, equal_on_degree,
-                    op_sum)
+from .opalg import (BlockCached, Cached, Compose, DegreeDiagonal, EvenDeriv,
+                    MulOdd, MulPoly, MulZ, OddDeriv, OnSites, Operator,
+                    Scalar, SwapSites, TerminatingExp, compose,
+                    equal_on_degree, op_sum)
 from .report import CheckReport
 from .sl21 import Weight, build_generators, lowering
 from .superpoly import Monomial, SuperPolynomial, theta, theta_bar
@@ -481,7 +481,9 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
     the same three-term relation; equality is required up to the single
     scalar fixed by comparing both sides on the constant polynomial.  Each
     A_ab is built on two sites and lifted onto sites a, b, so its columns
-    are filled on two sites and each three-site column is filled once.
+    are filled on two sites and shared by every shard of the sweep.  A
+    lifted three-site column is read only while the charge shard of its
+    own block is swept, so it is kept only until then (`BlockCached`).
     The three-site sweep may run on forked workers (see `equal_on_degree`);
     the report does not depend on their number.
     """
@@ -494,7 +496,7 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
         max_degree=max_degree)
     with report.timed(SingularParameters):
         a12, a13, a23 = (
-            Cached(OnSites(build_full_R(pp, max_degree), sites))
+            BlockCached(OnSites(build_full_R(pp, max_degree), sites))
             for pp, sites in zip(ybe_pairs(w1, w2, w3, u, v),
                                  ((1, 2), (1, 3), (2, 3))))
         lhs = compose(a12, a13, a23)

@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ybsl21 import cli, opalg
+from ybsl21 import cli, opalg, rops
 from ybsl21.lowest import NotInSpan
 from ybsl21.opalg import (DegreeDiagonal, Operator, OperatorError,
                           PochhammerPole, Scalar, compose, equal_on_degree)
@@ -28,8 +28,8 @@ from ybsl21.superpoly import (SuperPolynomial, charge, enumerate_basis,
 from support import PP, YBE
 
 BASIS = enumerate_basis(2, 3)
-#: the two slots a two-worker sweep of BASIS splits into
-SLOTS = opalg._slots(list(enumerate(BASIS)), 2)
+#: the tasks a sweep of BASIS runs: its (S, B) shards, highest charge first
+TASKS = opalg._shards(list(enumerate(BASIS)))
 
 
 @pytest.fixture
@@ -113,22 +113,24 @@ def test_stored_failures_are_the_first_in_basis_order(forks, cpus):
     a, b = perturbed_r1()
     bad = mismatches(a, b)
     assert len(bad) > 5
-    # the first five mismatches come from both slots
-    assert {s for s, slot in enumerate(SLOTS) for _, m in slot
-            if m in bad[:5]} == {0, 1}
+    # the first five mismatches come from at least two tasks
+    assert len({k for k, task in enumerate(TASKS) for _, m in task
+                if m in bad[:5]}) >= 2
     serial, forked = both(a, b, forks, cpus)
     assert [f["input"] for f in serial["failures"]] == \
         [monomial_text(m) for m in bad[:5]]
     assert forked == serial
 
 
-def test_a_slot_sends_back_no_more_mismatches_than_a_report_stores():
+def test_a_shard_sends_back_no_more_mismatches_than_a_report_stores():
     a, b = perturbed_r1()
     bad = set(mismatches(a, b))
-    for slot in SLOTS:
-        in_slot = [i for i, m in slot if m in bad]
-        assert len(in_slot) > 5
-        assert [e[0] for e in opalg._sweep(a, b, slot)] == in_slot[:5]
+    capped = 0
+    for task in TASKS:
+        in_task = [i for i, m in task if m in bad]
+        capped += len(in_task) > 5
+        assert [e[0] for e in opalg._sweep(a, b, task)] == in_task[:5]
+    assert capped >= 2
 
 
 def test_operator_error_after_mismatches_in_an_earlier_shard(forks, cpus):
@@ -187,21 +189,15 @@ def not_unpicklable():
     raise NeedsTwo("one", "two")
 
 
-def latest_block(slot):
-    """The block of `slot` whose first monomial comes last in basis order."""
-    first = {}
-    for i, m in slot:
-        first.setdefault(charge(m), i)
-    return max(first, key=first.get)
-
-
-@pytest.mark.parametrize("slot", [0, 1], ids=["in-process", "in-child"])
+# worker j starts with task j, so task 0 is swept here and task 1 in the
+# child
+@pytest.mark.parametrize("task", [0, 1], ids=["in-process", "in-child"])
 @pytest.mark.parametrize("fault", [zero_division, operator_error,
                                    unpicklable, not_unpicklable])
 def test_exception_stops_the_sweep_where_the_serial_one_stops(forks, cpus,
-                                                              fault, slot):
-    # the fault comes after mismatches on z3-degree 1, in both slots
-    a = Raising(latest_block(SLOTS[slot]), fault)
+                                                              fault, task):
+    # the fault comes after mismatches on z3-degree 1, in both tasks
+    a = Raising(charge(TASKS[task][0][1]), fault)
     serial, forked = both(a, DegreeDiagonal(3, 2, 1), forks, cpus)
     if fault is zero_division:
         assert serial[0] is ZeroDivisionError
@@ -236,6 +232,80 @@ def test_many_cpus_fork_one_child(forks, cpus):
     assert sweep(Scalar(1), Scalar(1)).passed
     assert forks == [1]
     assert_no_child()
+
+
+def test_the_tasks_are_the_charge_shards_highest_charge_first(monkeypatch):
+    tasks = []
+    run = opalg.run_tasks
+
+    def recording(task, given):
+        tasks.append(given)
+        return run(task, given)
+
+    monkeypatch.setattr(opalg, "run_tasks", recording)
+    assert sweep(Scalar(1), Scalar(1)).passed
+    assert equal_on_degree(Scalar(1), Scalar(1), 2).passed
+    three_site, two_site = tasks
+    assert two_site == [list(enumerate(enumerate_basis(2, 2)))]
+    assert three_site == TASKS
+    blocks = []
+    for task in three_site:
+        (block,) = {charge(m) for _, m in task}
+        blocks.append(block)
+        assert task == sorted(task)
+    assert blocks == sorted(blocks, reverse=True)
+    assert len(set(blocks)) == len(blocks)
+    assert sorted(pair for task in three_site for pair in task) == \
+        list(enumerate(BASIS))
+
+
+def test_a_ybe_sweep_drops_each_shards_lifted_columns(monkeypatch, cpus):
+    """On one CPU: once a shard is swept, the lifted three-site columns of
+    its block are gone by the end of the next, and every two-site column of
+    `build_full_R` is filled once in the whole run."""
+    lifted, full, fills, held = [], [], [], []
+
+    class Lifted(opalg.BlockCached):
+        __slots__ = ()
+
+        def __init__(self, op):
+            super().__init__(op)
+            lifted.append(self)
+
+    build = rops.build_full_R
+
+    def build_full_R(*args):
+        full.append(build(*args))
+        return full[-1]
+
+    fill = opalg.Cached._fill
+
+    def counting(cache, m):
+        fills.append((id(cache), m))
+        return fill(cache, m)
+
+    shard_sweep = opalg._sweep
+
+    def holding(a, b, shard):
+        events = shard_sweep(a, b, shard)
+        held.append((charge(shard[0][1]),
+                     {charge(m) for cache in lifted for m in cache._images}))
+        return events
+
+    monkeypatch.setattr(rops, "BlockCached", Lifted)
+    monkeypatch.setattr(rops, "build_full_R", build_full_R)
+    monkeypatch.setattr(opalg.Cached, "_fill", counting)
+    monkeypatch.setattr(opalg, "_sweep", holding)
+    cpus(1)
+    assert check_ybe(*YBE, max_degree=2).passed
+    assert len(lifted) == 3 and len(full) == 3
+    assert [block for block, _ in held] == \
+        [charge(task[0][1]) for task in TASKS]
+    for block, blocks in held:
+        assert blocks == {block}
+    ids = {id(cache) for cache in full}
+    two_site = [key for key in fills if key[0] in ids]
+    assert two_site and len(set(two_site)) == len(two_site)
 
 
 def test_two_sites_one_cpu_other_threads_or_no_fork_never_fork(monkeypatch,
@@ -348,6 +418,16 @@ def test_a_not_in_span_result_comes_back_from_the_child(tmp_path, forks,
     ran = dict(line.split() for line in pids.read_text().splitlines())
     assert len(pids.read_text().splitlines()) == 2
     assert ran["1"] == str(os.getpid()) and ran["2"] != ran["1"]
+
+
+@pytest.mark.parametrize("n", [300, 2 + opalg.QUEUE_TASKS + 50])
+def test_more_tasks_than_one_index_byte_holds(forks, cpus, n):
+    # the tasks past the queue's QUEUE_TASKS run here after the workers
+    cpus(2)
+    assert opalg.run_tasks(lambda t: t * t, list(range(n))) == \
+        [t * t for t in range(n)]
+    assert forks == [1]
+    assert_no_child()
 
 
 def test_one_worker_runs_no_task_after_the_caller_stops(cpus):
