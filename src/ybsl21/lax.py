@@ -7,7 +7,7 @@ vectors e_k (x) psi as e_k (x) psi -> sum_i e_i (x) M_ik(psi); all grading
 signs of abstract tensor legs are baked into the entries at construction
 time via the single Koszul rule (an odd factor passes an odd object at the
 cost of one sign).  Matrices of any size combine only through `@`;
-`diagonal` puts one quantum operator on every auxiliary index, and
+`tensor` puts one quantum operator against the auxiliary indices, and
 `on_leg` embeds a 3x3 matrix in one of several auxiliary legs, where an
 odd entry additionally anticommutes past every odd leg index standing
 between its own leg and the quantum space.  `intertwines` is the one check
@@ -101,15 +101,25 @@ class SuperMatrixOperator:
         return self.entries[i - 1][k - 1]
 
 
-def rational_matrix(rows) -> SuperMatrixOperator:
-    return SuperMatrixOperator([[Scalar(Q(x)) for x in row] for row in rows])
+#: the identity matrix of one auxiliary leg
+I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def diagonal(op: Operator) -> SuperMatrixOperator:
-    """op on every auxiliary index (op must be even on the quantum space)."""
-    zero = Scalar(0)
-    return SuperMatrixOperator([[op if i == k else zero for k in range(3)]
-                                for i in range(3)])
+def tensor(a, op: Operator) -> SuperMatrixOperator:
+    """a (x) op for a square matrix a of rationals.
+
+    On e_k (x) psi it acts as (-1)^{|op| grading(k)} (a e_k) (x) op(psi):
+    entry (i, k) is that sign times a_ik op, a unit entry is op itself and a
+    zero entry Scalar(0).  For an odd op, a is a 3x3 matrix of one leg.
+    """
+    odd = op.parity()
+
+    def entry(c):
+        return Scalar(0) if c == 0 else op if c == 1 else c * op
+
+    return SuperMatrixOperator([
+        [entry(-x if odd and GRADING[k] else x) for k, x in enumerate(row)]
+        for row in a])
 
 
 def on_leg(m: SuperMatrixOperator, leg: int,
@@ -156,14 +166,14 @@ def intertwines(a, x, y, max_degree: int, nsites: int = 2,
 
     x and y are both operators, compared by `equal_on_degree`, or both
     matrices, compared entry by entry by `matrices_equal`; against matrices
-    an operator `a` acts on every auxiliary index (`diagonal`).
+    an operator `a` acts on every auxiliary index (`tensor(I3, a)`).
     """
     if not isinstance(x, SuperMatrixOperator):
         return replace(equal_on_degree(compose(a, x), compose(y, a),
                                        max_degree, nsites=nsites),
                        check_name=name, params=params or {})
     if not isinstance(a, SuperMatrixOperator):
-        a = diagonal(a)
+        a = tensor(I3, a)
     return matrices_equal(a @ x, y @ a, max_degree, nsites, name, params)
 
 
@@ -225,28 +235,15 @@ _TENSOR_TERMS = (
 def build_lax_tensor(t: SpectralTriple,
                      kind: str = "chiral") -> SuperMatrixOperator:
     """Cross-construction of the one-site Lax matrix from representation
-    matrices.
-
-    Each abstract term a (x) O is realized on e_k (x) psi as
-    (-1)^{|O| grading(k)} (a e_k) (x) O(psi); this is the decisive test of
-    the graded sign bookkeeping against the printed matrix.
+    matrices: u 1 plus each abstract term a (x) O placed by `tensor`; this is
+    the decisive test of the graded sign bookkeeping against the printed
+    matrix.
     """
     u, w = t.to_weight()
     rep = fundamental_rep(kind)
     g = build_generators(1, w)
-    entries = [[Scalar(u) if i == k else Scalar(0) for k in range(3)]
-               for i in range(3)]
-    for coef, aux_name, q_name in _TENSOR_TERMS:
-        a = rep[aux_name]
-        q_op = g[q_name]
-        q_par = 1 if q_name[0] in "VW" else 0
-        for i in range(3):
-            for k in range(3):
-                if a[i][k] == 0:
-                    continue
-                sign = -1 if (q_par and GRADING[k]) else 1
-                entries[i][k] = entries[i][k] + (coef * a[i][k] * sign) * q_op
-    return SuperMatrixOperator(entries)
+    return sum((tensor(rep[aux], coef * g[q]) for coef, aux, q in _TENSOR_TERMS),
+               tensor(I3, Scalar(u)))
 
 
 def build_lax_factorized(t: SpectralTriple) -> SuperMatrixOperator:
@@ -300,7 +297,7 @@ def check_rll(w: Weight, u, v, max_degree: int = 3,
             [[Cached(e) for e in row] for row in m.entries]), leg, 2)
 
     l1, l2 = lax(u, 0), lax(v, 1)
-    r = rational_matrix(fundamental_rmatrix(u - v))
+    r = tensor(fundamental_rmatrix(u - v), Scalar(1))
     return intertwines(
         r, l1 @ l2, l2 @ l1, max_degree, nsites=1, name=f"rll-{kind}",
         params={"ell": str(w.ell), "b": str(w.b), "u": str(u), "v": str(v)})
@@ -314,14 +311,14 @@ def check_invariance(t: SpectralTriple, lam,
     The odd parameters of the printed identity are set to zero; lam is an
     arbitrary rational.  M = exp(lam s-) is the auxiliary-space exponential
     of the lowering matrix, so conjugating the auxiliary leg by M undoes
-    conjugating the quantum leg by S (the total action S M commutes with L).
+    conjugating the quantum leg by S (the total action S M, built as
+    `tensor(M, S)`, commutes with L).
     """
     lam = Q(lam)
     lax = build_lax(1, t, "chiral")
-    m_mat = rational_matrix([[1, 0, 0], [0, 1, 0], [lam, 0, 1]])
     s_op = TerminatingExp(Scalar(lam) @ (-1 * EvenDeriv(1)))
     return intertwines(
-        diagonal(s_op) @ m_mat, lax, lax, max_degree, nsites=1,
-        name="lax-invariance",
+        tensor([[1, 0, 0], [0, 1, 0], [lam, 0, 1]], s_op), lax, lax,
+        max_degree, nsites=1, name="lax-invariance",
         params={"lam": str(lam), "u1": str(t.u1), "u2": str(t.u2),
                 "u3": str(t.u3)})

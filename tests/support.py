@@ -1,8 +1,9 @@
 """Values and polynomial helpers that several test modules share.
 
 The helpers are plain functions on `SuperPolynomial`s that only tests
-call: a constructor from (monomial, rational) pairs, the degree measure,
-and the even and odd derivatives that serve as oracles for `DiffOp`.
+call: the site mirror Sigma and its parameter map, a constructor from
+(monomial, rational) pairs, the degree measure, and the even and odd
+derivatives that serve as oracles for `DiffOp`.
 """
 
 from fractions import Fraction as Q
@@ -28,6 +29,33 @@ def z(site):
 
 def sp(var):
     return SuperPolynomial.odd_var(var)
+
+
+def mirror(p):
+    """Sigma: z1 <-> z2, th1 -> thb2, thb1 -> th2, th2 -> thb1, thb2 -> th1.
+
+    The images of a monomial's odd factors multiply in the monomial's
+    canonical order, and the product re-sorts them with its sign.  Sigma
+    is an involution; it swaps R1 with R3 when the parameters go to
+    `mirrored` ones.
+    """
+    odd_images = {TH1: THB2, THB1: TH2, TH2: THB1, THB2: TH1}
+    out = SuperPolynomial.zero()
+    for key in p.terms:
+        d1, d2, _ = exponents(key)
+        image = z(2) ** d1 * z(1) ** d2
+        for var, var_image in odd_images.items():
+            if key >> var & 1:
+                image = image * sp(var_image)
+        out = out + p.coefficient(key) * image
+    return out
+
+
+def mirrored(pp):
+    """The parameters of the mirror image: (-v3, -v2, -v1; -u3, -u2, -u1)."""
+    u1, u2, u3 = pp.u.as_tuple()
+    v1, v2, v3 = pp.v.as_tuple()
+    return ParamPair.from_rationals(-v3, -v2, -v1, -u3, -u2, -u1)
 
 
 def from_terms(pairs):

@@ -8,10 +8,10 @@ from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, build_lax,
                         build_lax_factorized, build_lax_tensor,
                         check_invariance, check_rll, covariant_derivatives,
                         fundamental_rmatrix, intertwines, matrices_equal,
-                        on_leg, rational_matrix)
+                        on_leg, tensor)
 from ybsl21.opalg import (EvenDeriv, MulOdd, MulZ, OddDeriv, Scalar,
                           TerminatingExp, compose, equal_on_degree, op_sum)
-from ybsl21.sl21 import Weight
+from ybsl21.sl21 import Weight, build_generators
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
 T = SpectralTriple.from_weight(Q(2), Weight(Q(1), Q(1, 3)))
@@ -53,6 +53,29 @@ def test_tensor_construction_equals_printed():
         lp = build_lax(1, t, "chiral")
         lt = build_lax_tensor(t, "chiral")
         assert matrices_equal(lp, lt, 3, nsites=1).passed
+
+
+def test_tensor_signs_odd_operators_on_odd_columns():
+    # a (x) W- on e_k (x) psi: (-1)^{grading(k)} (a e_k) (x) W-(psi)
+    w_minus = build_generators(1, Weight(Q(1), Q(1, 3)))["W-"]
+    a = [[1, -1, 3], [4, 5, 6], [7, 8, 9]]
+    m = tensor(a, w_minus)
+    # a unit entry, with its sign taken, is the operator itself
+    assert m.entry(1, 1) is w_minus and m.entry(1, 2) is w_minus
+    for i in range(3):
+        for k in range(3):
+            sign = -1 if k == 1 else 1
+            assert equal_on_degree(m.entries[i][k],
+                                   Q(sign * a[i][k]) * w_minus, 3,
+                                   nsites=1).passed
+            assert not equal_on_degree(m.entries[i][k],
+                                       Q(-sign * a[i][k]) * w_minus, 3,
+                                       nsites=1).passed
+    # an even operator takes no sign, and a zero entry is Scalar(0)
+    z = MulZ(1)
+    even = tensor([[0, 1, 0], [1, 0, 0], [0, 0, 1]], z)
+    assert even.entry(1, 2) is z and even.entry(2, 1) is z
+    assert lax._is_zero(even.entry(1, 1))
 
 
 def test_tensor_construction_sign_matters():
@@ -150,7 +173,7 @@ def test_on_one_leg_is_the_matrix():
 
 def _rll_report(l_u, l_v, u, v, embed=on_leg):
     l1, l2 = embed(l_u, 0, 2), embed(l_v, 1, 2)
-    r = rational_matrix(fundamental_rmatrix(u - v))
+    r = tensor(fundamental_rmatrix(u - v), Scalar(1))
     return intertwines(r, l1 @ l2, l2 @ l1, 2, nsites=1)
 
 
@@ -258,8 +281,8 @@ def test_intertwines_operator_on_every_auxiliary_index():
 
 def test_intertwines_matrices():
     # the graded swap P moves an even matrix from leg 0 to leg 1
-    a = rational_matrix([[1, 0, 5], [0, 2, 0], [7, 0, 3]])
-    p = rational_matrix(fundamental_rmatrix(0))
+    a = tensor([[1, 0, 5], [0, 2, 0], [7, 0, 3]], Scalar(1))
+    p = tensor(fundamental_rmatrix(0), Scalar(1))
     on0, on1 = on_leg(a, 0, 2), on_leg(a, 1, 2)
     assert intertwines(p, on0, on1, 1, nsites=1).passed
     assert not intertwines(p, on0, on0, 1, nsites=1).passed

@@ -23,8 +23,8 @@ from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
 from ybsl21.sl21 import Weight
 from ybsl21.superpoly import (ODD_MASK, SuperPolynomial, charge,
                               enumerate_basis, exponents, monomial_text)
-from support import (ONE, PP, TH1, TH2, THB1, THB2, YBE, degree_measure, sp,
-                     z)
+from support import (ONE, PP, TH1, TH2, THB1, THB2, YBE, degree_measure,
+                     mirror, mirrored, sp)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -140,29 +140,6 @@ def test_failing_intertwining_reports(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == FAILING_REPORTS_SHA256
 
 
-def _mirror(p: SuperPolynomial) -> SuperPolynomial:
-    """Sigma: z1 <-> z2, th1 <-> thb2 and thb1 <-> th2, with no signs; the
-    images multiply in the monomial's order, which gives the reordering
-    sign."""
-    odd_images = {TH1: THB2, THB1: TH2, TH2: THB1, THB2: TH1}
-    out = SuperPolynomial.zero()
-    for key in p.terms:
-        d1, d2, _ = exponents(key)
-        image = z(2) ** d1 * z(1) ** d2
-        for var, var_image in odd_images.items():
-            if key >> var & 1:
-                image = image * sp(var_image)
-        out = out + p.coefficient(key) * image
-    return out
-
-
-def _mirrored(pp: ParamPair) -> ParamPair:
-    """pp* = (-v3, -v2, -v1; -u3, -u2, -u1)."""
-    u1, u2, u3 = pp.u.as_tuple()
-    v1, v2, v3 = pp.v.as_tuple()
-    return ParamPair.from_rationals(-v3, -v2, -v1, -u3, -u2, -u1)
-
-
 @pytest.mark.parametrize("op, mirror_op", [
     (lambda pp: build_r(1, pp), lambda pp: build_r(3, pp)),
     (lambda pp: build_r(3, pp), lambda pp: build_r(1, pp)),
@@ -170,12 +147,31 @@ def _mirrored(pp: ParamPair) -> ParamPair:
     (build_rhat, build_rhat),
 ], ids=["R1-R3", "R3-R1", "R2-R2", "Rcheck-Rcheck"])
 def test_r1_is_r3_in_a_mirror(op, mirror_op):
-    # Sigma R1(pp) = R3(pp*) Sigma, and so on, on every basis monomial
-    lhs, rhs = op(PP), mirror_op(_mirrored(PP))
-    for key in enumerate_basis(2):
+    # Sigma R1(pp) = R3(pp*) Sigma, and so on, on every basis monomial, for
+    # the fixed pair and the three sampled pairs of each of seeds 0-2: R1 is
+    # checked against R3 with no Lax matrix involved
+    pairs = [PP, *(pp for seed in (0, 1, 2)
+                   for pp in cli.sample_params(seed, 3, 2))]
+    for pp in pairs:
+        lhs, rhs = op(pp), mirror_op(mirrored(pp))
+        for key in enumerate_basis(2):
+            p = SuperPolynomial({key: 1})
+            assert mirror(lhs.apply(p)) == rhs.apply(mirror(p)), \
+                (pp.render(), monomial_text(key))
+
+
+def test_conjugators_are_mirror_images():
+    # S1 = Sigma S3 Sigma, also for the inverses, and S2 = Sigma S2 Sigma;
+    # Sigma is an involution
+    pairs = [(conjugator(1)[0], conjugator(3)[0]),
+             (conjugator(1)[1], conjugator(3)[1]),
+             (conjugator(2)[0], conjugator(2)[0])]
+    for key in enumerate_basis(3):
         p = SuperPolynomial({key: 1})
-        assert _mirror(lhs.apply(p)) == rhs.apply(_mirror(p)), \
-            monomial_text(key)
+        assert mirror(mirror(p)) == p
+        for op, image in pairs:
+            assert mirror(op.apply(p)) == image.apply(mirror(p)), \
+                monomial_text(key)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -224,6 +220,10 @@ def test_rhat_trivial_is_identity():
 
 def test_rhat_fixes_constant():
     assert build_rhat(PP).apply(ONE) == ONE
+    # so do the three lifted factors of the Yang-Baxter sides, which is why
+    # check_ybe compares those sides with no scalar fitted
+    for pp, sites in zip(ybe_pairs(*YBE), ((1, 2), (1, 3), (2, 3))):
+        assert OnSites(build_full_R(pp), sites).apply(ONE) == ONE
 
 
 def _cached_within(op):
@@ -451,7 +451,7 @@ def test_singular_parameters_propagate():
 def test_ybe_low_degree():
     r = check_ybe(*YBE, max_degree=1)
     assert r.passed
-    assert any("scalar" in n for n in r.notes)
+    assert r.notes == []
 
 
 def test_ybe_equal_spectral_degenerates():
