@@ -285,9 +285,7 @@ def run(cfg: RunConfig, stream=None) -> int:
             check_name="check-ybe", status="skip",
             notes=["skipped: run 'check-ybe' explicitly "
                    "(three-site extension)"]))
-    code = _collect(cfg, stream, reports,
-                    [DRIVERS[command] for command in commands],
-                    lambda done: _emit(cfg, done, stream))
+    code = _collect(cfg, stream, reports, [DRIVERS[c] for c in commands])
     if code is not None:
         return code
     if any(r.status == "error" for r in reports):
@@ -295,9 +293,9 @@ def run(cfg: RunConfig, stream=None) -> int:
     return 0 if all(r.status in ("pass", "skip") for r in reports) else 1
 
 
-def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
+def _collect(cfg: RunConfig, stream, done: list, steps) -> int | None:
     """Run each step as `step(cfg, results)`, add its results to `done` in
-    step order, then pass `done` to `emit`.
+    step order, then `_emit` them.
 
     The steps are independent, so `run_tasks` shares them among its
     workers; each returns what it finished and what stopped it, and these
@@ -324,12 +322,12 @@ def _collect(cfg: RunConfig, stream, done: list, steps, emit) -> int | None:
         _emit_config_error(cfg, stream, f"{type(exc).__name__}: {exc}")
         return 2
     except Exception as exc:
-        emit(done)
+        _emit(cfg, done, stream)
         _emit(cfg, [CheckReport(check_name="internal-error", status="error",
                                 notes=[f"{type(exc).__name__}: {exc}"])],
               stream)
         return 3
-    emit(done)
+    _emit(cfg, done, stream)
     return None
 
 
@@ -341,11 +339,13 @@ def _emit_config_error(cfg: RunConfig, stream, message: str) -> None:
         stream.write(f"CONFIG ERROR {message}\n")
 
 
-def _emit(cfg: RunConfig, reports: list[CheckReport], stream) -> None:
-    for r in reports:
+def _emit(cfg: RunConfig, results: list, stream) -> None:
+    """Write each `CheckReport` in `cfg.format`, and each `--spectrum-table`
+    row dict as JSON (that mode is JSON-only)."""
+    for r in results:
         if cfg.format == "json":
-            stream.write(json.dumps(r.to_dict(cfg.include_timings),
-                                    sort_keys=True) + "\n")
+            row = r if isinstance(r, dict) else r.to_dict(cfg.include_timings)
+            stream.write(json.dumps(row, sort_keys=True) + "\n")
         else:
             stream.write(format_text(r, cfg.include_timings) + "\n")
 
@@ -468,11 +468,6 @@ def config_from_args(args) -> RunConfig:
                      ybe_degree=args.ybe_degree)
 
 
-def _emit_rows(rows: list[dict], stream) -> None:
-    for row in rows:
-        stream.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -485,8 +480,7 @@ def main(argv=None) -> int:
         return 2
     with out as stream:
         if args.spectrum_table:
-            return _collect(cfg, stream, [], [spectrum_table],
-                            lambda rows: _emit_rows(rows, stream)) or 0
+            return _collect(cfg, stream, [], [spectrum_table]) or 0
         return run(cfg, stream)
 
 

@@ -79,12 +79,13 @@ class SuperMatrixOperator:
 
     def __matmul__(self, other: "SuperMatrixOperator") -> "SuperMatrixOperator":
         """Matrix product; a term with a Scalar(0) factor is skipped, and an
-        entry with no term left is Scalar(0)."""
+        entry with no term left is Scalar(0).  Like `+` and
+        `matrices_equal`, it raises ValueError on a size mismatch."""
         rows = []
         for row in self.entries:
             out = []
             for col in zip(*other.entries):
-                terms = [compose(a, b) for a, b in zip(row, col)
+                terms = [compose(a, b) for a, b in zip(row, col, strict=True)
                          if not (_is_zero(a) or _is_zero(b))]
                 out.append(op_sum(*terms) if len(terms) > 1
                            else terms[0] if terms else Scalar(0))
@@ -92,17 +93,19 @@ class SuperMatrixOperator:
         return SuperMatrixOperator(rows)
 
     def __add__(self, other: "SuperMatrixOperator") -> "SuperMatrixOperator":
+        rows = zip(self.entries, other.entries, strict=True)
         return SuperMatrixOperator([
-            [a + b for a, b in zip(row_a, row_b)]
-            for row_a, row_b in zip(self.entries, other.entries)])
+            [a + b for a, b in zip(row_a, row_b, strict=True)]
+            for row_a, row_b in rows])
 
     def entry(self, i: int, k: int) -> Operator:
         """1-based access matching the printed matrices."""
         return self.entries[i - 1][k - 1]
 
 
-#: the identity matrix of one auxiliary leg
-I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def identity(n: int) -> list[list[int]]:
+    """The n x n identity matrix of rationals."""
+    return [[int(i == k) for k in range(n)] for i in range(n)]
 
 
 def tensor(a, op: Operator) -> SuperMatrixOperator:
@@ -152,8 +155,11 @@ def matrices_equal(a: SuperMatrixOperator, b: SuperMatrixOperator,
     report = CheckReport(check_name=name, params=params or {},
                          max_degree=max_degree)
     with report.timed():
+        if len(a.entries) != len(b.entries):
+            raise ValueError(f"cannot compare a {len(a.entries)}-row matrix "
+                             f"with a {len(b.entries)}-row one")
         for i, (row_a, row_b) in enumerate(zip(a.entries, b.entries), 1):
-            for k, (x, y) in enumerate(zip(row_a, row_b), 1):
+            for k, (x, y) in enumerate(zip(row_a, row_b, strict=True), 1):
                 sub = equal_on_degree(x, y, max_degree, nsites=nsites)
                 report.merge(sub, prefix=f"entry({i},{k}) on ")
     return report
@@ -165,15 +171,16 @@ def intertwines(a, x, y, max_degree: int, nsites: int = 2,
     """Whether a x = y a on every basis monomial up to `max_degree`.
 
     x and y are both operators, compared by `equal_on_degree`, or both
-    matrices, compared entry by entry by `matrices_equal`; against matrices
-    an operator `a` acts on every auxiliary index (`tensor(I3, a)`).
+    matrices, compared entry by entry by `matrices_equal`; against n x n
+    matrices an operator `a` acts on every auxiliary index
+    (`tensor(identity(n), a)`).
     """
     if not isinstance(x, SuperMatrixOperator):
         return replace(equal_on_degree(compose(a, x), compose(y, a),
                                        max_degree, nsites=nsites),
                        check_name=name, params=params or {})
     if not isinstance(a, SuperMatrixOperator):
-        a = tensor(I3, a)
+        a = tensor(identity(len(x.entries)), a)
     return matrices_equal(a @ x, y @ a, max_degree, nsites, name, params)
 
 
@@ -243,7 +250,7 @@ def build_lax_tensor(t: SpectralTriple,
     rep = fundamental_rep(kind)
     g = build_generators(1, w)
     return sum((tensor(rep[aux], coef * g[q]) for coef, aux, q in _TENSOR_TERMS),
-               tensor(I3, Scalar(u)))
+               tensor(identity(3), Scalar(u)))
 
 
 def build_lax_factorized(t: SpectralTriple) -> SuperMatrixOperator:

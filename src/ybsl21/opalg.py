@@ -544,14 +544,15 @@ class Cached(Operator):
     and of each whole vector handed to `remember`.
 
     Each image is stored reduced, which bounds the integer growth of
-    everything built from it.  `build_r` and `build_rhat` return uncached
-    operators; the code that sweeps a basis wraps what the sweep reuses.
-    An operator applied to a few whole vectors is cheaper uncached: a
-    column filled for every monomial of the vector is used once.  A key
-    names the same monomial on any number of sites, so one cache serves
-    inputs on one, two or three sites alike.  A remembered vector is known
-    by its identity, not its value: the cache holds the vector, so its id
-    is not reused, and an equal but distinct polynomial takes the columns.
+    everything built from it.  `build_r`, `build_rhat` and `build_full_R`
+    return uncached operators; the code that sweeps a basis wraps what the
+    sweep reuses.  An operator applied to a few whole vectors is cheaper
+    uncached: a column filled for every monomial of the vector is used
+    once.  A key names the same monomial on any number of sites, so one
+    cache serves inputs on one, two or three sites alike.  A remembered
+    vector is known by its identity, not its value: the cache holds the
+    vector, so its id is not reused, and an equal but distinct polynomial
+    takes the columns.
     """
 
     __slots__ = ("op", "_images", "_vectors")

@@ -396,12 +396,6 @@ def check_recurrences(pp: ParamPair, nmax: int = 4) -> CheckReport:
 # factorization and the dressed operator
 # ---------------------------------------------------------------------------
 
-def _rhat_factors(pp: ParamPair, max_degree: int) -> list[Operator]:
-    """R1, R2, R3 with the factorization's argument threading."""
-    return [build_r(k, stage, max_degree=max_degree)
-            for k, stage in _rhat_stages(pp)]
-
-
 def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
     """Rcheck = R1 R2 R3 with the factorization's argument threading; each
     factor fixes 1, so the product does.
@@ -412,7 +406,8 @@ def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
     """
     links = {(id(conjugator(j)[0]), id(conjugator(k)[1])): (j, k)
              for j in (1, 2, 3) for k in (1, 2, 3)}
-    product = compose(*_rhat_factors(pp, max_degree))
+    product = compose(*(build_r(k, stage, max_degree=max_degree)
+                        for k, stage in _rhat_stages(pp)))
     chain: list[Operator] = []
     for op in product.ops if isinstance(product, Compose) else (product,):
         pair = links.get((id(chain[-1]), id(op))) if chain else None
@@ -426,11 +421,10 @@ def build_rhat(pp: ParamPair, max_degree: int = 4) -> Operator:
 def build_full_R(pp: ParamPair, max_degree: int = 4) -> Operator:
     """P12 Rcheck(u;v): the inverse R-matrix at spectral argument v - u.
 
-    Cached, and so is each factor of Rcheck: filling the product's columns
-    applies R2 and R1 to many shared monomials.
+    Uncached, like `build_rhat`, whose fused chain it reads; a sweep that
+    reuses its columns wraps it (`check_ybe`).
     """
-    factors = [Cached(r) for r in _rhat_factors(pp, max_degree)]
-    return Cached(compose(SwapSites(1, 2), *factors))
+    return compose(SwapSites(1, 2), build_rhat(pp, max_degree))
 
 
 def check_factorization(pp: ParamPair, max_degree: int = 2) -> CheckReport:
@@ -481,7 +475,7 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
     the same three-term relation; A12 A13 A23 and A23 A13 A12 are compared
     exactly, with no scalar freedom: every A_ab fixes 1, so a scalar fitted
     on 1 could only be 1, and 1 is itself a row of the sweep.  Each
-    A_ab is built on two sites and lifted onto sites a, b, so its columns
+    A_ab is cached on two sites and lifted onto sites a, b, so its columns
     are filled on two sites and shared by every shard of the sweep.  A
     lifted three-site column is read only while the charge shard of its
     own block is swept, so it is kept only until then (`BlockCached`).
@@ -497,7 +491,7 @@ def check_ybe(w1: Weight, w2: Weight, w3: Weight, u, v,
         max_degree=max_degree)
     with report.timed(SingularParameters):
         a12, a13, a23 = (
-            BlockCached(OnSites(build_full_R(pp, max_degree), sites))
+            BlockCached(OnSites(Cached(build_full_R(pp, max_degree)), sites))
             for pp, sites in zip(ybe_pairs(w1, w2, w3, u, v),
                                  ((1, 2), (1, 3), (2, 3))))
         sub = equal_on_degree(compose(a12, a13, a23), compose(a23, a13, a12),

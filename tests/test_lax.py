@@ -286,3 +286,28 @@ def test_intertwines_matrices():
     on0, on1 = on_leg(a, 0, 2), on_leg(a, 1, 2)
     assert intertwines(p, on0, on1, 1, nsites=1).passed
     assert not intertwines(p, on0, on0, 1, nsites=1).passed
+
+
+def test_intertwines_operator_on_a_larger_matrix():
+    # 9x9 diagonal matrices that differ only at entry (9, 9): an operator
+    # against them acts on all nine indices, not on a 3x3 corner
+    d = [[int(i == k) for k in range(9)] for i in range(9)]
+    e = [row[:] for row in d]
+    e[8][8] = 2
+    x, y = tensor(d, Scalar(1)), tensor(e, Scalar(1))
+    assert intertwines(Scalar(1), x, x, 1, nsites=1).passed
+    report = intertwines(Scalar(1), x, y, 1, nsites=1)
+    assert not report.passed
+    assert report.failures[0].input.startswith("entry(9,9) on ")
+
+
+def test_matrices_of_different_sizes_do_not_combine():
+    small = tensor(lax.identity(3), Scalar(1))
+    large = tensor(lax.identity(9), Scalar(1))
+    for left, right in ((small, large), (large, small)):
+        with pytest.raises(ValueError):
+            left @ right
+        with pytest.raises(ValueError):
+            left + right
+        with pytest.raises(ValueError):
+            matrices_equal(left, right, 1, nsites=1)

@@ -180,10 +180,11 @@ def test_swap_sites_sign_is_the_product_sign():
     assert mismatches == []
 
 
-#: even two-site operators to lift: the dressed exchange operator, and one
-#: that moves an odd variable and a z-degree from one site to the other
+#: even two-site operators to lift: the dressed exchange operator, cached
+#: as check_ybe caches it, and one that moves an odd variable and a z-degree
+#: from one site to the other
 LIFTED = {
-    "full-R": build_full_R(PP),
+    "full-R": Cached(build_full_R(PP)),
     "hop": op_sum(compose(MulOdd(TH2), OddDeriv(TH1)),
                   compose(MulZ(1), EvenDeriv(2))),
 }

@@ -12,12 +12,10 @@ from ybsl21.opalg import (Cached, Compose, DegreeDiagonal, DiffOp, MulZ,
                           OnSites, Scalar, SwapSites, compose,
                           equal_on_degree, op_sum)
 from ybsl21.rops import (ParamPair, SingularParameters, _lax_pair,
-                         _rhat_factors, _rhat_stages,
-                         build_full_R,
-                         build_r, build_rhat, check_defining,
-                         check_factorization, check_lemma_system,
-                         check_recurrences, check_ybe, conjugator,
-                         conjugator_link, conjugator_r2_even,
+                         _rhat_stages, build_full_R, build_r, build_rhat,
+                         check_defining, check_factorization,
+                         check_lemma_system, check_recurrences, check_ybe,
+                         conjugator, conjugator_link, conjugator_r2_even,
                          guard_factor, pair_guard, total_generator,
                          weight_shift, ybe_pairs)
 from ybsl21.sl21 import Weight
@@ -235,13 +233,13 @@ def _cached_within(op):
 
 
 def test_cached_columns_stay_reduced():
-    full = build_full_R(PP)
+    full = Cached(build_full_R(PP))
     for m in enumerate_basis(2, 2):
         full.apply(SuperPolynomial({m: 1}))
     caches = list(_cached_within(full))
-    # the dressed product and Rcheck's three factors, plus S_k and S_k^-1
-    # shared per process
-    assert len(caches) == len({id(c) for c in caches}) == 1 + 3 + 6
+    # the dressed product, as check_ybe caches it, plus the two links and
+    # S_k and S_k^-1, shared per process
+    assert len(caches) == len({id(c) for c in caches}) == 1 + 2 + 6
     shared = [c for k in (1, 2, 3) for c in conjugator(k)]
     assert all(any(c is s for c in caches) for s in shared)
     for cached in caches:
@@ -301,15 +299,22 @@ def _chain(op):
     return op.ops if isinstance(op, Compose) else (op,)
 
 
+def _unfused_rhat(pp):
+    """R1 R2 R3 at their threaded stages, with no conjugators fused."""
+    return compose(*(build_r(k, stage) for k, stage in _rhat_stages(pp)))
+
+
 @pytest.mark.parametrize("pp", [
     *(pp for seed in range(3) for pp in cli.sample_params(seed, 3, 4)),
     TRIVIAL_R2])
 def test_fused_rhat_is_the_product_of_its_factors(pp):
-    unfused = compose(*_rhat_factors(pp, 4))
-    fused = build_rhat(pp)
+    unfused = _unfused_rhat(pp)
+    dressed = compose(SwapSites(1, 2), unfused)
+    fused, full = build_rhat(pp), build_full_R(pp)
     for m in enumerate_basis(3):
         p = SuperPolynomial({m: 1})
         assert fused.apply(p) == unfused.apply(p), monomial_text(m)
+        assert full.apply(p) == dressed.apply(p), monomial_text(m)
 
 
 def test_rhat_chain_holds_the_links_and_no_adjacent_conjugators():
@@ -320,7 +325,7 @@ def test_rhat_chain_holds_the_links_and_no_adjacent_conjugators():
                        for j in (1, 2, 3) for k in (1, 2, 3))
     # the outer conjugators stay: S1^-1 acts last, S3 first
     assert chain[0] is conjugator(1)[1] and chain[-1] is conjugator(3)[0]
-    assert len(chain) == len(_chain(compose(*_rhat_factors(PP, 4)))) - 2
+    assert len(chain) == len(_chain(_unfused_rhat(PP))) - 2
 
 
 def test_exchange_operators_share_conjugator_columns():
@@ -370,7 +375,7 @@ def test_operators_conserve_the_charges():
     two_site["S2 even"], two_site["S2 even^-1"] = conjugator_r2_even()
     for name, op in two_site.items():
         assert _leaving_their_block(op, basis) == [], name
-    lifted = [Cached(OnSites(build_full_R(pp, 2), sites))
+    lifted = [OnSites(Cached(build_full_R(pp, 2)), sites)
               for pp, sites in zip(ybe_pairs(*YBE),
                                    ((1, 2), (1, 3), (2, 3)))]
     for op in lifted:

@@ -261,9 +261,10 @@ def test_the_tasks_are_the_charge_shards_highest_charge_first(monkeypatch):
 
 def test_a_ybe_sweep_drops_each_shards_lifted_columns(monkeypatch, cpus):
     """On one CPU: once a shard is swept, the lifted three-site columns of
-    its block are gone by the end of the next, and every two-site column of
-    `build_full_R` is filled once in the whole run."""
-    lifted, full, fills, held = [], [], [], []
+    its block are gone by the end of the next, and every column of the
+    two-site cache `check_ybe` puts on `build_full_R` is filled once in the
+    whole run."""
+    lifted, full, two_site, fills, held = [], [], [], [], []
 
     class Lifted(opalg.BlockCached):
         __slots__ = ()
@@ -271,6 +272,14 @@ def test_a_ybe_sweep_drops_each_shards_lifted_columns(monkeypatch, cpus):
         def __init__(self, op):
             super().__init__(op)
             lifted.append(self)
+
+    class TwoSite(opalg.Cached):
+        __slots__ = ()
+
+        def __init__(self, op):
+            super().__init__(op)
+            if any(op is f for f in full):
+                two_site.append(self)
 
     build = rops.build_full_R
 
@@ -293,19 +302,22 @@ def test_a_ybe_sweep_drops_each_shards_lifted_columns(monkeypatch, cpus):
         return events
 
     monkeypatch.setattr(rops, "BlockCached", Lifted)
+    monkeypatch.setattr(rops, "Cached", TwoSite)
     monkeypatch.setattr(rops, "build_full_R", build_full_R)
     monkeypatch.setattr(opalg.Cached, "_fill", counting)
     monkeypatch.setattr(opalg, "_sweep", holding)
     cpus(1)
     assert check_ybe(*YBE, max_degree=2).passed
-    assert len(lifted) == 3 and len(full) == 3
+    assert len(lifted) == len(full) == len(two_site) == 3
+    # each lift holds its pair's two-site cache, which holds the product
+    assert [c.op.op for c in lifted] == two_site
     assert [block for block, _ in held] == \
         [charge(task[0][1]) for task in TASKS]
     for block, blocks in held:
         assert blocks == {block}
-    ids = {id(cache) for cache in full}
-    two_site = [key for key in fills if key[0] in ids]
-    assert two_site and len(set(two_site)) == len(two_site)
+    ids = {id(cache) for cache in two_site}
+    columns = [key for key in fills if key[0] in ids]
+    assert columns and len(set(columns)) == len(columns)
 
 
 def test_two_sites_one_cpu_other_threads_or_no_fork_never_fork(monkeypatch,
