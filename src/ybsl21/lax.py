@@ -24,7 +24,8 @@ from .opalg import (Cached, DiffOp, EvenDeriv, MulOdd, MulPoly, MulZ,
                     OddDeriv, Operator, Scalar, TerminatingExp, compose,
                     equal_on_degree, op_sum)
 from .report import CheckReport
-from .sl21 import GRADING, Weight, build_generators, fundamental_rep
+from .sl21 import (E_BASIS, GRADING, Weight, build_generators,
+                   e_basis_matrices, e_basis_ops, fundamental_rep)
 from .superpoly import SuperPolynomial, theta, theta_bar
 
 Q = Fraction
@@ -113,9 +114,13 @@ def tensor(a, op: Operator) -> SuperMatrixOperator:
 
     On e_k (x) psi it acts as (-1)^{|op| grading(k)} (a e_k) (x) op(psi):
     entry (i, k) is that sign times a_ik op, a unit entry is op itself and a
-    zero entry Scalar(0).  For an odd op, a is a 3x3 matrix of one leg.
+    zero entry Scalar(0).  An odd op takes only a 3x3 matrix, of one leg
+    (ValueError otherwise).
     """
     odd = op.parity()
+    if odd and any(len(row) != 3 for row in (a, *a)):
+        raise ValueError(f"an odd operator takes one leg's 3x3 matrix, "
+                         f"not a {len(a)}x{len(a[0])} one")
 
     def entry(c):
         return Scalar(0) if c == 0 else op if c == 1 else c * op
@@ -231,25 +236,18 @@ def _lax_chiral_explicit(site: int, t: SpectralTriple) -> SuperMatrixOperator:
     return SuperMatrixOperator([[l11, l12, l13], [l21, l22, l23], [l31, l32, l33]])
 
 
-#: the Lax operator as a sum of auxiliary (x) quantum generator pairs
-_TENSOR_TERMS = (
-    (Q(2), "S", "S"), (Q(-2), "B", "B"),
-    (Q(1), "V+", "W-"), (Q(1), "S+", "S-"), (Q(-1), "W-", "V+"),
-    (Q(1), "W+", "V-"), (Q(1), "S-", "S+"), (Q(-1), "V-", "W+"),
-)
-
-
 def build_lax_tensor(t: SpectralTriple,
                      kind: str = "chiral") -> SuperMatrixOperator:
     """Cross-construction of the one-site Lax matrix from representation
-    matrices: u 1 plus each abstract term a (x) O placed by `tensor`; this is
-    the decisive test of the graded sign bookkeeping against the printed
-    matrix.
+    matrices: u 1 + sum_ab (-1)^|b| e_ab (x) E_ba, the supertrace pairing of
+    the E-basis, each term placed by `tensor`; this is the decisive test of
+    the graded sign bookkeeping against the printed matrix.
     """
     u, w = t.to_weight()
-    rep = fundamental_rep(kind)
-    g = build_generators(1, w)
-    return sum((tensor(rep[aux], coef * g[q]) for coef, aux, q in _TENSOR_TERMS),
+    e_aux = e_basis_matrices(fundamental_rep(kind))
+    e_q = e_basis_ops(build_generators(1, w))
+    return sum((tensor(e_aux[a, b], (-1) ** GRADING[b - 1] * e_q[b, a])
+                for a, b in E_BASIS),
                tensor(identity(3), Scalar(u)))
 
 

@@ -5,13 +5,18 @@ Generator names: even S, B, S+, S- and odd V+, V-, W+, W-.  The E-basis is
 one table, `E_BASIS`, of generator combinations, and the grading (bar1 =
 bar3 = 0, bar2 = 1) is hard-coded once; both relation checkers, on
 operators and on matrices, derive every expected commutator from the
-structure delta-formula (`_bracket`) rather than a hand-written table.
+structure delta-formula (`_bracket`) rather than a hand-written table.  The
+Casimirs (`casimir`) and the tensor-built Lax matrix
+(`lax.build_lax_tensor`) pair E_ab with E_ba by the supertrace sign
+(-1)^|b|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 from .linsolve import solve_in_span
 from .opalg import (EvenDeriv, MulOdd, MulPoly, MulZ, OddDeriv, Operator,
@@ -212,25 +217,17 @@ def _check_relations_matrix(rep: FundamentalRep) -> CheckReport:
 
 
 def casimir(g: SiteGenerators, order: int) -> Operator:
-    """The central element of the requested order as an operator."""
-    if order == 2:
-        return op_sum(
-            compose(g["S"], g["S"]),
-            Q(-1) * compose(g["B"], g["B"]),
-            compose(g["S+"], g["S-"]),
-            compose(g["V+"], g["W-"]),
-            compose(g["W+"], g["V-"]),
-        )
-    if order == 3:
-        e = e_basis_ops(g)
-        terms = []
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                for c in (1, 2, 3):
-                    sign = -1 if (GRADING[b - 1] + GRADING[c - 1]) & 1 else 1
-                    terms.append(Q(sign, 6) * compose(e[(a, b)], e[(b, c)], e[(c, a)]))
-        return op_sum(*terms)
-    raise ValueError("order must be 2 or 3")
+    """The central element of order n = 2 or 3 as an operator: the
+    supertrace of the n-th power of the E-basis matrix over n!,
+    C_n = sum (-1)^(|a2|+...+|an|) E_a1a2 E_a2a3 ... E_ana1 / n!
+    over every index chain a1 ... an."""
+    if order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
+    e = e_basis_ops(g)
+    return op_sum(*(
+        Q((-1) ** sum(GRADING[a - 1] for a in chain[1:]), factorial(order))
+        * compose(*(e[ab] for ab in zip(chain, chain[1:] + chain[:1])))
+        for chain in product((1, 2, 3), repeat=order)))
 
 
 def verma_vector(w: Weight, kind: str, k: int) -> SuperPolynomial:
@@ -332,15 +329,12 @@ def finite_subspace_vectors(n: int, kind: str) -> list[SuperPolynomial]:
     return vecs
 
 
-def check_finite_subspace(n: int, kind: str,
-                          weight_override: Weight | None = None) -> CheckReport:
+def check_finite_subspace(n: int, kind: str) -> CheckReport:
     """Verify the listed span is closed under all nine generators.
 
-    The weight is (-n/2, -n/2) for chiral and (-n/2, +n/2) for antichiral;
-    `weight_override` exists so tests can show closure failing elsewhere.
+    The weight is (-n/2, -n/2) for chiral and (-n/2, +n/2) for antichiral.
     """
-    b = Q(-n, 2) if kind == "chiral" else Q(n, 2)
-    w = weight_override or Weight(Q(-n, 2), b)
+    w = Weight(Q(-n, 2), Q(-n, 2) if kind == "chiral" else Q(n, 2))
     report = CheckReport(check_name=f"finite-subspace-{kind}-n{n}",
                          params={"ell": str(w.ell), "b": str(w.b)})
     with report.timed():

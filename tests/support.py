@@ -3,14 +3,16 @@
 The helpers are plain functions on `SuperPolynomial`s that only tests
 call: the site mirror Sigma and its parameter map, a constructor from
 (monomial, rational) pairs, the degree measure, and the even and odd
-derivatives that serve as oracles for `DiffOp`.
+derivatives that serve as oracles for `DiffOp`; and `subspace_at_weight`,
+a finite-subspace check with its generators built at another weight.
 """
 
 from fractions import Fraction as Q
 from math import lcm
 
+from ybsl21 import sl21
 from ybsl21.rops import ParamPair
-from ybsl21.sl21 import Weight
+from ybsl21.sl21 import Weight, check_finite_subspace
 from ybsl21.superpoly import (FIELD_MASK, ODD_MASK, Z_SHIFTS, SuperPolynomial,
                               exponents, theta, theta_bar)
 
@@ -97,3 +99,11 @@ def deriv_odd(p, var):
         sign = -1 if below & 1 else 1
         terms[m ^ bit] = sign * c
     return SuperPolynomial(terms, p.den)
+
+
+def subspace_at_weight(monkeypatch, n, kind, w):
+    """`check_finite_subspace(n, kind)` with every generator built at w."""
+    real = sl21.build_generators
+    monkeypatch.setattr(sl21, "build_generators",
+                        lambda site, _: real(site, w))
+    return check_finite_subspace(n, kind)

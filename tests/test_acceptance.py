@@ -18,7 +18,8 @@ from fractions import Fraction as Q
 import pytest
 
 from ybsl21.cli import RunConfig, run
-from ybsl21.sl21 import Weight, check_finite_subspace
+from ybsl21.sl21 import GEN_NAMES, Weight
+from support import subspace_at_weight
 
 SEED = 2024
 ALL = RunConfig("all", max_degree=3, samples=3, seed=SEED)
@@ -95,10 +96,11 @@ def test_every_report_has_a_criterion(all_run):
     assert sorted(set(_by_name(all_run[1])) - set(OWNED)) == []
 
 
-def test_criterion_04_off_weight_mutation_fails():
+def test_criterion_04_off_weight_mutation_fails(monkeypatch):
     # no command runs it: a subspace at the wrong weight is not invariant
-    assert not check_finite_subspace(
-        1, "chiral", weight_override=Weight(Q(-1, 2), Q(1, 2))).passed
+    r = subspace_at_weight(monkeypatch, 1, "chiral", Weight(Q(-1, 2), Q(1, 2)))
+    assert not r.passed
+    assert any(f.input.split()[0] in GEN_NAMES for f in r.failures)
 
 
 def _yang_baxter_holds(degree: int) -> None:

@@ -7,11 +7,11 @@ from ybsl21 import lax
 from ybsl21.lax import (SpectralTriple, SuperMatrixOperator, build_lax,
                         build_lax_factorized, build_lax_tensor,
                         check_invariance, check_rll, covariant_derivatives,
-                        fundamental_rmatrix, intertwines, matrices_equal,
-                        on_leg, tensor)
+                        fundamental_rmatrix, identity, intertwines,
+                        matrices_equal, on_leg, tensor)
 from ybsl21.opalg import (EvenDeriv, MulOdd, MulZ, OddDeriv, Scalar,
                           TerminatingExp, compose, equal_on_degree, op_sum)
-from ybsl21.sl21 import Weight, build_generators
+from ybsl21.sl21 import Weight, build_generators, fundamental_rep
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
 
 T = SpectralTriple.from_weight(Q(2), Weight(Q(1), Q(1, 3)))
@@ -76,6 +76,38 @@ def test_tensor_signs_odd_operators_on_odd_columns():
     even = tensor([[0, 1, 0], [1, 0, 0], [0, 0, 1]], z)
     assert even.entry(1, 2) is z and even.entry(2, 1) is z
     assert lax._is_zero(even.entry(1, 1))
+
+
+#: the hand-written auxiliary (x) quantum generator pairs that the
+#: supertrace pairing of the E-basis replaced: (coefficient, aux, quantum)
+TENSOR_TERMS = (
+    (Q(2), "S", "S"), (Q(-2), "B", "B"),
+    (Q(1), "V+", "W-"), (Q(1), "S+", "S-"), (Q(-1), "W-", "V+"),
+    (Q(1), "W+", "V-"), (Q(1), "S-", "S+"), (Q(-1), "V-", "W+"),
+)
+
+
+@pytest.mark.parametrize("kind", ["chiral", "antichiral"])
+@pytest.mark.parametrize("t", [T, SpectralTriple(Q(1, 2), Q(-3), Q(7, 5))])
+def test_tensor_construction_equals_generator_pairs(kind, t):
+    u, w = t.to_weight()
+    rep, g = fundamental_rep(kind), build_generators(1, w)
+    pairs = sum((tensor(rep[aux], c * g[q]) for c, aux, q in TENSOR_TERMS),
+                tensor(identity(3), Scalar(u)))
+    assert matrices_equal(build_lax_tensor(t, kind), pairs, 3,
+                          nsites=1).passed
+
+
+def test_odd_operator_against_a_larger_matrix_is_refused():
+    x = tensor(identity(9), Scalar(1))
+    with pytest.raises(ValueError, match="9x9"):
+        intertwines(MulOdd(theta(1)), x, x, 1, nsites=1)
+    with pytest.raises(ValueError, match="9x9"):
+        tensor(identity(9), MulOdd(theta(1)))
+    # an even operator takes a matrix of any size
+    z = MulZ(1)
+    assert tensor(identity(9), z).entry(9, 9) is z
+    assert intertwines(z, x, x, 1, nsites=1).passed
 
 
 def test_tensor_construction_sign_matters():

@@ -2,11 +2,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from ybsl21.sl21 import (SingularWeight, Weight, build_generators, casimir,
-                         check_casimir, check_finite_subspace, check_relations,
-                         e_basis_matrices, fundamental_rep, mat_combo, mat_mul,
-                         raised_vector, verma_vector)
+from ybsl21.opalg import compose, equal_on_degree, op_sum
+from ybsl21.sl21 import (GEN_NAMES, SingularWeight, Weight, build_generators,
+                         casimir, check_casimir, check_finite_subspace,
+                         check_relations, e_basis_matrices, fundamental_rep,
+                         mat_combo, mat_mul, raised_vector, verma_vector)
 from ybsl21.superpoly import SuperPolynomial, theta, theta_bar
+from support import subspace_at_weight
 
 ONE1 = SuperPolynomial.one()
 
@@ -69,6 +71,18 @@ def test_casimir_eigenvalue_and_centrality():
     g = build_generators(1, w)
     assert casimir(g, 2).apply(ONE1) == Q(3, 4) * ONE1
     assert check_casimir(g, max_degree=3).passed
+
+
+@pytest.mark.parametrize("site", [1, 2])
+@pytest.mark.parametrize("ell,b", [(Q(2, 3), Q(1, 5)), (Q(1), Q(0)),
+                                   (Q(-3, 7), Q(5, 2))])
+def test_quadratic_casimir_is_the_five_product_sum(site, ell, b):
+    # the hand-written order-2 sum the supertrace chain rule replaced
+    g = build_generators(site, Weight(ell, b))
+    five = op_sum(compose(g["S"], g["S"]), Q(-1) * compose(g["B"], g["B"]),
+                  compose(g["S+"], g["S-"]), compose(g["V+"], g["W-"]),
+                  compose(g["W+"], g["V-"]))
+    assert equal_on_degree(casimir(g, 2), five, 3, nsites=site).passed
 
 
 def test_casimir_rejects_bad_order():
@@ -154,10 +168,11 @@ def test_finite_subspace_closed(n, kind):
     assert check_finite_subspace(n, kind).passed
 
 
-def test_finite_subspace_mutation_fails():
-    r = check_finite_subspace(1, "chiral",
-                              weight_override=Weight(Q(-1, 2), Q(1, 2)))
+def test_finite_subspace_mutation_fails(monkeypatch):
+    # the chiral n = 1 span is not invariant at the antichiral weight
+    r = subspace_at_weight(monkeypatch, 1, "chiral", Weight(Q(-1, 2), Q(1, 2)))
     assert not r.passed
+    assert any(f.input.split()[0] in GEN_NAMES for f in r.failures)
 
 
 def test_c3_is_central_in_matrix_rep():
