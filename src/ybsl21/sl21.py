@@ -217,10 +217,9 @@ def _check_relations_matrix(rep: FundamentalRep) -> CheckReport:
 
 
 def casimir(g: SiteGenerators, order: int) -> Operator:
-    """The central element of order n = 2 or 3 as an operator: the
-    supertrace of the n-th power of the E-basis matrix over n!,
-    C_n = sum (-1)^(|a2|+...+|an|) E_a1a2 E_a2a3 ... E_ana1 / n!
-    over every index chain a1 ... an."""
+    """The central element of order n = 2 or 3 as an operator, one chain
+    rule for both: C_n = (1/n!) sum (-1)^(|a2|+...+|an|) E_a1a2 E_a2a3 ...
+    E_ana1 over every index chain a1 ... an."""
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
     e = e_basis_ops(g)

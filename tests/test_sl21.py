@@ -77,7 +77,7 @@ def test_casimir_eigenvalue_and_centrality():
 @pytest.mark.parametrize("ell,b", [(Q(2, 3), Q(1, 5)), (Q(1), Q(0)),
                                    (Q(-3, 7), Q(5, 2))])
 def test_quadratic_casimir_is_the_five_product_sum(site, ell, b):
-    # the hand-written order-2 sum the supertrace chain rule replaced
+    # the reference: C2 as five generator products
     g = build_generators(site, Weight(ell, b))
     five = op_sum(compose(g["S"], g["S"]), Q(-1) * compose(g["B"], g["B"]),
                   compose(g["S+"], g["S-"]), compose(g["V+"], g["W-"]),
